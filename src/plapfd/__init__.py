@@ -75,6 +75,7 @@ from .stepping import (
     sqrt_cusp_data,
     stencil_for,
     tent_data,
+    theoretical_step_bound,
     time_interpolate,
 )
 
@@ -135,6 +136,7 @@ __all__ = [
     "stencil_for",
     "sup_error",
     "tent_data",
+    "theoretical_step_bound",
     "time_interpolate",
     "unit_ball_volume",
 ]

@@ -11,7 +11,6 @@ of the interpolant) on a computed trajectory.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -28,7 +27,7 @@ from .exact import (
 from .operators import (
     apply_dp_grid,
     couple_h_to_r,
-    grid_axis,
+    grid_points,
     sample_on_grid,
     stencil_1d,
     stencil_ball,
@@ -37,11 +36,11 @@ from .stepping import (
     HolderData,
     SchemeConfig,
     Trajectory,
+    check_margin,
     iter_levels,
-    ktilde,
     plan_config,
     solve,
-    stencil_for,
+    theoretical_step_bound,
     time_interpolate,
 )
 
@@ -57,25 +56,15 @@ class ErrorRow:
     runtime_seconds: float
 
 
-def _check_margin(config: SchemeConfig, sol: BarenblattSolution) -> None:
+def _solution_points(config: SchemeConfig, sol: BarenblattSolution) -> np.ndarray:
+    """Grid points to compare ``sol`` on, after checking that the grid keeps
+    a margin of ``r`` around its support at the final time."""
     if sol.d != config.d:
         raise ConfigurationError(
             f"solution dimension {sol.d} does not match config dimension {config.d}"
         )
-    radius = sol.support_radius(config.T)
-    if radius + config.r > config.half_width + 1e-12:
-        raise ConfigurationError(
-            f"support radius {radius:.6g} at T plus stencil radius {config.r:.6g} "
-            f"exceeds half_width {config.half_width:.6g}"
-        )
-
-
-def _grid_points(config: SchemeConfig) -> np.ndarray:
-    ax = grid_axis(config.h, config.half_width)
-    if config.d == 1:
-        return ax
-    grids = np.meshgrid(*([ax] * config.d), indexing="ij")
-    return np.stack(grids, axis=-1)
+    check_margin(config, sol.support_radius(config.T))
+    return grid_points(config.d, config.h, config.half_width)
 
 
 def sup_error(traj: Trajectory, sol: BarenblattSolution) -> float:
@@ -85,8 +74,7 @@ def sup_error(traj: Trajectory, sol: BarenblattSolution) -> float:
     support at the final time, so the comparison is not polluted by the
     zero extension.
     """
-    _check_margin(traj.config, sol)
-    pts = _grid_points(traj.config)
+    pts = _solution_points(traj.config, sol)
     worst = 0.0
     for j, lvl in enumerate(traj.levels):
         exact = barenblatt_eval(sol, pts, traj.times[j])
@@ -98,8 +86,7 @@ def barenblatt_error_row(
     config: SchemeConfig, data: HolderData, sol: BarenblattSolution
 ) -> ErrorRow:
     """Run the scheme and measure the sup error without storing levels."""
-    _check_margin(config, sol)
-    pts = _grid_points(config)
+    pts = _solution_points(config, sol)
     start = time.perf_counter()
     worst = 0.0
     for j, lvl in enumerate(iter_levels(config, data)):
@@ -201,13 +188,8 @@ def consistency_table(
         )
         dp = apply_dp_grid(stencil, field)
         ax = field.axis()
-        if d == 1:
-            pts = ax
-            rho = np.abs(ax)
-        else:
-            grids = np.meshgrid(*([ax] * d), indexing="ij")
-            pts = np.stack(grids, axis=-1)
-            rho = np.sqrt(sum(g * g for g in grids))
+        pts = grid_points(d, h, half)
+        rho = np.abs(pts) if d == 1 else np.sqrt(np.sum(pts * pts, axis=-1))
         oracle = plap_quadratic_oracle(pts, p, d)
         err = np.abs(dp - oracle)
         inwin = np.ones_like(err, dtype=bool)
@@ -310,10 +292,7 @@ def run_property_suite(
         raise ValueError(f"samples must be >= 1 (got {samples})")
     rng = np.random.default_rng(seed)
     summary = _config_summary(config)
-    if not math.isfinite(config.K1):
-        raise ConfigurationError("the property suite needs mollifier constants (d <= 3)")
-    stencil = stencil_for(config)
-    kt = ktilde(data.a, config.p, data.L_u0, config.K1, config.K2, stencil.M_bound)
+    kt, _, _, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
     kappa = data.a / (2.0 + (1.0 - data.a) * (config.p - 2.0))
 
     names = (

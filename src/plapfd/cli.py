@@ -35,7 +35,7 @@ from .analysis import (
 from .errors import BlowUpError, ConfigurationError, QuadratureError
 from .exact import barenblatt_data
 from .mollifier import REFERENCE_BOUNDS, mollifier_constants
-from .operators import _check_p, grid_radius
+from .operators import _check_p, grid_points, grid_radius
 from .stepping import (
     HolderData,
     cfl_report,
@@ -64,7 +64,6 @@ DEFAULTS = {
     "samples": 1000,
     "seed": 20260817,
     "output_dir": ".",
-    "threads": 0,
 }
 
 _NUMBER = (int, float)
@@ -106,7 +105,6 @@ _SCHEMA = {
     "samples": ((int,), False),
     "seed": ((int,), False),
     "output_dir": ((str,), False),
-    "threads": ((int,), False),
 }
 
 
@@ -191,25 +189,6 @@ def _resolve(args, extra_defaults=None) -> dict:
     _validate(cfg)
     _check_p(cfg["p"])
     return cfg
-
-
-def _resolve_threads(args, cfg) -> int:
-    if args.threads is not None:
-        t = args.threads
-    else:
-        env = os.environ.get("PLAPFD_THREADS")
-        if env is not None:
-            try:
-                t = int(env)
-            except ValueError:
-                raise ConfigurationError(f"PLAPFD_THREADS must be an integer (got {env!r})")
-        else:
-            t = cfg["threads"]
-    if t < 0:
-        raise ConfigurationError(f"threads must be >= 0 (got {t})")
-    # kernels are vectorized single-threaded; the value is validated and
-    # recorded so configs stay portable, and results never depend on it
-    return int(t)
 
 
 def _interp_table(table, name):
@@ -302,21 +281,22 @@ def _json_safe(x):
 
 
 def _write_snapshot(path: str, field) -> None:
-    ax = field.axis()
-    if field.d == 1:
-        header = ["x", "u"]
-    else:
-        header = [f"x{i + 1}" for i in range(field.d)] + ["u"]
+    names = ["x"] if field.d == 1 else [f"x{i + 1}" for i in range(field.d)]
+    pts = grid_points(field.d, field.h, field.half_width)
+    table = np.column_stack([pts.reshape(-1, field.d), field.values.reshape(-1)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for idx in np.ndindex(field.values.shape):
-            row = [_fmt(ax[i]) for i in idx]
-            row.append(_fmt(field.values[idx]))
-            writer.writerow(row)
+        np.savetxt(
+            fh,
+            table,
+            fmt="%.17g",
+            delimiter=",",
+            newline="\r\n",
+            header=",".join(names + ["u"]),
+            comments="",
+        )
 
 
-def cmd_solve(cfg: dict, threads: int) -> int:
+def cmd_solve(cfg: dict) -> int:
     _require_dir(cfg["output_dir"])
     data = _build_data(cfg)
     config = _plan(cfg, data)
@@ -347,7 +327,6 @@ def cmd_solve(cfg: dict, threads: int) -> int:
             "r": config.r,
             "tau": config.tau,
             "num_steps": config.N,
-            "threads": threads,
         },
     )
     report = cfl_report(config, data)
@@ -377,7 +356,7 @@ def cmd_solve(cfg: dict, threads: int) -> int:
     return 0
 
 
-def cmd_convergence(cfg: dict, threads: int) -> int:
+def cmd_convergence(cfg: dict) -> int:
     _require_dir(cfg["output_dir"])
     if cfg["d"] != 1:
         raise ConfigurationError("the convergence benchmark is one-dimensional")
@@ -415,7 +394,7 @@ def cmd_convergence(cfg: dict, threads: int) -> int:
     return 0
 
 
-def cmd_consistency(cfg: dict, threads: int) -> int:
+def cmd_consistency(cfg: dict) -> int:
     rows = consistency_table(
         cfg["p"],
         cfg["d"],
@@ -432,7 +411,7 @@ def cmd_consistency(cfg: dict, threads: int) -> int:
     return 0
 
 
-def cmd_properties(cfg: dict, threads: int) -> int:
+def cmd_properties(cfg: dict) -> int:
     _require_dir(cfg["output_dir"])
     data = _build_data(cfg)
     config = _plan(cfg, data)
@@ -454,7 +433,7 @@ def cmd_properties(cfg: dict, threads: int) -> int:
     return 0
 
 
-def cmd_constants(cfg: dict, threads: int) -> int:
+def cmd_constants(cfg: dict) -> int:
     print(f"{'d':>2} {'M':>12} {'K1':>12} {'K2':>12} {'quad_error':>12}  reference bounds")
     for d in (1, 2, 3):
         mc = mollifier_constants(d)
@@ -488,12 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (fn, _extra) in _COMMANDS.items():
         sp = sub.add_parser(name, help=fn.__doc__, allow_abbrev=False)
         sp.add_argument("--config", default=None, help="JSON configuration file")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (0 = auto); falls back to PLAPFD_THREADS",
-        )
     return parser
 
 
@@ -504,8 +477,7 @@ def main(argv=None) -> int:
     fn, extra_defaults = _COMMANDS[args.command]
     try:
         cfg = _resolve(args, extra_defaults)
-        threads = _resolve_threads(args, cfg)
-        return fn(cfg, threads)
+        return fn(cfg)
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

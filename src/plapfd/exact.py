@@ -106,11 +106,16 @@ def barenblatt_eval(sol: BarenblattSolution, x, t):
 
 
 def barenblatt_lipschitz(p, d: int = 1) -> float:
-    """Spatial Lipschitz constant of ``B(., t)`` at ``t + t_shift = 1``.
+    """Upper bound ``K * p / (p - 2)`` on the spatial Lipschitz constant of
+    ``B(., t)`` at ``t + t_shift = 1``.
 
-    Only the one-dimensional profile is supported; its gradient is maximal
-    at the support edge, giving ``K * p / (p - 2)``. An algebraically equal
-    closed form is ``((p-2) / (2p(p-1)))^(1/(p-2))``.
+    Only the one-dimensional profile is supported. With ``z = |x|^(p/(p-1))``
+    inside the support, the gradient magnitude is ``K p/(p-2) * z^(1/p) *
+    (1-z)^(1/(p-2))``; both trailing factors lie in [0, 1], hence the bound.
+    It is not attained: the gradient vanishes at the origin and at the
+    support edge, and its maximum is interior, at ``z = (p-2)/(2(p-1))``.
+    An algebraically equal closed form of the bound is ``((p-2) /
+    (2p(p-1)))^(1/(p-2))``.
     """
     if d != 1:
         raise ValueError("the Lipschitz constant is only available for d = 1")

@@ -14,7 +14,6 @@ operator is consistent with the p-Laplacian on smooth functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -143,6 +142,20 @@ def grid_axis(h, half_width) -> np.ndarray:
     return np.arange(-n, n + 1, dtype=float) * float(h)
 
 
+def grid_points(d: int, h, half_width) -> np.ndarray:
+    """Coordinates of every node of the ``d``-dimensional grid.
+
+    For ``d = 1`` this is the axis itself; otherwise an array of shape
+    ``(2n+1,)*d + (d,)`` whose entry ``[i_1, ..., i_d]`` holds the node's
+    coordinates (``indexing="ij"``). This is the point convention of
+    :func:`plapfd.exact.barenblatt_eval`.
+    """
+    ax = grid_axis(h, half_width)
+    if d == 1:
+        return ax
+    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1)
+
+
 _EXTENSIONS = ("zero", "boundary")
 
 
@@ -263,10 +276,10 @@ def sample_on_grid(fn, d: int, h, half_width, extension="zero") -> GridField:
     ``fn`` receives one coordinate array per axis (meshgrid convention,
     ``indexing="ij"``); scalar-valued callables are broadcast.
     """
-    ax = grid_axis(h, half_width)
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    vals = np.asarray(fn(*grids), dtype=float)
-    shape = (len(ax),) * d
+    pts = grid_points(d, h, half_width)
+    coords = (pts,) if d == 1 else np.moveaxis(pts, -1, 0)
+    vals = np.asarray(fn(*coords), dtype=float)
+    shape = pts.shape[:d]
     if vals.shape != shape:
         vals = np.broadcast_to(vals, shape).copy()
     return GridField(d=d, h=h, half_width=half_width, values=vals, extension=extension)
@@ -338,6 +351,16 @@ class Stencil:
         return self.offsets.shape[0]
 
 
+def weight_sum_bound(d: int, p) -> float:
+    """Weight-sum constant ``M_bound`` of the stencil used in dimension ``d``.
+
+    The weights sum to at most ``M_bound * r^-p``, with ``M_bound = 2`` for
+    the two-point stencil (``d = 1``) and ``2^d / dpd_constant(d, p)`` for
+    the ball stencil.
+    """
+    return 2.0 if d == 1 else 2.0**d / dpd_constant(d, p)
+
+
 def stencil_1d(h, p) -> Stencil:
     """Two-point stencil in one dimension: weights ``1/h^p`` at offsets
     -1 and +1, radius ``r = h``, weight-sum constant ``M_bound = 2``.
@@ -354,7 +377,7 @@ def stencil_1d(h, p) -> Stencil:
         p=p,
         offsets=np.array([[-1], [1]], dtype=np.int64),
         weights=np.array([w, w]),
-        M_bound=2.0,
+        M_bound=weight_sum_bound(1, p),
     )
 
 
@@ -379,18 +402,14 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
             f"h must satisfy h <= r/sqrt(d) = {r / math.sqrt(d):.6g} (got h={h})"
         )
     m = int(math.floor(r / h + 1e-9))
-    r2 = r * r
-    offsets = []
-    for beta in itertools.product(range(-m, m + 1), repeat=d):
-        if all(b == 0 for b in beta):
-            continue
-        if h * h * sum(b * b for b in beta) < r2:
-            offsets.append(beta)
-    if not offsets:
+    # C order of the cube [-m, m]^d is lexicographic, so no sort is needed
+    cube = np.indices((2 * m + 1,) * d, dtype=np.int64).reshape(d, -1).T - m
+    inside = (h * h * np.sum(cube * cube, axis=1) < r * r) & np.any(cube != 0, axis=1)
+    offsets = cube[inside]
+    if len(offsets) == 0:
         raise DegenerateStencilError(
             f"no lattice offsets inside the ball (r={r}, h={h}, d={d})"
         )
-    offsets.sort()
     w = h**d / (dpd_constant(d, p) * unit_ball_volume(d) * r ** (p + d))
     weights = np.full(len(offsets), w)
     return Stencil(
@@ -398,9 +417,9 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
         h=h,
         r=r,
         p=p,
-        offsets=np.array(offsets, dtype=np.int64),
+        offsets=offsets,
         weights=weights,
-        M_bound=2.0**d / dpd_constant(d, p),
+        M_bound=weight_sum_bound(d, p),
     )
 
 

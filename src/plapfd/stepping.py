@@ -27,10 +27,10 @@ from .operators import (
     _check_p,
     apply_dp_grid,
     couple_h_to_r,
-    dpd_constant,
     sample_on_grid,
     stencil_1d,
     stencil_ball,
+    weight_sum_bound,
 )
 
 _REL_SLACK = 1e-12
@@ -137,6 +137,28 @@ def cfl_constant(a, p, L_u0, L_f, T, Ktilde, M) -> float:
     return min(1.0, 1.0 / (float(M) * (p - 1.0) * grad ** (p - 2.0)))
 
 
+def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
+    """The theoretical step rule for dimension ``d``, radius ``r`` and
+    horizon ``T``: ``(Ktilde, C, tau_max, M_bound)``.
+
+    ``K1``/``K2`` come from :func:`plapfd.mollifier.mollifier_constants` and
+    ``M_bound`` from :func:`plapfd.operators.weight_sum_bound`. The mollifier
+    constants are tabulated for ``d <= 3`` only; larger ``d`` raises
+    ConfigurationError.
+    """
+    if d > 3:
+        raise ConfigurationError(
+            f"the theoretical step bound needs mollifier constants, tabulated "
+            f"for d <= 3 (got d = {d})"
+        )
+    mc = mollifier_constants(d)
+    M_bound = weight_sum_bound(d, p)
+    kt = ktilde(data.a, p, data.L_u0, mc.K1, mc.K2, M_bound)
+    C = cfl_constant(data.a, p, data.L_u0, data.L_f, T, kt, M_bound)
+    tau_max = cfl_tau_max(r, data.a, p, data.L_u0, data.L_f, T, kt, M_bound)
+    return kt, C, tau_max, M_bound
+
+
 _CFL_MODES = ("theoretical", "practical")
 
 
@@ -145,10 +167,9 @@ class SchemeConfig:
     """Fully resolved discretization parameters.
 
     ``N * tau`` must reproduce ``T`` to within one representable step; grids
-    are the symmetric boxes of :class:`plapfd.operators.GridField`. ``K1``,
-    ``K2`` and ``M_moll`` are the mollifier constants used by the
-    theoretical step-size rule (NaN when unavailable, which restricts the
-    config to practical mode).
+    are the symmetric boxes of :class:`plapfd.operators.GridField`. In
+    theoretical mode ``tau`` is checked against :func:`theoretical_step_bound`
+    when the run starts.
     """
 
     p: float
@@ -160,10 +181,6 @@ class SchemeConfig:
     N: int
     half_width: float
     cfl_mode: str = "practical"
-    c_practical: float = 0.2
-    K1: float = float("nan")
-    K2: float = float("nan")
-    M_moll: float = float("nan")
     extension: str = "zero"
 
     def __post_init__(self):
@@ -188,11 +205,6 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"cfl_mode must be one of {_CFL_MODES} (got {self.cfl_mode!r})"
             )
-        if not (float(self.c_practical) > 0.0):
-            raise ConfigurationError(f"c_practical must be positive (got {self.c_practical})")
-        object.__setattr__(self, "c_practical", float(self.c_practical))
-        for name in ("K1", "K2", "M_moll"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         if self.extension not in ("zero", "boundary"):
             raise ConfigurationError(f"unknown extension {self.extension!r}")
 
@@ -209,13 +221,6 @@ def stencil_for(config: SchemeConfig) -> Stencil:
             )
         return stencil_1d(config.h, config.p)
     return stencil_ball(config.r, config.h, config.p, config.d)
-
-
-def _mollifier_constants_for(d: int):
-    if d <= 3:
-        mc = mollifier_constants(d)
-        return mc.K1, mc.K2, mc.M
-    return float("nan"), float("nan"), float("nan")
 
 
 def plan_config(
@@ -261,7 +266,6 @@ def plan_config(
             raise ConfigurationError(f"give the stencil radius r for d = {d}")
         r = float(r)
         h = couple_h_to_r(r, p, d, coupling_c) if h is None else float(h)
-    K1, K2, M_moll = _mollifier_constants_for(d)
     explicit_tau = None
     if tau is not None:
         tau = float(tau)
@@ -278,13 +282,7 @@ def plan_config(
             target = float(c_practical) * r ** (2.0 + (1.0 - data.a) * (p - 2.0))
             N = max(1, int(math.ceil(T / target - 1e-9)))
         elif cfl_mode == "theoretical":
-            if not math.isfinite(K1):
-                raise ConfigurationError(
-                    f"theoretical mode needs mollifier constants (d = {d} unsupported)"
-                )
-            M_bound = 2.0 if d == 1 else 2.0**d / dpd_constant(d, p)
-            kt = ktilde(data.a, p, data.L_u0, K1, K2, M_bound)
-            target = cfl_tau_max(r, data.a, p, data.L_u0, data.L_f, T, kt, M_bound)
+            _, _, target, _ = theoretical_step_bound(p, d, r, T, data)
             N = max(1, int(math.ceil(T / target)))
         else:
             raise ConfigurationError(f"cfl_mode must be one of {_CFL_MODES} (got {cfl_mode!r})")
@@ -298,24 +296,20 @@ def plan_config(
         N=N,
         half_width=float(half_width),
         cfl_mode=cfl_mode,
-        c_practical=float(c_practical),
-        K1=K1,
-        K2=K2,
-        M_moll=M_moll,
         extension=extension,
     )
 
 
 def cfl_report(config: SchemeConfig, data: HolderData) -> dict:
-    """Constants behind the theoretical step bound, for logs and metadata."""
+    """Constants behind the theoretical step bound, for logs and metadata.
+
+    ``Ktilde``, ``C`` and ``tau_max_theoretical`` are NaN where the bound is
+    unavailable (``d > 3``).
+    """
     stencil = stencil_for(config)
-    if math.isfinite(config.K1):
-        kt = ktilde(data.a, config.p, data.L_u0, config.K1, config.K2, stencil.M_bound)
-        tau_max = cfl_tau_max(
-            config.r, data.a, config.p, data.L_u0, data.L_f, config.T, kt, stencil.M_bound
-        )
-        C = cfl_constant(data.a, config.p, data.L_u0, data.L_f, config.T, kt, stencil.M_bound)
-    else:
+    try:
+        kt, C, tau_max, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
+    except ConfigurationError:
         kt = tau_max = C = float("nan")
     return {
         "Ktilde": kt,
@@ -360,23 +354,26 @@ def _initial_fields(config: SchemeConfig, data: HolderData) -> tuple[GridField, 
     return u, f
 
 
-def _validate_run(config: SchemeConfig, data: HolderData, stencil: Stencil) -> None:
-    if config.cfl_mode == "theoretical":
-        kt = ktilde(data.a, config.p, data.L_u0, config.K1, config.K2, stencil.M_bound)
-        tau_max = cfl_tau_max(
-            config.r, data.a, config.p, data.L_u0, data.L_f, config.T, kt, stencil.M_bound
+def check_margin(config: SchemeConfig, support_radius) -> None:
+    """Require the box to hold a support of radius ``support_radius`` plus
+    the stencil radius, so the zero extension reads only true zeros."""
+    if support_radius + config.r > config.half_width + _REL_SLACK:
+        raise ConfigurationError(
+            f"support radius {support_radius} plus stencil radius "
+            f"{config.r} does not fit in half_width {config.half_width}; "
+            "the zero extension would clip the solution"
         )
+
+
+def _validate_run(config: SchemeConfig, data: HolderData) -> None:
+    if config.cfl_mode == "theoretical":
+        _, _, tau_max, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
         if config.tau > tau_max * (1.0 + _REL_SLACK):
             raise ConfigurationError(
                 f"tau = {config.tau} exceeds the theoretical bound {tau_max}"
             )
     if config.extension == "zero" and data.support_radius is not None:
-        if data.support_radius + config.r > config.half_width + _REL_SLACK:
-            raise ConfigurationError(
-                f"support radius {data.support_radius} plus stencil radius "
-                f"{config.r} does not fit in half_width {config.half_width}; "
-                "the zero extension would clip the solution"
-            )
+        check_margin(config, data.support_radius)
 
 
 def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
@@ -387,7 +384,7 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     reused across steps.
     """
     stencil = stencil_for(config)
-    _validate_run(config, data, stencil)
+    _validate_run(config, data)
     u, f = _initial_fields(config, data)
     yield u
     for j in range(1, config.N + 1):

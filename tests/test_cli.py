@@ -1,10 +1,13 @@
 import filecmp
+import itertools
 import json
 import os
 
+import numpy as np
 import pytest
 
-from plapfd.cli import main
+from plapfd import GridField, grid_axis
+from plapfd.cli import _write_snapshot, main
 
 
 def run_cli(argv, capsys):
@@ -225,25 +228,24 @@ def test_tabulated_data_requires_certificates(tmp_path, capsys):
     assert "missing" in err
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PLAPFD_THREADS", "soon")
-    code, out, err = run_cli(["constants"], capsys)
-    assert code == 2
-    assert "PLAPFD_THREADS" in err
-    monkeypatch.setenv("PLAPFD_THREADS", "-2")
-    code, out, err = run_cli(["constants"], capsys)
-    assert code == 2
-    monkeypatch.setenv("PLAPFD_THREADS", "3")
-    code, out, err = run_cli(["constants"], capsys)
-    assert code == 0
+@pytest.mark.parametrize("d, h, half_width", [(1, 0.01, 2.0), (2, 0.1, 1.0)])
+def test_snapshot_bytes_match_per_value_format(tmp_path, d, h, half_width):
+    # 401 nodes in 1D, 21^2 in 2D; extreme values go through the same %.17g
+    rng = np.random.default_rng(20260817)
+    shape = (len(grid_axis(h, half_width)),) * d
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 1.0 / 3.0, 2.0**-1074 * 3]
+    values.flat[: len(special)] = special
+    field = GridField(d=d, h=h, half_width=half_width, values=values)
+    path = tmp_path / "snap.csv"
+    _write_snapshot(str(path), field)
 
-
-def test_threads_flag_recorded_in_metadata(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PLAPFD_THREADS", "7")
-    code, _, _ = run_cli(_solve_args(tmp_path, ("--threads", "2")), capsys)
-    assert code == 0
-    meta = json.loads((tmp_path / "metadata.json").read_text())
-    assert meta["config"]["threads"] == 2
+    ax = field.axis()
+    lines = ["x,u" if d == 1 else "x1,x2,u"]
+    for idx in itertools.product(range(shape[0]), repeat=d):
+        row = [ax[i] for i in idx] + [values[idx]]
+        lines.append(",".join(format(float(x), ".17g") for x in row))
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
 
 def test_config_file_with_overrides(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -153,6 +154,14 @@ def test_stencil_ball_weight_sum_bound():
         h = float(rng.uniform(0.2, 1.0)) * r / math.sqrt(d)
         s = stencil_ball(r, h, p, d)
         assert float(np.sum(s.weights)) <= s.M_bound * r ** (-p) * (1.0 + 1e-12)
+        # same offsets, in the same order, as a lexicographic brute-force scan
+        m = int(math.floor(r / h + 1e-9))
+        brute = [
+            list(beta)
+            for beta in itertools.product(range(-m, m + 1), repeat=d)
+            if any(beta) and h * h * sum(b * b for b in beta) < r * r
+        ]
+        assert s.offsets.tolist() == brute
         # symmetry comes with the construction
         rows = {tuple(row): w for row, w in zip(s.offsets.tolist(), s.weights)}
         for beta, w in rows.items():

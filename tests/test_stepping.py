@@ -26,6 +26,7 @@ from plapfd import (
     stencil_1d,
     stencil_for,
     tent_data,
+    theoretical_step_bound,
     time_interpolate,
 )
 
@@ -165,9 +166,40 @@ def test_plan_config_theoretical_step_respects_bound():
     assert 0.0 < rep["C"] <= 1.0
 
 
+def test_directly_built_theoretical_config_uses_the_planned_bound():
+    data = sqrt_cusp_data()
+    planned = plan_config(3.0, 1, 0.1, 2.0, data, h=0.1, cfl_mode="theoretical")
+    direct = SchemeConfig(
+        p=3.0, d=1, T=0.1, r=0.1, h=0.1, tau=planned.tau, N=planned.N, half_width=2.0,
+        cfl_mode="theoretical",
+    )
+    assert cfl_report(direct, data) == cfl_report(planned, data)
+    kt, C, tau_max, M_bound = theoretical_step_bound(3.0, 1, 0.1, 0.1, data)
+    assert cfl_report(direct, data) == {
+        "Ktilde": kt, "C": C, "tau_max_theoretical": tau_max, "M_bound": M_bound,
+        "stencil_size": 2,
+    }
+
+    # L_f = 0, so the bound does not depend on T and four steps can sit on it
+    def four_steps(tau):
+        cfg = SchemeConfig(
+            p=3.0, d=1, T=4 * tau, r=0.1, h=0.1, tau=tau, N=4, half_width=2.0,
+            cfl_mode="theoretical",
+        )
+        return solve(cfg, data)
+
+    four_steps(tau_max)
+    with pytest.raises(ConfigurationError, match="theoretical bound"):
+        four_steps(tau_max * (1.0 + 1e-9))
+
+
 def test_plan_config_theoretical_needs_tabulated_constants():
     with pytest.raises(ConfigurationError):
         plan_config(3.0, 4, 1.0, 2.0, zero_data(), r=0.5, cfl_mode="theoretical")
+    # the report of a d = 4 practical run leaves the bound's constants NaN
+    cfg = SchemeConfig(p=3.0, d=4, T=0.1, r=0.5, h=0.25, tau=0.05, N=2, half_width=1.0)
+    rep = cfl_report(cfg, zero_data())
+    assert all(math.isnan(rep[k]) for k in ("Ktilde", "C", "tau_max_theoretical"))
 
 
 def test_explicit_step_heat_by_hand():
