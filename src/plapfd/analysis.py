@@ -56,15 +56,21 @@ class ErrorRow:
     runtime_seconds: float
 
 
-def _solution_points(config: SchemeConfig, sol: BarenblattSolution) -> np.ndarray:
-    """Grid points to compare ``sol`` on, after checking that the grid keeps
-    a margin of ``r`` around its support at the final time."""
+def _worst_error(config: SchemeConfig, sol: BarenblattSolution, levels) -> float:
+    """Largest nodal error of ``levels`` (``U^0, U^1, ...`` at times ``j *
+    tau``) against ``sol``, after checking that the grid keeps a margin of
+    ``r`` around its support at the final time."""
     if sol.d != config.d:
         raise ConfigurationError(
             f"solution dimension {sol.d} does not match config dimension {config.d}"
         )
     check_margin(config, sol.support_radius(config.T))
-    return grid_points(config.d, config.h, config.half_width)
+    pts = grid_points(config.d, config.h, config.half_width)
+    worst = 0.0
+    for j, lvl in enumerate(levels):
+        exact = barenblatt_eval(sol, pts, j * config.tau)
+        worst = max(worst, float(np.max(np.abs(lvl.values - exact))))
+    return worst
 
 
 def sup_error(traj: Trajectory, sol: BarenblattSolution) -> float:
@@ -74,24 +80,15 @@ def sup_error(traj: Trajectory, sol: BarenblattSolution) -> float:
     support at the final time, so the comparison is not polluted by the
     zero extension.
     """
-    pts = _solution_points(traj.config, sol)
-    worst = 0.0
-    for j, lvl in enumerate(traj.levels):
-        exact = barenblatt_eval(sol, pts, traj.times[j])
-        worst = max(worst, float(np.max(np.abs(lvl.values - exact))))
-    return worst
+    return _worst_error(traj.config, sol, traj.levels)
 
 
 def barenblatt_error_row(
     config: SchemeConfig, data: HolderData, sol: BarenblattSolution
 ) -> ErrorRow:
     """Run the scheme and measure the sup error without storing levels."""
-    pts = _solution_points(config, sol)
     start = time.perf_counter()
-    worst = 0.0
-    for j, lvl in enumerate(iter_levels(config, data)):
-        exact = barenblatt_eval(sol, pts, j * config.tau)
-        worst = max(worst, float(np.max(np.abs(lvl.values - exact))))
+    worst = _worst_error(config, sol, iter_levels(config, data))
     runtime = time.perf_counter() - start
     return ErrorRow(
         h=config.h, r=config.r, tau=config.tau, sup_error=worst, runtime_seconds=runtime
@@ -305,34 +302,18 @@ def run_property_suite(
     try:
         traj = solve(config, data)
     except BlowUpError as exc:
-        results = [
+        results = tuple(
             PropertyResult(
-                name="stability",
+                name=name,
                 passed=False,
                 checked=0,
                 worst_margin=float("inf"),
-                detail=str(exc),
+                detail=str(exc) if name == "stability" else "not evaluated: solver blew up",
             )
-        ]
-        for name in names:
-            if name == "stability":
-                continue
-            results.append(
-                PropertyResult(
-                    name=name,
-                    passed=False,
-                    checked=0,
-                    worst_margin=float("inf"),
-                    detail="not evaluated: solver blew up",
-                )
-            )
-        results.sort(key=lambda res: names.index(res.name))
+            for name in names
+        )
         return PropertyReport(
-            passed=False,
-            seed=int(seed),
-            samples=samples,
-            config=summary,
-            results=tuple(results),
+            passed=False, seed=int(seed), samples=samples, config=summary, results=results
         )
 
     values = np.stack([lvl.values.ravel() for lvl in traj.levels])

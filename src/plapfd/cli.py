@@ -18,7 +18,6 @@ failure, 4 numerical failure (blow-up, quadrature), 5 property violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -265,10 +264,6 @@ def _plan(cfg: dict, data: HolderData):
     )
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _require_dir(path: str) -> None:
     if not os.path.isdir(path):
         raise FileNotFoundError(f"output directory does not exist: {path}")
@@ -280,20 +275,26 @@ def _json_safe(x):
     return x
 
 
-def _write_snapshot(path: str, field) -> None:
-    names = ["x"] if field.d == 1 else [f"x{i + 1}" for i in range(field.d)]
-    pts = grid_points(field.d, field.h, field.half_width)
-    table = np.column_stack([pts.reshape(-1, field.d), field.values.reshape(-1)])
+def _write_table(path: str, header: str, table, delimiter=",", newline="\r\n") -> None:
+    """Write one header line, then the rows of ``table`` with every value as
+    ``%.17g``, which round-trips each double."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         np.savetxt(
             fh,
             table,
             fmt="%.17g",
-            delimiter=",",
-            newline="\r\n",
-            header=",".join(names + ["u"]),
+            delimiter=delimiter,
+            newline=newline,
+            header=header,
             comments="",
         )
+
+
+def _write_snapshot(path: str, field) -> None:
+    names = ["x"] if field.d == 1 else [f"x{i + 1}" for i in range(field.d)]
+    pts = grid_points(field.d, field.h, field.half_width)
+    table = np.column_stack([pts.reshape(-1, field.d), field.values.reshape(-1)])
+    _write_table(path, ",".join(names + ["u"]), table)
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -374,18 +375,19 @@ def cmd_convergence(cfg: dict) -> int:
         c_practical=cfg["cfl"]["c"],
     )
     csv_path = os.path.join(cfg["output_dir"], "errors.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["h", "r", "tau", "sup_error", "runtime_seconds"])
-        for row in rows:
-            writer.writerow(
-                [_fmt(row.h), _fmt(row.r), _fmt(row.tau), _fmt(row.sup_error), _fmt(row.runtime_seconds)]
-            )
+    _write_table(
+        csv_path,
+        "h,r,tau,sup_error,runtime_seconds",
+        [[row.h, row.r, row.tau, row.sup_error, row.runtime_seconds] for row in rows],
+    )
     dat_path = os.path.join(cfg["output_dir"], "convergence_loglog.dat")
-    with open(dat_path, "w", encoding="utf-8") as fh:
-        fh.write("# log10(h) log10(sup_error)\n")
-        for row in rows:
-            fh.write(f"{math.log10(row.h):.17g} {math.log10(row.sup_error):.17g}\n")
+    _write_table(
+        dat_path,
+        "# log10(h) log10(sup_error)",
+        [[math.log10(row.h), math.log10(row.sup_error)] for row in rows],
+        delimiter=" ",
+        newline="\n",
+    )
     order = observed_order(rows)
     for row in rows:
         print(f"h = {row.h:<10.6g} sup_error = {row.sup_error:.6e} ({row.runtime_seconds:.2f} s)")

@@ -241,24 +241,17 @@ class GridField:
                 slot.append(min(max(i, 0), 2 * n))
         return float(self.values[tuple(slot)])
 
-    def shifted(self, beta) -> np.ndarray:
-        """Array of ``U(. + h*beta)`` read with the extension rule."""
-        beta = _as_index(beta, self.d)
-        size = self.values.shape[0]
+    def padded(self, m: int) -> np.ndarray:
+        """Values on the box widened by ``m`` nodes per side, read with the
+        extension rule: slot ``i`` along each axis holds node ``i - n - m``."""
         if self.extension == "zero":
-            out = np.zeros_like(self.values)
-            src = []
-            dst = []
-            for b in beta:
-                lo, hi = max(b, 0), min(size + b, size)
-                if lo >= hi:
-                    return out
-                src.append(slice(lo, hi))
-                dst.append(slice(lo - b, hi - b))
-            out[tuple(dst)] = self.values[tuple(src)]
+            # np.pad(mode="constant") costs ~10x more on the small 1D grids
+            # that are stepped thousands of times
+            size = self.values.shape[0] + 2 * m
+            out = np.zeros((size,) * self.d)
+            out[(slice(m, size - m),) * self.d] = self.values
             return out
-        idx = [np.clip(np.arange(size) + b, 0, size - 1) for b in beta]
-        return self.values[np.ix_(*idx)]
+        return np.pad(self.values, m, mode="edge")
 
 
 def _as_index(alpha, d: int) -> tuple:
@@ -302,14 +295,13 @@ class Stencil:
     p: float
     offsets: np.ndarray
     weights: np.ndarray
-    M_bound: float
 
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 1:
             raise ConfigurationError(f"d must be a positive integer (got {self.d})")
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "p", _check_p(self.p))
-        for name in ("h", "r", "M_bound"):
+        for name in ("h", "r"):
             val = float(getattr(self, name))
             if not (val > 0.0) or not math.isfinite(val):
                 raise ConfigurationError(f"{name} must be positive (got {val})")
@@ -322,18 +314,23 @@ class Stencil:
             raise ConfigurationError("offsets and weights disagree in length")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             raise ConfigurationError("weights must be finite and nonnegative")
-        rows = [tuple(row) for row in off]
-        if any(all(b == 0 for b in row) for row in rows):
+        if np.any(np.all(off == 0, axis=1)):
             raise ConfigurationError("the zero offset is not allowed")
-        if rows != sorted(rows):
+        # rows ascend strictly iff the first nonzero entry of every
+        # consecutive difference is positive
+        step = np.diff(off, axis=0)
+        lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+        if np.any(lead < 0):
             raise ConfigurationError("offsets must be lexicographically sorted")
-        if len(set(rows)) != len(rows):
+        if np.any(lead == 0):
             raise ConfigurationError("duplicate offsets")
-        table = dict(zip(rows, w))
-        for row, weight in table.items():
-            neg = tuple(-b for b in row)
-            if neg not in table or table[neg] != weight:
-                raise ConfigurationError(f"weights not symmetric at offset {row}")
+        # negation reverses the lexicographic order, so sorted unique rows
+        # are symmetric iff row k mirrors row -1-k with the same weight
+        if not (np.array_equal(off, -off[::-1]) and np.array_equal(w, w[::-1])):
+            table = dict(zip(map(tuple, off.tolist()), w.tolist()))
+            for row, weight in table.items():
+                if table.get(tuple(-b for b in row)) != weight:
+                    raise ConfigurationError(f"weights not symmetric at offset {row}")
         reach2 = (self.h**2) * np.sum(off.astype(float) ** 2, axis=1)
         if np.any(reach2 > self.r**2 * (1.0 + _REL_SLACK) ** 2):
             raise ConfigurationError("an offset reaches outside the ball of radius r")
@@ -349,6 +346,11 @@ class Stencil:
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
+
+    @property
+    def M_bound(self) -> float:
+        """Weight-sum constant: the weights sum to at most ``M_bound * r^-p``."""
+        return weight_sum_bound(self.d, self.p)
 
 
 def weight_sum_bound(d: int, p) -> float:
@@ -377,7 +379,6 @@ def stencil_1d(h, p) -> Stencil:
         p=p,
         offsets=np.array([[-1], [1]], dtype=np.int64),
         weights=np.array([w, w]),
-        M_bound=weight_sum_bound(1, p),
     )
 
 
@@ -419,7 +420,6 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
         p=p,
         offsets=offsets,
         weights=weights,
-        M_bound=weight_sum_bound(d, p),
     )
 
 
@@ -455,12 +455,19 @@ def apply_dp_grid(stencil: Stencil, field: GridField) -> np.ndarray:
     """Discrete operator on every node at once.
 
     Vectorized over the grid but with the same per-node accumulation order
-    as apply_dp: one offset at a time, lexicographically.
+    as apply_dp: one offset at a time, lexicographically. The field is
+    padded once by the stencil's reach, and each offset reads a view of it.
     """
     _check_geometry(stencil, field)
+    # acc before the padded copy: in this order glibc 2.36 serves the
+    # per-offset temporaries from its heap, not from fresh mmaps (on the
+    # 175^2 ball2d grid, ~2k instead of ~870k minor faults per 6 steps)
     acc = np.zeros_like(field.values)
+    m = int(np.max(np.abs(stencil.offsets)))
+    padded = field.padded(m)
+    size = field.values.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(stencil)):
-            shift = field.shifted(stencil.offsets[k])
+        for k, beta in enumerate(stencil.offsets.tolist()):
+            shift = padded[tuple(slice(m + b, m + b + size) for b in beta)]
             acc += _signed_power(shift - field.values, stencil.p) * stencil.weights[k]
     return acc

@@ -24,6 +24,7 @@ from .mollifier import mollifier_constants
 from .operators import (
     GridField,
     Stencil,
+    _EXTENSIONS,
     _check_p,
     apply_dp_grid,
     couple_h_to_r,
@@ -205,7 +206,7 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"cfl_mode must be one of {_CFL_MODES} (got {self.cfl_mode!r})"
             )
-        if self.extension not in ("zero", "boundary"):
+        if self.extension not in _EXTENSIONS:
             raise ConfigurationError(f"unknown extension {self.extension!r}")
 
     def times(self) -> np.ndarray:

@@ -163,6 +163,46 @@ def test_property_suite_flags_cfl_violation():
     assert "blew up" in stability.detail or stability.worst_margin > 0.0
 
 
+def test_property_suite_blow_up_report_is_pinned():
+    # the checkerboard at tau = 0.0625 blows up at step 5; every check fails
+    # with an infinite margin and only stability carries the blow-up
+    data = oscillatory_data(0.1)
+    cfg = plan_config(4.0, 1, 0.5, 1.0, data, h=0.1, num_steps=8)
+    report = run_property_suite(cfg, data, samples=100)
+    skipped = "not evaluated: solver blew up"
+    blew_up = (
+        "scheme blew up at step 5, node (-10,); the time step likely violates "
+        "the CFL restriction"
+    )
+    names = (
+        "modulus_preservation",
+        "stability",
+        "continuous_dependence",
+        "time_equicontinuity",
+        "interpolant_equicontinuity",
+    )
+    expected = {
+        "config": {
+            "N": 8, "T": 0.5, "cfl_mode": "practical", "d": 1,
+            "h": 0.1, "p": 4.0, "r": 0.1, "tau": 0.0625,
+        },
+        "passed": False,
+        "results": [
+            {
+                "checked": 0,
+                "detail": blew_up if name == "stability" else skipped,
+                "name": name,
+                "passed": False,
+                "worst_margin": float("inf"),
+            }
+            for name in names
+        ],
+        "samples": 100,
+        "seed": 20260817,
+    }
+    assert report.to_json() == json.dumps(expected, indent=2, sort_keys=True)
+
+
 def test_property_suite_validation():
     data = constant_data(1.0, 0.0)
     cfg = _theoretical_config(2.0, data, 0.5, 0.125, extension="boundary")

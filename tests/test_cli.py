@@ -1,12 +1,14 @@
 import filecmp
 import itertools
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from plapfd import GridField, grid_axis
+from plapfd import ErrorRow, GridField, grid_axis
+from plapfd import cli
 from plapfd.cli import _write_snapshot, main
 
 
@@ -158,6 +160,30 @@ def test_convergence_outputs(tmp_path, capsys):
     dat = (tmp_path / "convergence_loglog.dat").read_text().splitlines()
     assert dat[0] == "# log10(h) log10(sup_error)"
     assert len(dat) == 4
+
+
+def test_convergence_bytes_match_per_value_format(tmp_path, capsys, monkeypatch):
+    # 400 rows, 2,000 values: r, tau and runtime carry every awkward double,
+    # h and sup_error stay positive so their logs exist
+    rng = np.random.default_rng(20261018)
+    values = rng.standard_normal((400, 5)) * 10.0 ** rng.integers(-300, 301, (400, 5))
+    special = [-0.0, 0.0, 5e-324, -5e-324, float("inf"), -float("inf"), float("nan"), 1.0 / 3.0]
+    values[: len(special), 1:4] = np.array(special)[:, None]
+    values[:, [0, 3]] = np.abs(values[:, [0, 3]]) + 5e-324
+    values[:3, 0] = [0.3, 0.2, 0.1]
+    rows = [ErrorRow(*map(float, row)) for row in values]
+    monkeypatch.setattr(cli, "convergence_study", lambda *args, **kwargs: rows)
+    monkeypatch.setattr(cli, "observed_order", lambda rows: 1.0)
+    code, out, err = run_cli(["convergence", f"--output_dir={tmp_path}"], capsys)
+    assert code == 0, err
+
+    lines = ["h,r,tau,sup_error,runtime_seconds"]
+    lines += [",".join(format(x, ".17g") for x in row) for row in values.tolist()]
+    assert (tmp_path / "errors.csv").read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+    dat = "# log10(h) log10(sup_error)\n" + "".join(
+        f"{math.log10(row.h):.17g} {math.log10(row.sup_error):.17g}\n" for row in rows
+    )
+    assert (tmp_path / "convergence_loglog.dat").read_bytes() == dat.encode()
 
 
 def test_convergence_needs_three_levels(tmp_path, capsys):

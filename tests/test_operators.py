@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plapfd import (
     ConfigurationError,
     GridField,
+    Stencil,
     apply_dp,
     apply_dp_grid,
     couple_h_to_r,
@@ -18,6 +21,7 @@ from plapfd import (
     stencil_ball,
     unit_ball_volume,
 )
+from plapfd.operators import weight_sum_bound
 
 
 def test_jp_reference_values():
@@ -168,6 +172,25 @@ def test_stencil_ball_weight_sum_bound():
             assert rows[tuple(-b for b in beta)] == w
 
 
+@pytest.mark.parametrize(
+    "offsets, weights, match",
+    [
+        ([[-1, 0], [1, 0]], [1.0, 1.0, 1.0], "disagree in length"),
+        ([[-1, 0], [0, 0], [1, 0]], [1.0, 1.0, 1.0], "zero offset"),
+        ([[1, 0], [-1, 0]], [1.0, 1.0], "sorted"),
+        ([[-1, 0], [-1, 0], [1, 0], [1, 0]], [1.0] * 4, "duplicate"),
+        ([[-1, 0], [0, -1], [0, 1], [1, 0]], [1.0, 1.0, 2.0, 1.0], r"offset \(0, -1\)$"),
+        ([[-1, 0], [0, 1], [1, 0]], [1.0, 1.0, 1.0], r"offset \(0, 1\)$"),
+        ([[-3, 0], [3, 0]], [1.0, 1.0], "outside the ball"),
+        ([[-1, 0], [1, 0]], [5.0, 5.0], "exceeds M_bound"),
+    ],
+)
+def test_stencil_rejects_malformed_offsets(offsets, weights, match):
+    # d = 2, p = 2, r = 2: reach at most 2 nodes, weights sum to at most 8
+    with pytest.raises(ConfigurationError, match=match):
+        Stencil(d=2, h=1.0, r=2.0, p=2.0, offsets=offsets, weights=weights)
+
+
 def test_grid_axis_is_robust_to_float_division():
     # 2/0.04 lands a few ulp under 50; the node count must not drop
     ax = grid_axis(0.04, 2.0)
@@ -195,10 +218,103 @@ def test_grid_field_extensions():
     )
     assert fb.read_index(3) == 5.0
     assert fb.read_index(-7) == 1.0
-    shifted = fb.shifted((1,))
+    # U(. + h) is the padded array read one slot to the right
+    shifted = fb.padded(1)[2:]
     np.testing.assert_array_equal(shifted, [2.0, 3.0, 4.0, 5.0, 5.0])
-    shifted0 = f.shifted((1,))
+    shifted0 = f.padded(1)[2:]
     np.testing.assert_array_equal(shifted0, [2.0, 3.0, 4.0, 5.0, 0.0])
+
+
+def _signed_power_reference(xi, p):
+    if p == 2.0:
+        return xi
+    ax = np.abs(xi)
+    if p <= 32.0:
+        with np.errstate(over="ignore"):
+            return ax ** (p - 2.0) * xi
+    with np.errstate(divide="ignore", over="ignore"):
+        mag = np.exp((p - 1.0) * np.log(ax))
+    return np.sign(xi) * mag
+
+
+def _shifted_reference(field, beta):
+    # U(. + h*beta) as one full-grid array per offset
+    size = field.values.shape[0]
+    if field.extension == "zero":
+        out = np.zeros_like(field.values)
+        src = []
+        dst = []
+        for b in beta:
+            lo, hi = max(b, 0), min(size + b, size)
+            if lo >= hi:
+                return out
+            src.append(slice(lo, hi))
+            dst.append(slice(lo - b, hi - b))
+        out[tuple(dst)] = field.values[tuple(src)]
+        return out
+    idx = [np.clip(np.arange(size) + b, 0, size - 1) for b in beta]
+    return field.values[np.ix_(*idx)]
+
+
+def _apply_dp_grid_reference(stencil, field):
+    # the array kernel before padding, with the same accumulation order
+    acc = np.zeros_like(field.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(stencil)):
+            shift = _shifted_reference(field, stencil.offsets[k].tolist())
+            acc += _signed_power_reference(shift - field.values, stencil.p) * stencil.weights[k]
+    return acc
+
+
+@st.composite
+def _stencil_and_field(draw):
+    d = draw(st.integers(1, 3))
+    reach = draw(st.integers(1, (6, 4, 3)[d - 1]))
+    n = draw(st.integers(1, 3 if d < 3 else 2))
+    h = draw(st.sampled_from([1.0, 0.25, 0.1]))
+    p = draw(
+        st.one_of(
+            st.sampled_from([2.0, 3.0, 4.0, 5.0]),
+            st.floats(2.0, 6.0),
+            st.floats(32.5, 60.0),
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    half = rng.integers(-reach, reach + 1, (draw(st.integers(1, 6)), d))
+    half = half[np.any(half != 0, axis=1)]
+    if len(half) == 0:
+        half = np.eye(1, d, dtype=np.int64) * reach
+    pairs = {}
+    for beta, w in zip(half.tolist(), rng.uniform(0.1, 1.0, len(half))):
+        pairs[tuple(beta)] = pairs[tuple(-b for b in beta)] = float(w)
+    rows = sorted(pairs)
+    r = h * math.sqrt(max(sum(b * b for b in beta) for beta in rows))
+    weights = np.array([pairs[beta] for beta in rows])
+    weights *= 0.5 * weight_sum_bound(d, p) * r**-p / np.sum(weights)
+    stencil = Stencil(d=d, h=h, r=r, p=p, offsets=rows, weights=weights)
+    shape = (2 * n + 1,) * d
+    values = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-3, 3))
+    values[rng.uniform(size=shape) < 0.3] = 0.0
+    extension = draw(st.sampled_from(["zero", "boundary"]))
+    field = GridField(d=d, h=h, half_width=n * h, values=values, extension=extension)
+    return stencil, field
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stencil_and_field())
+def test_apply_dp_grid_matches_shifted_kernel(case):
+    # random symmetric stencils on boxes as narrow as 3 nodes, so offsets
+    # often reach past the far edge; the result must be bit for bit the same
+    stencil, field = case
+    got = apply_dp_grid(stencil, field)
+    assert got.tobytes() == _apply_dp_grid_reference(stencil, field).tobytes()
+    m = int(np.max(np.abs(stencil.offsets)))
+    padded = field.padded(m)
+    assert padded.shape == (field.values.shape[0] + 2 * m,) * field.d
+    for slot in itertools.product(range(padded.shape[0]), repeat=field.d):
+        alpha = tuple(i - field.n - m for i in slot)
+        assert padded[slot] == field.read_index(alpha)
 
 
 def test_apply_dp_constant_field_is_zero():
