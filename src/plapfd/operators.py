@@ -37,25 +37,43 @@ def _check_p(p) -> float:
     return p
 
 
-def _signed_power(xi, p):
-    # no input validation: hot path shared by apply_dp and apply_dp_grid;
-    # overflow to inf is deliberate and caught by the blow-up check
+def _signed_power(xi, p, out):
+    """Write ``|xi|^(p-2) * xi`` into ``out`` (same shape) and return it.
+
+    The one evaluation of the signed power, shared by jp, apply_dp and
+    apply_dp_grid, and bit-identical to ``np.abs(xi) ** (p-2) * xi`` below
+    ``_LOG_SPACE_P``. ``xi`` is scratch: the log-space branch overwrites it.
+    No input validation, and no ``errstate``: callers silence overflow (to
+    inf, caught by the blow-up check) and ``log(0)``.
+    """
     if p == 2.0:
-        return xi
-    ax = np.abs(xi)
-    if p <= _LOG_SPACE_P:
-        with np.errstate(over="ignore"):
-            return ax ** (p - 2.0) * xi
-    with np.errstate(divide="ignore", over="ignore"):
-        mag = np.exp((p - 1.0) * np.log(ax))
-    return np.sign(xi) * mag
+        np.copyto(out, xi)
+    elif p == 3.0:
+        np.abs(xi, out=out)
+        np.multiply(out, xi, out=out)
+    elif p == 4.0:
+        # x*x equals |x|**2; a third factor |x| at p = 5 would not match **3
+        np.multiply(xi, xi, out=out)
+        np.multiply(out, xi, out=out)
+    elif p <= _LOG_SPACE_P:
+        np.abs(xi, out=out)
+        np.power(out, p - 2.0, out=out)
+        np.multiply(out, xi, out=out)
+    else:
+        np.abs(xi, out=out)
+        np.log(out, out=out)
+        np.multiply(out, p - 1.0, out=out)
+        np.exp(out, out=out)
+        np.multiply(np.sign(xi, out=xi), out, out=out)
+    return out
 
 
 def jp(xi, p):
     """Signed power ``jp(xi) = |xi|^(p-2) * xi`` for ``p >= 2``.
 
     Odd and nondecreasing in ``xi`` with ``jp(0) = 0``; the identity map at
-    ``p = 2`` (returned without any arithmetic, so results are bit-exact).
+    ``p = 2`` (a copy of the input, without arithmetic, so results are
+    bit-exact).
     For large ``p`` the power is evaluated as ``sign(xi) * exp((p-1) *
     log|xi|)``; magnitudes whose (p-1)-th power underflows come back as
     signed zero, which is harmless inside the scheme.
@@ -64,10 +82,11 @@ def jp(xi, p):
     non-finite input.
     """
     p = _check_p(p)
-    arr = np.asarray(xi, dtype=float)
+    arr = np.array(xi, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("jp requires finite input")
-    out = _signed_power(arr, p)
+    with np.errstate(over="ignore", divide="ignore"):
+        out = _signed_power(arr, p, np.empty_like(arr))
     if np.isscalar(xi) or arr.ndim == 0:
         return float(out)
     return out
@@ -213,6 +232,13 @@ class GridField:
 
     def with_values(self, values) -> "GridField":
         return replace(self, values=values)
+
+    def _with_checked_values(self, values: np.ndarray) -> "GridField":
+        """``with_values`` without re-validation, for a float array of this
+        grid's shape that the caller has already checked to be finite."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, values=values)
+        return out
 
     def _slot(self, alpha) -> tuple:
         """Positional index of node ``alpha``; raises if out of range."""
@@ -441,13 +467,17 @@ def apply_dp(stencil: Stencil, field: GridField, alpha) -> float:
     _check_geometry(stencil, field)
     alpha = _as_index(alpha, field.d)
     center = field.value_at(alpha)
+    diffs = np.array(
+        [
+            field.read_index(tuple(a + b for a, b in zip(alpha, beta))) - center
+            for beta in stencil.offsets.tolist()
+        ]
+    )
+    with np.errstate(over="ignore", divide="ignore"):
+        terms = _signed_power(diffs, stencil.p, np.empty_like(diffs))
     acc = 0.0
-    for k in range(len(stencil)):
-        beta = stencil.offsets[k]
-        neighbor = field.read_index(tuple(alpha[i] + int(beta[i]) for i in range(field.d)))
-        acc += float(_signed_power(np.float64(neighbor - center), stencil.p)) * float(
-            stencil.weights[k]
-        )
+    for term, w in zip(terms.tolist(), stencil.weights.tolist()):
+        acc += term * w
     return acc
 
 
@@ -457,17 +487,22 @@ def apply_dp_grid(stencil: Stencil, field: GridField) -> np.ndarray:
     Vectorized over the grid but with the same per-node accumulation order
     as apply_dp: one offset at a time, lexicographically. The field is
     padded once by the stencil's reach, and each offset reads a view of it.
+    Each call allocates the result, the padded copy and two work buffers
+    once; every offset then runs in place in them (difference, signed
+    power, times weight, add) and allocates nothing.
     """
     _check_geometry(stencil, field)
-    # acc before the padded copy: in this order glibc 2.36 serves the
-    # per-offset temporaries from its heap, not from fresh mmaps (on the
-    # 175^2 ball2d grid, ~2k instead of ~870k minor faults per 6 steps)
-    acc = np.zeros_like(field.values)
+    values = field.values
     m = int(np.max(np.abs(stencil.offsets)))
     padded = field.padded(m)
-    size = field.values.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, beta in enumerate(stencil.offsets.tolist()):
+    size = values.shape[0]
+    acc = np.zeros_like(values)
+    diff = np.empty_like(values)
+    term = np.empty_like(values)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for beta, w in zip(stencil.offsets.tolist(), stencil.weights.tolist()):
             shift = padded[tuple(slice(m + b, m + b + size) for b in beta)]
-            acc += _signed_power(shift - field.values, stencil.p) * stencil.weights[k]
+            np.subtract(shift, values, out=diff)
+            np.multiply(_signed_power(diff, stencil.p, term), w, out=term)
+            np.add(acc, term, out=acc)
     return acc

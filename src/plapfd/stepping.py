@@ -324,9 +324,11 @@ def cfl_report(config: SchemeConfig, data: HolderData) -> dict:
 def explicit_step(field: GridField, stencil: Stencil, f_values: GridField, tau, step=None) -> GridField:
     """One forward step ``U + tau * (D U + f)``.
 
-    ``tau = 0`` reproduces the input. Non-finite output raises BlowUpError
+    ``tau = 0`` reproduces the input. The update is evaluated in place in
+    the array apply_dp_grid returns, in the order ``U + tau * (D U + f)``,
+    and checked for finiteness once: non-finite output raises BlowUpError
     naming the first offending node in scan order (and the step index when
-    given).
+    given). The checked array is wrapped without validating it again.
     """
     tau = float(tau)
     if not (tau >= 0.0) or not math.isfinite(tau):
@@ -337,16 +339,17 @@ def explicit_step(field: GridField, stencil: Stencil, f_values: GridField, tau, 
         or f_values.values.shape != field.values.shape
     ):
         raise ConfigurationError("source term sampled on a different grid")
-    rate = apply_dp_grid(stencil, field)
+    out = apply_dp_grid(stencil, field)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = field.values + tau * (rate + f_values.values)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        flat = int(np.argmax(bad))
-        idx = np.unravel_index(flat, out.shape)
+        np.add(out, f_values.values, out=out)
+        np.multiply(out, tau, out=out)
+        np.add(field.values, out, out=out)
+    finite = np.isfinite(out)
+    if not finite.all():
+        idx = np.unravel_index(int(np.argmin(finite)), out.shape)
         n = field.n
         raise BlowUpError(tuple(int(i) - n for i in idx), step)
-    return field.with_values(out)
+    return field._with_checked_values(out)
 
 
 def _initial_fields(config: SchemeConfig, data: HolderData) -> tuple[GridField, GridField]:

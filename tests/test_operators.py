@@ -21,7 +21,7 @@ from plapfd import (
     stencil_ball,
     unit_ball_volume,
 )
-from plapfd.operators import weight_sum_bound
+from plapfd.operators import _signed_power, weight_sum_bound
 
 
 def test_jp_reference_values():
@@ -256,7 +256,7 @@ def _shifted_reference(field, beta):
     return field.values[np.ix_(*idx)]
 
 
-def _apply_dp_grid_reference(stencil, field):
+def _apply_dp_grid_shifted_reference(stencil, field):
     # the array kernel before padding, with the same accumulation order
     acc = np.zeros_like(field.values)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,6 +264,38 @@ def _apply_dp_grid_reference(stencil, field):
             shift = _shifted_reference(field, stencil.offsets[k].tolist())
             acc += _signed_power_reference(shift - field.values, stencil.p) * stencil.weights[k]
     return acc
+
+
+def _apply_dp_grid_padded_reference(stencil, field):
+    # the array kernel before in-place buffers: padded once, one full-grid
+    # temporary per operation and offset
+    acc = np.zeros_like(field.values)
+    m = int(np.max(np.abs(stencil.offsets)))
+    padded = field.padded(m)
+    size = field.values.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, beta in enumerate(stencil.offsets.tolist()):
+            shift = padded[tuple(slice(m + b, m + b + size) for b in beta)]
+            acc += _signed_power_reference(shift - field.values, stencil.p) * stencil.weights[k]
+    return acc
+
+
+# zeros of both signs, the smallest subnormals, and magnitudes whose
+# differences overflow inside the power (1e300) or in the subtraction (1e308)
+_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e308, -1e308])
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 3.7, 4.0, 5.0, 6.0, 32.0, 32.5, 40.0, 100.0])
+def test_signed_power_matches_pow_bitwise(p):
+    # magnitudes from 1e-300 to 1e300 of both signs, plus the extremes and
+    # infinities; p = 2.5 takes numpy's ** 0.5 -> sqrt path
+    rng = np.random.default_rng(20261018)
+    xi = 10.0 ** rng.uniform(-300.0, 300.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    xi = np.concatenate([_EXTREMES, [np.inf, -np.inf], rng.standard_normal(5_000), xi])
+    want = _signed_power_reference(xi, p)
+    with np.errstate(over="ignore", divide="ignore"):
+        got = _signed_power(xi.copy(), p, np.empty_like(xi))
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -274,7 +306,7 @@ def _stencil_and_field(draw):
     h = draw(st.sampled_from([1.0, 0.25, 0.1]))
     p = draw(
         st.one_of(
-            st.sampled_from([2.0, 3.0, 4.0, 5.0]),
+            st.sampled_from([2.0, 2.5, 3.0, 4.0, 5.0, 6.0]),
             st.floats(2.0, 6.0),
             st.floats(32.5, 60.0),
         )
@@ -296,6 +328,9 @@ def _stencil_and_field(draw):
     shape = (2 * n + 1,) * d
     values = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-3, 3))
     values[rng.uniform(size=shape) < 0.3] = 0.0
+    if draw(st.booleans()):
+        extreme = rng.uniform(size=shape) < 0.3
+        values[extreme] = rng.choice(_EXTREMES, int(np.sum(extreme)))
     extension = draw(st.sampled_from(["zero", "boundary"]))
     field = GridField(d=d, h=h, half_width=n * h, values=values, extension=extension)
     return stencil, field
@@ -306,9 +341,11 @@ def _stencil_and_field(draw):
 def test_apply_dp_grid_matches_shifted_kernel(case):
     # random symmetric stencils on boxes as narrow as 3 nodes, so offsets
     # often reach past the far edge; the result must be bit for bit the same
+    # as both earlier array kernels, overflow to inf and nan included
     stencil, field = case
-    got = apply_dp_grid(stencil, field)
-    assert got.tobytes() == _apply_dp_grid_reference(stencil, field).tobytes()
+    got = apply_dp_grid(stencil, field).tobytes()
+    assert got == _apply_dp_grid_padded_reference(stencil, field).tobytes()
+    assert got == _apply_dp_grid_shifted_reference(stencil, field).tobytes()
     m = int(np.max(np.abs(stencil.offsets)))
     padded = field.padded(m)
     assert padded.shape == (field.values.shape[0] + 2 * m,) * field.d

@@ -29,6 +29,7 @@ from plapfd import (
     theoretical_step_bound,
     time_interpolate,
 )
+from test_operators import _apply_dp_grid_padded_reference
 
 
 def zero_data():
@@ -242,9 +243,82 @@ def test_blow_up_names_node_and_step():
     with pytest.raises(BlowUpError) as exc:
         solve(cfg, data)
     err = exc.value
-    assert err.step is not None and 1 <= err.step <= 10
-    assert isinstance(err.node, tuple) and len(err.node) == 1
+    # the first non-finite value appears at step 5 on the left edge node
+    assert err.step == 5
+    assert isinstance(err.node, tuple) and err.node == (-10,)
     assert "CFL" in str(err)
+
+
+def _wavy_data():
+    # smooth datum and a nonzero source in any dimension
+    def u0(*xs):
+        return np.cos(sum(xs)) * np.exp(-sum(x * x for x in xs))
+
+    def f(*xs):
+        return 0.5 * np.sin(3.0 * xs[0]) + 0.25
+
+    return HolderData(u0=u0, f=f, a=1.0, L_u0=3.0, L_f=1.5, sup_u0=1.0, sup_f=0.75)
+
+
+def _wavy_config(d, p, extension):
+    if d == 1:
+        return plan_config(p, 1, 0.02, 1.0, _wavy_data(), h=0.1, num_steps=20, extension=extension)
+    return plan_config(
+        p, 2, 0.01, 1.0, _wavy_data(), r=0.3, h=0.1, num_steps=5, extension=extension
+    )
+
+
+def _explicit_step_reference(field, stencil, f_values, tau):
+    # explicit_step before the in-place update: fresh temporaries, and the
+    # result validated again by with_values
+    rate = _apply_dp_grid_padded_reference(stencil, field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = field.values + tau * (rate + f_values.values)
+    return field.with_values(out)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stepped_levels_keep_the_grid_and_validation(d):
+    data = _wavy_data()
+    cfg = _wavy_config(d, 3.0, "boundary")
+    for lev in iter_levels(cfg, data):
+        assert (lev.d, lev.h, lev.half_width, lev.extension) == (
+            cfg.d, cfg.h, cfg.half_width, cfg.extension,
+        )
+    bad = lev.values.copy()
+    bad.flat[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        lev.with_values(bad)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 3.7])
+def test_levels_match_reference_step_bitwise(d, extension, p):
+    data = _wavy_data()
+    cfg = _wavy_config(d, p, extension)
+    stencil = stencil_for(cfg)
+    f = sample_on_grid(data.f, d, cfg.h, cfg.half_width, extension)
+    want = [sample_on_grid(data.u0, d, cfg.h, cfg.half_width, extension)]
+    for _ in range(cfg.N):
+        want.append(_explicit_step_reference(want[-1], stencil, f, cfg.tau))
+    assert not np.array_equal(want[-1].values, want[0].values)
+    want = [lev.values.tobytes() for lev in want]
+    assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
+    assert [lev.values.tobytes() for lev in solve(cfg, data).levels] == want
+
+
+def test_kept_levels_are_distinct_arrays():
+    # a level must not share memory with any other, so keeping the whole
+    # list cannot see later steps overwrite earlier ones
+    data = _wavy_data()
+    cfg = _wavy_config(2, 3.7, "zero")
+    levels = [lev.values for lev in iter_levels(cfg, data)]
+    for i, a in enumerate(levels):
+        for b in levels[i + 1:]:
+            assert not np.shares_memory(a, b)
+    again = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
+    assert again == [a.tobytes() for a in levels]
 
 
 def test_solve_zero_data_stays_zero():
