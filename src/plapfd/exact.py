@@ -81,45 +81,54 @@ def barenblatt_eval(sol: BarenblattSolution, x, t):
     """Evaluate ``B(x, t)``.
 
     ``x`` is a scalar or array of coordinates for ``d = 1``, or an array
-    whose last axis has length ``d`` otherwise. The positive part is taken
-    exactly: nodes outside the support return 0.0 with no rounding noise,
-    and the fractional power inside is evaluated through exp/log only where
-    the base is strictly positive.
+    whose last axis has length ``d`` otherwise. ``t`` is a scalar, or a
+    1-D array of times: then the result has one row per time, ``out[i]``
+    holding ``B(x, t[i])``, byte for byte what the scalar call at
+    ``t[i]`` returns. The positive part is taken exactly: nodes outside
+    the support return 0.0 with no rounding noise, and the fractional
+    power inside is evaluated through exp/log only where the base is
+    strictly positive.
     """
-    s = float(t) + sol.t_shift
-    if s <= 0.0:
-        raise ValueError(f"t + t_shift must be positive (got {s})")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-D array (got shape {times.shape})")
+    # the per-time scalars stay Python floats: numpy's array power differs
+    # from the scalar one in the last bit on some values
+    s = [ti + sol.t_shift for ti in np.atleast_1d(times).tolist()]
+    for si in s:
+        if si <= 0.0:
+            raise ValueError(f"t + t_shift must be positive (got {si})")
     rho = _point_radius(x, sol.d)
-    scalar = rho.ndim == 0
-    rho = np.atleast_1d(rho)
+    rows = (len(s),) + (1,) * rho.ndim
     p = sol.p
-    y = rho / s**sol.beta
+    y = rho / np.array([si**sol.beta for si in s]).reshape(rows)
     base = 1.0 - y ** (p / (p - 1.0))
     out = np.zeros_like(base)
     pos = base > 0.0
     q = (p - 1.0) / (p - 2.0)
     out[pos] = np.exp(q * np.log(base[pos]))
-    out *= sol.K * s ** (-sol.alpha)
-    if scalar:
+    out *= np.array([sol.K * si ** (-sol.alpha) for si in s]).reshape(rows)
+    if times.ndim == 1:
+        return out
+    if rho.ndim == 0:
         return float(out[0])
-    return out
+    return out[0]
 
 
 def barenblatt_lipschitz(p, d: int = 1) -> float:
     """Upper bound ``K * p / (p - 2)`` on the spatial Lipschitz constant of
-    ``B(., t)`` at ``t + t_shift = 1``.
+    ``B(., t)`` at ``t + t_shift = 1``, with ``K`` the amplitude of
+    dimension ``d``.
 
-    Only the one-dimensional profile is supported. With ``z = |x|^(p/(p-1))``
-    inside the support, the gradient magnitude is ``K p/(p-2) * z^(1/p) *
-    (1-z)^(1/(p-2))``; both trailing factors lie in [0, 1], hence the bound.
-    It is not attained: the gradient vanishes at the origin and at the
-    support edge, and its maximum is interior, at ``z = (p-2)/(2(p-1))``.
-    An algebraically equal closed form of the bound is ``((p-2) /
-    (2p(p-1)))^(1/(p-2))``.
+    The profile is radial, so its gradient magnitude is the derivative in
+    ``|x|``: with ``z = |x|^(p/(p-1))`` inside the support it is ``K p/(p-2)
+    * z^(1/p) * (1-z)^(1/(p-2))`` in every d, and both trailing factors lie
+    in [0, 1], hence the bound. It is not attained: the gradient vanishes
+    at the origin and at the support edge, and its maximum is interior, at
+    ``z = (p-2)/(2(p-1))``. In d = 1 an algebraically equal closed form of
+    the bound is ``((p-2) / (2p(p-1)))^(1/(p-2))``.
     """
-    if d != 1:
-        raise ValueError("the Lipschitz constant is only available for d = 1")
-    _, _, K = barenblatt_constants(1, p)
+    _, _, K = barenblatt_constants(d, p)
     return K * float(p) / (float(p) - 2.0)
 
 
@@ -129,12 +138,11 @@ def barenblatt_data(p, horizon, d: int = 1, t_shift=1.0) -> HolderData:
     ``horizon`` is the final time the data will be run to; the recorded
     support radius ``(horizon + t_shift)^beta`` lets the solver check that
     the computational box keeps a margin of ``r`` around the support, which
-    makes the zero extension exact. Requires ``d = 1`` (the Lipschitz
-    constant is only known there) and ``t_shift > 0`` so the initial datum
-    is Lipschitz rather than a point mass.
+    makes the zero extension exact. Any ``d`` is accepted; ``u0`` and ``f``
+    take one coordinate array per axis, as sample_on_grid passes them.
+    Requires ``t_shift > 0`` so the initial datum is Lipschitz rather than
+    a point mass.
     """
-    if d != 1:
-        raise ValueError("barenblatt_data currently supports d = 1 only")
     t_shift = float(t_shift)
     if not (t_shift > 0.0):
         raise ValueError(f"t_shift must be positive (got {t_shift})")
@@ -143,13 +151,14 @@ def barenblatt_data(p, horizon, d: int = 1, t_shift=1.0) -> HolderData:
         raise ValueError(f"horizon must be positive (got {horizon})")
     sol = barenblatt_solution(d, p, t_shift)
 
-    def u0(x):
+    def u0(*xs):
+        x = xs[0] if sol.d == 1 else np.stack(xs, axis=-1)
         return barenblatt_eval(sol, x, 0.0)
 
-    def f(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def f(*xs):
+        return np.zeros_like(np.asarray(xs[0], dtype=float))
 
-    lip = barenblatt_lipschitz(p) * t_shift ** (-(sol.alpha + sol.beta))
+    lip = barenblatt_lipschitz(p, sol.d) * t_shift ** (-(sol.alpha + sol.beta))
     return HolderData(
         u0=u0,
         f=f,

@@ -25,6 +25,7 @@ from .operators import (
     GridField,
     Stencil,
     _EXTENSIONS,
+    _Workspace,
     _check_p,
     apply_dp_grid,
     couple_h_to_r,
@@ -321,14 +322,25 @@ def cfl_report(config: SchemeConfig, data: HolderData) -> dict:
     }
 
 
-def explicit_step(field: GridField, stencil: Stencil, f_values: GridField, tau, step=None) -> GridField:
+def explicit_step(
+    field: GridField,
+    stencil: Stencil,
+    f_values: GridField,
+    tau,
+    step=None,
+    *,
+    _work: _Workspace | None = None,
+) -> GridField:
     """One forward step ``U + tau * (D U + f)``.
 
     ``tau = 0`` reproduces the input. The update is evaluated in place in
-    the array apply_dp_grid returns, in the order ``U + tau * (D U + f)``,
-    and checked for finiteness once: non-finite output raises BlowUpError
-    naming the first offending node in scan order (and the step index when
-    given). The checked array is wrapped without validating it again.
+    the new array apply_dp_grid returns, in the order ``U + tau * (D U +
+    f)``, and checked for finiteness once: non-finite output raises
+    BlowUpError naming the first offending node in scan order (and the
+    step index when given). The checked array is wrapped without
+    validating it again. ``_work`` holds the operator's scratch arrays
+    when the caller owns them (see :func:`iter_levels`); the new level
+    never shares memory with them or with the input.
     """
     tau = float(tau)
     if not (tau >= 0.0) or not math.isfinite(tau):
@@ -339,7 +351,7 @@ def explicit_step(field: GridField, stencil: Stencil, f_values: GridField, tau, 
         or f_values.values.shape != field.values.shape
     ):
         raise ConfigurationError("source term sampled on a different grid")
-    out = apply_dp_grid(stencil, field)
+    out = apply_dp_grid(stencil, field, _work=_work)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add(out, f_values.values, out=out)
         np.multiply(out, tau, out=out)
@@ -385,14 +397,18 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
 
     Streaming interface for long runs where materializing the whole
     trajectory would not fit in memory. The source is sampled once and
-    reused across steps.
+    reused across steps. The run owns one set of operator scratch arrays,
+    allocated here and passed down through explicit_step to apply_dp_grid;
+    every yielded level is still a new array, so levels a caller keeps are
+    never overwritten by later steps.
     """
     stencil = stencil_for(config)
     _validate_run(config, data)
     u, f = _initial_fields(config, data)
+    work = _Workspace(stencil, u.values.shape)
     yield u
     for j in range(1, config.N + 1):
-        u = explicit_step(u, stencil, f, config.tau, step=j)
+        u = explicit_step(u, stencil, f, config.tau, step=j, _work=work)
         yield u
 
 

@@ -6,11 +6,18 @@ import pytest
 from plapfd import (
     barenblatt_constants,
     barenblatt_data,
+    barenblatt_error_row,
     barenblatt_eval,
     barenblatt_lipschitz,
     barenblatt_solution,
+    iter_levels,
+    plan_config,
     plap_quadratic_oracle,
+    solve,
+    sup_error,
 )
+from plapfd.analysis import _BLOCK_BYTES
+from plapfd.operators import grid_points
 
 
 def test_constants_reference_values():
@@ -98,8 +105,10 @@ def test_support_radius_strictly_increasing():
 def test_lipschitz_reference_values():
     assert barenblatt_lipschitz(4.0) == pytest.approx(0.288675, rel=1e-5)
     assert barenblatt_lipschitz(3.0) == pytest.approx(1.0 / 12.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        barenblatt_lipschitz(3.0, d=2)
+    # the same bound K p/(p-2) with the amplitude of the dimension
+    for d in (1, 2, 3):
+        _, _, K = barenblatt_constants(d, 3.0)
+        assert barenblatt_lipschitz(3.0, d=d) == K * 3.0
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0, 100.0])
@@ -165,3 +174,99 @@ def test_barenblatt_data_shifted_certificates_hold_on_grid():
     assert np.max(np.abs(u)) <= data.sup_u0 * (1.0 + 1e-12)
     slopes = np.abs(np.diff(u)) / np.diff(x)
     assert slopes.max() <= data.L_u0 * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0])
+@pytest.mark.parametrize("t_shift", [1.0, 0.5])
+def test_barenblatt_data_in_2d_certificates_hold_on_grid(p, t_shift):
+    # the radial profile's gradient bound holds in d = 2: every axis
+    # difference quotient of B(., 0) on a fine grid stays under L_u0
+    data = barenblatt_data(p, horizon=1.0, d=2, t_shift=t_shift)
+    sol = barenblatt_solution(2, p, t_shift)
+    assert data.L_u0 == barenblatt_lipschitz(p, d=2) * t_shift ** (-(sol.alpha + sol.beta))
+    h = 0.004
+    x = np.arange(-300, 301) * h
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    u = data.u0(X, Y)
+    np.testing.assert_array_equal(u, barenblatt_eval(sol, np.stack([X, Y], axis=-1), 0.0))
+    assert np.max(u) <= data.sup_u0
+    slope = max(np.max(np.abs(np.diff(u, axis=a))) for a in (0, 1)) / h
+    assert 0.0 < slope <= data.L_u0
+    assert np.all(data.f(X, Y) == 0.0)
+    assert data.support_radius == sol.support_radius(1.0)
+
+
+def _eval_points(sol):
+    # the centre, nodes inside, on and past the support edge at t = 0
+    edge = sol.support_radius(0.0)
+    radii = np.concatenate([[0.0, edge, edge * (1 + 1e-15), 1.5 * edge], np.linspace(0.0, 2.0, 96)])
+    if sol.d == 1:
+        return np.concatenate([radii, -radii])
+    angle = np.linspace(0.0, 2.0 * np.pi, len(radii))
+    angle[:4] = 0.0
+    return np.stack([radii * np.cos(angle), radii * np.sin(angle)], axis=-1).reshape(10, 10, 2)
+
+
+def _barenblatt_eval_reference(sol, x, t):
+    # barenblatt_eval before it took arrays of times: one time per call,
+    # with s**beta and K*s**(-alpha) as Python floats
+    s = float(t) + sol.t_shift
+    x = np.asarray(x, dtype=float)
+    rho = np.abs(x) if sol.d == 1 else np.sqrt(np.sum(x * x, axis=-1))
+    rho = np.atleast_1d(rho)
+    p = sol.p
+    y = rho / s**sol.beta
+    base = 1.0 - y ** (p / (p - 1.0))
+    out = np.zeros_like(base)
+    pos = base > 0.0
+    out[pos] = np.exp((p - 1.0) / (p - 2.0) * np.log(base[pos]))
+    out *= sol.K * s ** (-sol.alpha)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0])
+def test_batched_eval_matches_scalar_calls_bytewise(d, p):
+    sol = barenblatt_solution(d, p)
+    pts = _eval_points(sol)
+    times = np.concatenate([[0.0], np.arange(1, 200) * 3.7e-3, [0.25, 2.0]])
+    rows = barenblatt_eval(sol, pts, times)
+    assert rows.shape == (len(times),) + pts.shape[: pts.ndim - (d > 1)]
+    for t, row in zip(times.tolist(), rows):
+        assert row.tobytes() == barenblatt_eval(sol, pts, t).tobytes()
+        assert row.tobytes() == _barenblatt_eval_reference(sol, pts, t).tobytes()
+    assert np.any(rows[0] == 0.0) and np.any(rows[0] > 0.0)
+    # a single point gives one value per time, and a list of times works
+    one = barenblatt_eval(sol, pts[0], [0.0, 0.5])
+    assert one.tobytes() == np.array([barenblatt_eval(sol, pts[0], t) for t in (0.0, 0.5)]).tobytes()
+    with pytest.raises(ValueError, match="positive"):
+        barenblatt_eval(barenblatt_solution(d, p, t_shift=0.0), pts, [0.5, 0.0])
+    with pytest.raises(ValueError, match="1-D"):
+        barenblatt_eval(sol, pts, np.zeros((2, 2)))
+
+
+def _worst_error_per_level(config, sol, levels):
+    # the error loop before block batching: one barenblatt_eval per level
+    pts = grid_points(config.d, config.h, config.half_width)
+    worst = 0.0
+    for j, lvl in enumerate(levels):
+        exact = barenblatt_eval(sol, pts, j * config.tau)
+        worst = max(worst, float(np.max(np.abs(lvl.values - exact))))
+    return worst
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0])
+def test_batched_errors_match_per_level_loop(d, p):
+    # enough levels for two full blocks and a ragged last one
+    half_width, h, r = (1.5, 0.05, 0.05) if d == 1 else (1.4, 0.1, 0.25)
+    nodes = (2 * round(half_width / h) + 1) ** d
+    block = _BLOCK_BYTES // (8 * nodes)
+    steps = 2 * block + block // 2
+    assert (steps + 1) % block != 0
+    data = barenblatt_data(p, horizon=0.05, d=d)
+    sol = barenblatt_solution(d, p)
+    cfg = plan_config(p, d, 0.05, half_width, data, h=h, r=r, num_steps=steps)
+    want = repr(_worst_error_per_level(cfg, sol, iter_levels(cfg, data)))
+    assert repr(sup_error(solve(cfg, data), sol)) == want
+    assert repr(barenblatt_error_row(cfg, data, sol).sup_error) == want

@@ -21,7 +21,7 @@ from plapfd import (
     stencil_ball,
     unit_ball_volume,
 )
-from plapfd.operators import _signed_power, weight_sum_bound
+from plapfd.operators import _Workspace, _signed_power, weight_sum_bound
 
 
 def test_jp_reference_values():
@@ -300,7 +300,9 @@ def test_signed_power_matches_pow_bitwise(p):
 
 @st.composite
 def _stencil_and_field(draw):
-    d = draw(st.integers(1, 3))
+    # d = 1 runs the edge form, d >= 2 the offset loop; weigh the draws
+    # towards d = 1, which has the fewest distinct stencils per draw
+    d = draw(st.sampled_from([1, 1, 2, 3]))
     reach = draw(st.integers(1, (6, 4, 3)[d - 1]))
     n = draw(st.integers(1, 3 if d < 3 else 2))
     h = draw(st.sampled_from([1.0, 0.25, 0.1]))
@@ -317,10 +319,15 @@ def _stencil_and_field(draw):
     half = half[np.any(half != 0, axis=1)]
     if len(half) == 0:
         half = np.eye(1, d, dtype=np.int64) * reach
+    # in half the cases some pairs get weight 0, so 0 * inf = nan meets the
+    # sign handling of the edge form; at least one pair stays positive
+    zero = 0.5 if draw(st.booleans()) else 0.0
     pairs = {}
     for beta, w in zip(half.tolist(), rng.uniform(0.1, 1.0, len(half))):
-        pairs[tuple(beta)] = pairs[tuple(-b for b in beta)] = float(w)
+        pairs[tuple(beta)] = pairs[tuple(-b for b in beta)] = 0.0 if rng.uniform() < zero else float(w)
     rows = sorted(pairs)
+    if not any(pairs.values()):
+        pairs[rows[0]] = pairs[rows[-1]] = 1.0
     r = h * math.sqrt(max(sum(b * b for b in beta) for beta in rows))
     weights = np.array([pairs[beta] for beta in rows])
     weights *= 0.5 * weight_sum_bound(d, p) * r**-p / np.sum(weights)
@@ -466,3 +473,9 @@ def test_apply_dp_geometry_mismatch():
     f2 = sample_on_grid(lambda x, y: 0.0 * x, 2, 0.1, 1.0)
     with pytest.raises(ConfigurationError):
         apply_dp_grid(s, f2)
+    # scratch arrays built for another stencil or grid are refused
+    f3 = GridField(d=1, h=0.1, half_width=1.0, values=np.zeros(21))
+    with pytest.raises(ConfigurationError, match="workspace"):
+        apply_dp_grid(s, f3, _work=_Workspace(stencil_1d(0.1, 3.0), (21,)))
+    with pytest.raises(ConfigurationError, match="workspace"):
+        apply_dp_grid(s, f3, _work=_Workspace(s, (23,)))

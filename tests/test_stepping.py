@@ -310,15 +310,20 @@ def test_levels_match_reference_step_bitwise(d, extension, p):
 
 def test_kept_levels_are_distinct_arrays():
     # a level must not share memory with any other, so keeping the whole
-    # list cannot see later steps overwrite earlier ones
+    # list cannot see later steps overwrite earlier ones; the run's scratch
+    # arrays (padded copy, edges or terms) must never be handed out. One
+    # test over both kernels (d = 1 edge form, d = 2 offset loop) and both
+    # extensions.
     data = _wavy_data()
-    cfg = _wavy_config(2, 3.7, "zero")
-    levels = [lev.values for lev in iter_levels(cfg, data)]
-    for i, a in enumerate(levels):
-        for b in levels[i + 1:]:
-            assert not np.shares_memory(a, b)
-    again = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
-    assert again == [a.tobytes() for a in levels]
+    for d in (1, 2):
+        for extension in ("zero", "boundary"):
+            cfg = _wavy_config(d, 3.7, extension)
+            levels = [lev.values for lev in iter_levels(cfg, data)]
+            for i, a in enumerate(levels):
+                for b in levels[i + 1:]:
+                    assert not np.shares_memory(a, b), (d, extension, i)
+            again = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
+            assert again == [a.tobytes() for a in levels], (d, extension)
 
 
 def test_solve_zero_data_stays_zero():
