@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print the mollifier constants M, K1, K2 per dimension.
 
-The constants come from adaptive quadrature over the smooth bump profile.
+The constants are tabulated from an adaptive-quadrature run over the
+smooth bump profile, which the test suite repeats bit for bit.
 Each value is checked against its certified upper bound; the test suite
 additionally pins them with closed-form identities (K1 = M/e in d=1, and
 ratios of normalizations across dimensions).

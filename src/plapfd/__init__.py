@@ -21,12 +21,7 @@ from .analysis import (
     run_property_suite,
     sup_error,
 )
-from .errors import (
-    BlowUpError,
-    ConfigurationError,
-    DegenerateStencilError,
-    QuadratureError,
-)
+from .errors import BlowUpError, ConfigurationError, DegenerateStencilError
 from .exact import (
     BarenblattSolution,
     barenblatt_constants,
@@ -93,7 +88,6 @@ __all__ = [
     "MollifierConstants",
     "PropertyReport",
     "PropertyResult",
-    "QuadratureError",
     "REFERENCE_BOUNDS",
     "SchemeConfig",
     "Stencil",

@@ -12,7 +12,7 @@ be overridden on the command line as ``--key=value`` with dotted paths for
 nested fields (``--cfl.mode=theoretical``). Unknown keys are rejected.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 I/O
-failure, 4 numerical failure (blow-up, quadrature), 5 property violation.
+failure, 4 numerical failure (blow-up), 5 property violation.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .analysis import (
     observed_order,
     run_property_suite,
 )
-from .errors import BlowUpError, ConfigurationError, QuadratureError
+from .errors import BlowUpError, ConfigurationError
 from .exact import barenblatt_data
 from .mollifier import REFERENCE_BOUNDS, mollifier_constants
 from .operators import _check_p, grid_points, grid_radius
@@ -481,9 +481,6 @@ def main(argv=None) -> int:
         cfg = _resolve(args, extra_defaults)
         return fn(cfg)
     except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

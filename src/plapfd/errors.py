@@ -31,13 +31,3 @@ class BlowUpError(ArithmeticError):
             "CFL restriction"
         )
 
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested accuracy.
-
-    Carries the achieved error estimate in ``estimate``.
-    """
-
-    def __init__(self, message, estimate):
-        self.estimate = float(estimate)
-        super().__init__(f"{message} (achieved error estimate {self.estimate:.3e})")

@@ -8,8 +8,17 @@ measure how mollification interacts with Hoelder seminorms:
     K1 = M * int_0^1 |tau'(r)| r^(d-1) dr
     K2 = M * int_0^1 (|tau'(r)|/r + |tau''(r)|) r^(d-1) dr
 
-``mollifier_constants`` evaluates them by adaptive quadrature and reports a
-propagated error estimate. ``REFERENCE_BOUNDS`` records, per dimension,
+``mollifier_constants`` returns them from a table, with the propagated
+error estimate of the run that produced them. That run is adaptive
+QUADPACK quadrature (``scipy.integrate.quad``, ``epsabs = epsrel = 1e-13``,
+``limit = 200``, upper limit ``1 - 1e-12`` since the integrands underflow
+to zero well before 1, and the kink ``3^(-1/4)`` of ``|tau''|`` passed as
+a break point for ``K2``) under scipy 1.17.1, numpy 2.4.6 and Python
+3.11.7 on x86-64. The table holds the ``repr`` of each value, so it is
+that run's result bit for bit; ``test_tabulated_constants_match_quadrature``
+in ``tests/test_mollifier.py`` repeats the run, requires the same bits
+and an error estimate of at most 1e-8. Importing this module therefore
+needs numpy only. ``REFERENCE_BOUNDS`` records, per dimension,
 decimal upper bounds ``(M, K1, K2)`` that the computed values must stay
 below. Each column has its own source:
 
@@ -28,22 +37,11 @@ below. Each column has its own source:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
-
-from .errors import QuadratureError
 from .operators import jp
 import numpy as np
-
-# |tau''| changes sign where 6r^4 = 2; quadrature gets told about the kink
-_KINK = (1.0 / 3.0) ** 0.25
-
-# upper integration limit: the integrand underflows to exact zero well
-# before this, but at r = 1 the exponent itself would divide by zero
-_TOP = 1.0 - 1e-12
 
 REFERENCE_BOUNDS = {
     1: (4.51, 1.66, 10.83),
@@ -102,50 +100,31 @@ class MollifierConstants:
     quad_error: float
 
 
+# (M, K1, K2, quad_error) per dimension, the repr of what the QUADPACK run
+# described in the module docstring returned; the tests recompute them
+_TABLE = {
+    1: (4.504567242087162, 1.6571376797382105, 10.718820101643434, 1.7087100385114823e-12),
+    2: (13.468420987430795, 2.9899478159838258, 18.870023663713795, 7.997072667131807e-12),
+    3: (28.489429175935847, 4.230552223237334, 28.768052698294397, 2.6441468055030958e-11),
+}
+
+
 @lru_cache(maxsize=None)
 def mollifier_constants(d: int) -> MollifierConstants:
-    """Evaluate M, K1, K2 for ``d`` in {1, 2, 3}.
+    """Return M, K1, K2 for ``d`` in {1, 2, 3} from the module's table.
 
-    Raises QuadratureError (with the achieved estimate attached) if the
-    propagated error cannot be brought below 1e-8.
+    The values are those of an adaptive QUADPACK run (``scipy.integrate.quad``
+    with ``epsabs = epsrel = 1e-13``, ``limit = 200``, upper limit
+    ``1 - 1e-12`` and the kink ``3^(-1/4)`` as a break point for ``K2``;
+    scipy 1.17.1, numpy 2.4.6, Python 3.11.7 on x86-64), stored bit for
+    bit with the propagated error estimate of that run.
+    ``test_tabulated_constants_match_quadrature`` repeats the run and
+    requires the same bits and an estimate of at most 1e-8.
     """
-    if d not in (1, 2, 3):
+    if d not in _TABLE:
         raise ValueError(f"mollifier constants are tabulated for d in {{1,2,3}} (got {d})")
-
-    def tau_w(r: float) -> float:
-        s = 1.0 - r * r
-        return math.exp(-1.0 / s) * r ** (d - 1)
-
-    def dtau_w(r: float) -> float:
-        # |tau'| = 2 r tau / (1-r^2)^2 on [0, 1)
-        s = 1.0 - r * r
-        return math.exp(-1.0 / s) * 2.0 * r / s**2 * r ** (d - 1)
-
-    def curvature_w(r: float) -> float:
-        # |tau'|/r + |tau''| = tau * (2/(1-r^2)^2 + |6r^4 - 2|/(1-r^2)^4)
-        s = 1.0 - r * r
-        return (
-            math.exp(-1.0 / s)
-            * (2.0 / s**2 + abs(6.0 * r**4 - 2.0) / s**4)
-            * r ** (d - 1)
-        )
-
-    opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
-    IM, eM = quad(tau_w, 0.0, _TOP, **opts)
-    I1, e1 = quad(dtau_w, 0.0, _TOP, **opts)
-    I2, e2 = quad(curvature_w, 0.0, _TOP, points=[_KINK], **opts)
-    M = 1.0 / IM
-    K1 = M * I1
-    K2 = M * I2
-    err_M = eM / IM**2
-    err_K1 = M * e1 + I1 * err_M
-    err_K2 = M * e2 + I2 * err_M
-    estimate = max(err_M, err_K1, err_K2)
-    if not math.isfinite(estimate) or estimate > 1e-8:
-        raise QuadratureError(
-            f"mollifier constants for d={d} did not converge to 1e-8", estimate
-        )
-    return MollifierConstants(d=d, M=M, K1=K1, K2=K2, quad_error=estimate)
+    M, K1, K2, quad_error = _TABLE[d]
+    return MollifierConstants(d=d, M=M, K1=K1, K2=K2, quad_error=quad_error)
 
 
 def check_jp_taylor_bound(a, b, p) -> bool:

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import exp1
 
 from plapfd import (
@@ -59,6 +64,80 @@ def test_constants_match_frozen_values(d):
     assert c.K1 == pytest.approx(K1, rel=1e-10)
     assert c.K2 == pytest.approx(K2, rel=1e-10)
     assert 0.0 < c.quad_error <= 1e-8
+
+
+# |tau''| changes sign where 6r^4 = 2; quadrature gets told about the kink
+_KINK = (1.0 / 3.0) ** 0.25
+
+# upper integration limit: the integrand underflows to exact zero well
+# before this, but at r = 1 the exponent itself would divide by zero
+_TOP = 1.0 - 1e-12
+
+
+def _quadrature_constants(d):
+    # the adaptive-quadrature run that produced the table in plapfd.mollifier:
+    # (M, K1, K2, propagated error estimate)
+    def tau_w(r: float) -> float:
+        s = 1.0 - r * r
+        return math.exp(-1.0 / s) * r ** (d - 1)
+
+    def dtau_w(r: float) -> float:
+        # |tau'| = 2 r tau / (1-r^2)^2 on [0, 1)
+        s = 1.0 - r * r
+        return math.exp(-1.0 / s) * 2.0 * r / s**2 * r ** (d - 1)
+
+    def curvature_w(r: float) -> float:
+        # |tau'|/r + |tau''| = tau * (2/(1-r^2)^2 + |6r^4 - 2|/(1-r^2)^4)
+        s = 1.0 - r * r
+        return (
+            math.exp(-1.0 / s)
+            * (2.0 / s**2 + abs(6.0 * r**4 - 2.0) / s**4)
+            * r ** (d - 1)
+        )
+
+    opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+    IM, eM = quad(tau_w, 0.0, _TOP, **opts)
+    I1, e1 = quad(dtau_w, 0.0, _TOP, **opts)
+    I2, e2 = quad(curvature_w, 0.0, _TOP, points=[_KINK], **opts)
+    M = 1.0 / IM
+    K1 = M * I1
+    K2 = M * I2
+    err_M = eM / IM**2
+    err_K1 = M * e1 + I1 * err_M
+    err_K2 = M * e2 + I2 * err_M
+    estimate = max(err_M, err_K1, err_K2)
+    return M, K1, K2, estimate
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tabulated_constants_match_quadrature(d):
+    c = mollifier_constants(d)
+    M, K1, K2, estimate = _quadrature_constants(d)
+    # bit for bit: the table is the repr of this run's results
+    assert (c.M, c.K1, c.K2, c.quad_error) == (M, K1, K2, estimate)
+    assert math.isfinite(estimate) and estimate <= 1e-8
+
+
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone: importing it, the constants table and
+    # the theoretical step rule (the only users of the mollifier constants)
+    # must not pull in scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import plapfd, plapfd.cli\n"
+        "assert plapfd.cli.main(['constants']) == 0\n"
+        "for d in (1, 2, 3):\n"
+        "    plapfd.theoretical_step_bound(3.0, d, 0.1, 0.1, plapfd.constant_data(1.0))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
