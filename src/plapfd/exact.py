@@ -85,9 +85,15 @@ def barenblatt_eval(sol: BarenblattSolution, x, t):
     1-D array of times: then the result has one row per time, ``out[i]``
     holding ``B(x, t[i])``, byte for byte what the scalar call at
     ``t[i]`` returns. The positive part is taken exactly: nodes outside
-    the support return 0.0 with no rounding noise, and the fractional
-    power inside is evaluated through exp/log only where the base is
-    strictly positive.
+    the support return +0.0 with no rounding noise.
+
+    The profile is evaluated only on the contiguous hull, in the flat
+    order of ``x``, of the points whose radius is below the largest
+    support radius ``s^beta`` of the given times; every other point is
+    past the support at every time and reads +0.0. Inside the hull the
+    fractional power is ``fmax(exp(q * log(base)), 0)``: a base of 0
+    gives ``exp(-inf) = 0`` and a negative base gives NaN, which ``fmax``
+    turns into +0.0, so no mask is needed.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
@@ -99,15 +105,25 @@ def barenblatt_eval(sol: BarenblattSolution, x, t):
         if si <= 0.0:
             raise ValueError(f"t + t_shift must be positive (got {si})")
     rho = _point_radius(x, sol.d)
-    rows = (len(s),) + (1,) * rho.ndim
-    p = sol.p
-    y = rho / np.array([si**sol.beta for si in s]).reshape(rows)
-    base = 1.0 - y ** (p / (p - 1.0))
-    out = np.zeros_like(base)
-    pos = base > 0.0
-    q = (p - 1.0) / (p - 2.0)
-    out[pos] = np.exp(q * np.log(base[pos]))
-    out *= np.array([sol.K * si ** (-sol.alpha) for si in s]).reshape(rows)
+    radii = [si**sol.beta for si in s]
+    flat = rho.reshape(-1)
+    out = np.zeros((len(s), flat.size))
+    # base > 0 needs rho / s^beta < 1, hence rho < s^beta
+    inside = np.flatnonzero(flat < max(radii))
+    if inside.size:
+        lo, hi = int(inside[0]), int(inside[-1]) + 1
+        p = sol.p
+        q = (p - 1.0) / (p - 2.0)
+        y = flat[lo:hi] / np.array(radii)[:, None]
+        base = 1.0 - y ** (p / (p - 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(base, out=base)
+            np.multiply(q, base, out=base)
+            np.exp(base, out=base)
+            np.fmax(base, 0.0, out=base)
+        amplitude = np.array([sol.K * si ** (-sol.alpha) for si in s])
+        np.multiply(base, amplitude[:, None], out=out[:, lo:hi])
+    out = out.reshape((len(s),) + rho.shape)
     if times.ndim == 1:
         return out
     if rho.ndim == 0:

@@ -271,18 +271,19 @@ class GridField:
         """Values on the box widened by ``m`` nodes per side, read with the
         extension rule: slot ``i`` along each axis holds node ``i - n - m``."""
         size = self.values.shape[0] + 2 * m
-        return self._fill_padded(m, np.empty((size,) * self.d))
+        return self._fill_padded(m, np.zeros((size,) * self.d))
 
     def _fill_padded(self, m: int, out: np.ndarray) -> np.ndarray:
         """Write ``padded(m)`` into ``out``, of that shape, and return it.
 
-        The one home of the extension rule on arrays. np.pad costs ~10x more
-        than these slice copies on the small 1D grids that are stepped
-        thousands of times.
+        The one home of the extension rule on arrays. Under the zero
+        extension only the interior is written: the margins of ``out`` must
+        already hold +0, as they do in a fresh ``np.zeros`` array and in an
+        apply_dp_grid workspace, which nothing else writes into. np.pad
+        costs ~10x more than these slice copies on the small 1D grids that
+        are stepped thousands of times.
         """
         size = out.shape[0]
-        if self.extension == "zero":
-            out.fill(0.0)
         out[(slice(m, size - m),) * self.d] = self.values
         if self.extension == "boundary":
             # clamp one axis at a time, as np.pad does: the axes before it
@@ -496,23 +497,47 @@ def apply_dp(stencil: Stencil, field: GridField, alpha) -> float:
 
 
 class _Workspace:
-    """Scratch arrays of apply_dp_grid for one stencil on one grid shape:
-    the padded copy and, in d = 1, a difference buffer and one edge array
-    per positive offset; in d >= 2, a difference and a term buffer. The
-    result is not among them: every call returns a new array.
+    """Scratch arrays of apply_dp_grid for one stencil on one grid shape
+    under one extension rule.
+
+    The padded copy is zero-filled once, here: under the zero extension
+    ``_fill_padded`` then writes only its interior, so the margins stay +0
+    for the workspace's life. The weights are 0-d float64 arrays, which
+    numpy multiplies by faster than Python floats, with the same bits.
+    Each offset's views of the padded copy (and in d = 1 of the edge
+    arrays) are fixed here, once; in d >= 2 the workspace also holds a
+    difference and a term buffer. The result is not among them: every
+    call returns a new array.
     """
 
-    def __init__(self, stencil: Stencil, shape: tuple):
+    def __init__(self, stencil: Stencil, shape: tuple, extension: str):
         self.stencil = stencil
         self.shape = shape
+        self.extension = extension
         self.reach = m = int(np.max(np.abs(stencil.offsets)))
-        self.terms = list(zip(stencil.offsets.tolist(), stencil.weights.tolist()))
+        weights = [np.array(w) for w in stencil.weights.tolist()]
         size = shape[0]
-        self.padded = np.empty((size + 2 * m,) * len(shape))
+        self.padded = padded = np.zeros((size + 2 * m,) * len(shape))
         if len(shape) == 1:
-            self.diff = np.empty(size + m)
-            self.edges = {b: np.empty(size + b) for (b,), _ in self.terms if b > 0}
+            # lexicographic order puts -k before +k: offset -k forms the
+            # edge terms P_k and subtracts their head, +k adds their tail
+            diff = np.empty(size + m)
+            edges = {}
+            self.plan = []
+            for (b,), w in zip(stencil.offsets.tolist(), weights):
+                if b < 0:
+                    k = -b
+                    edges[k] = edge = np.empty(size + k)
+                    hi, lo = padded[m : m + size + k], padded[m - k : m + size]
+                    self.plan.append((hi, lo, diff[: size + k], edge, w, edge[:size]))
+                else:
+                    self.plan.append((None, None, None, None, None, edges[b][b:]))
         else:
+            # each offset reads a fixed view of the padded copy
+            self.terms = [
+                (padded[tuple(slice(m + c, m + c + size) for c in beta)], w)
+                for beta, w in zip(stencil.offsets.tolist(), weights)
+            ]
             self.diff = np.empty(shape)
             self.term = np.empty(shape)
 
@@ -535,43 +560,54 @@ def apply_dp_grid(
     ``-(b - a)`` (both are +0 when ``a = b``), jp and the weight product
     are odd, ``acc - P`` is ``acc + (-P)``, and an accumulator that starts
     at +0 never becomes -0, so adding +0 or -0 to it gives the same bits.
-    In d >= 2 every offset forms its own term; there the edge form was
-    measured slower, because all edge arrays must be live before the first
-    positive offset is added.
+    The first offset writes ``+0 - P`` straight into the result instead
+    of subtracting from a zeroed accumulator. In d >= 2 every offset
+    forms its own term; there the edge form was measured slower, because
+    all edge arrays must be live before the first positive offset is
+    added.
 
     The scratch arrays (padded copy, differences, edges or terms) come
     from ``_work``, which :func:`plapfd.stepping.iter_levels` allocates
-    once per run for its stencil and grid; without it, each call allocates
-    its own. The result is always a new array.
+    once per run for its stencil, grid and extension; without it, each
+    call allocates its own. A caller who passes ``_work`` also owns the
+    ``np.errstate``: overflow to inf (caught by the caller's blow-up
+    check), ``inf - inf`` and ``log(0)`` must be silenced around the call,
+    as :func:`plapfd.stepping.explicit_step` does once per step. Without
+    ``_work`` the call silences them itself. The result is always a new
+    array.
     """
     _check_geometry(stencil, field)
-    values = field.values
-    work = _Workspace(stencil, values.shape) if _work is None else _work
-    if work.stencil is not stencil or work.shape != values.shape:
-        raise ConfigurationError("workspace was built for another stencil or grid")
-    m = work.reach
-    padded = field._fill_padded(m, work.padded)
-    size = values.shape[0]
+    shape = field.values.shape
+    if _work is None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _apply(stencil, field, _Workspace(stencil, shape, field.extension))
+    if _work.stencil is not stencil or _work.shape != shape or _work.extension != field.extension:
+        raise ConfigurationError("workspace was built for another stencil, grid or extension")
+    return _apply(stencil, field, _work)
+
+
+def _apply(stencil: Stencil, field: GridField, work: _Workspace) -> np.ndarray:
+    """The kernel of apply_dp_grid, on a workspace that fits ``field``,
+    under the caller's errstate."""
+    field._fill_padded(work.reach, work.padded)
     p = stencil.p
+    if field.d == 1:
+        acc = np.empty(field.values.shape)
+        lhs = 0.0
+        for hi, lo, diff, edge, w, part in work.plan:
+            if hi is None:
+                np.add(acc, part, out=acc)
+            else:
+                np.subtract(hi, lo, out=diff)
+                np.multiply(_signed_power(diff, p, edge), w, out=edge)
+                np.subtract(lhs, part, out=acc)
+                lhs = acc
+        return acc
+    values = field.values
     acc = np.zeros(values.shape)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if field.d == 1:
-            for (b,), w in work.terms:
-                if b < 0:
-                    # lexicographic order puts -k before +k: form P_k here
-                    k = -b
-                    edge = work.edges[k]
-                    diff = work.diff[: size + k]
-                    np.subtract(padded[m : m + size + k], padded[m - k : m + size], out=diff)
-                    np.multiply(_signed_power(diff, p, edge), w, out=edge)
-                    np.subtract(acc, edge[:size], out=acc)
-                else:
-                    np.add(acc, work.edges[b][b:], out=acc)
-            return acc
-        diff, term = work.diff, work.term
-        for beta, w in work.terms:
-            shift = padded[tuple(slice(m + c, m + c + size) for c in beta)]
-            np.subtract(shift, values, out=diff)
-            np.multiply(_signed_power(diff, p, term), w, out=term)
-            np.add(acc, term, out=acc)
+    diff, term = work.diff, work.term
+    for shift, w in work.terms:
+        np.subtract(shift, values, out=diff)
+        np.multiply(_signed_power(diff, p, term), w, out=term)
+        np.add(acc, term, out=acc)
     return acc

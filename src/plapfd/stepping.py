@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -213,16 +214,24 @@ class SchemeConfig:
     def times(self) -> np.ndarray:
         return np.arange(self.N + 1, dtype=float) * self.tau
 
+    @cached_property
+    def _stencil(self) -> Stencil:
+        if self.d == 1:
+            if self.r != self.h:
+                raise ConfigurationError(
+                    f"one-dimensional runs require r = h (got r={self.r}, h={self.h})"
+                )
+            return stencil_1d(self.h, self.p)
+        return stencil_ball(self.r, self.h, self.p, self.d)
+
 
 def stencil_for(config: SchemeConfig) -> Stencil:
-    """The stencil a config resolves to: two-point in 1D, ball otherwise."""
-    if config.d == 1:
-        if config.r != config.h:
-            raise ConfigurationError(
-                f"one-dimensional runs require r = h (got r={config.r}, h={config.h})"
-            )
-        return stencil_1d(config.h, config.p)
-    return stencil_ball(config.r, config.h, config.p, config.d)
+    """The stencil a config resolves to: two-point in 1D, ball otherwise.
+
+    It is built on first use and kept on the config, which is immutable,
+    so a run and its :func:`cfl_report` share one enumeration of the ball.
+    """
+    return config._stencil
 
 
 def plan_config(
@@ -338,9 +347,12 @@ def explicit_step(
     f)``, and checked for finiteness once: non-finite output raises
     BlowUpError naming the first offending node in scan order (and the
     step index when given). The checked array is wrapped without
-    validating it again. ``_work`` holds the operator's scratch arrays
-    when the caller owns them (see :func:`iter_levels`); the new level
-    never shares memory with them or with the input.
+    validating it again. One ``np.errstate`` covers the operator call and
+    the update, so overflow, ``inf - inf`` and ``log(0)`` stay silent and
+    show up only as the non-finite values the check reports. ``_work``
+    holds the operator's scratch arrays when the caller owns them (see
+    :func:`iter_levels`); the new level never shares memory with them or
+    with the input.
     """
     tau = float(tau)
     if not (tau >= 0.0) or not math.isfinite(tau):
@@ -351,13 +363,13 @@ def explicit_step(
         or f_values.values.shape != field.values.shape
     ):
         raise ConfigurationError("source term sampled on a different grid")
-    out = apply_dp_grid(stencil, field, _work=_work)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = apply_dp_grid(stencil, field, _work=_work)
         np.add(out, f_values.values, out=out)
         np.multiply(out, tau, out=out)
         np.add(field.values, out, out=out)
     finite = np.isfinite(out)
-    if not finite.all():
+    if np.count_nonzero(finite) != finite.size:
         idx = np.unravel_index(int(np.argmin(finite)), out.shape)
         n = field.n
         raise BlowUpError(tuple(int(i) - n for i in idx), step)
@@ -405,7 +417,7 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     stencil = stencil_for(config)
     _validate_run(config, data)
     u, f = _initial_fields(config, data)
-    work = _Workspace(stencil, u.values.shape)
+    work = _Workspace(stencil, u.values.shape, u.extension)
     yield u
     for j in range(1, config.N + 1):
         u = explicit_step(u, stencil, f, config.tau, step=j, _work=work)

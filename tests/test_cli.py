@@ -132,6 +132,29 @@ def test_solve_metadata_round_trip_is_bit_identical(tmp_path, capsys):
         assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False)
 
 
+@pytest.mark.parametrize(
+    "d, extra", [(1, []), (2, ["--d=2", "--r=0.5", "--h=0.25", "--half_width=2.0"])]
+)
+def test_solve_builds_its_stencil_once(tmp_path, capsys, monkeypatch, d, extra):
+    # the run and the metadata's stencil_size share one stencil build
+    from plapfd import stepping
+
+    calls = []
+    for name in ("stencil_1d", "stencil_ball"):
+        build = getattr(stepping, name)
+
+        def counted(*args, _build=build, _name=name):
+            calls.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(stepping, name, counted)
+    code, _, _ = run_cli(_solve_args(tmp_path, extra), capsys)
+    assert code == 0
+    assert calls == ["stencil_1d" if d == 1 else "stencil_ball"]
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["derived"]["stencil_size"] == (2 if d == 1 else 8)
+
+
 def test_solve_rejects_snapshot_beyond_horizon(tmp_path, capsys):
     code, out, err = run_cli(
         ["solve", "--T=0.1", "--h=0.2", f"--output_dir={tmp_path}"], capsys

@@ -224,18 +224,39 @@ def _barenblatt_eval_reference(sol, x, t):
     return out
 
 
+def _radii_points(sol, radii):
+    # points at the given radii, on the axis in d = 1 and on a spiral in d = 2
+    if sol.d == 1:
+        return np.concatenate([radii, -radii])
+    angle = np.linspace(0.0, 2.0 * np.pi, len(radii))
+    return np.stack([radii * np.cos(angle), radii * np.sin(angle)], axis=-1)
+
+
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0, 40.0])
 def test_batched_eval_matches_scalar_calls_bytewise(d, p):
     sol = barenblatt_solution(d, p)
-    pts = _eval_points(sol)
     times = np.concatenate([[0.0], np.arange(1, 200) * 3.7e-3, [0.25, 2.0]])
+    # nodes on both sides of the support edge, nodes all past the support
+    # at every time, and nodes all inside it at every time
+    first, last = sol.support_radius(0.0), sol.support_radius(2.0)
+    point_sets = [
+        _eval_points(sol),
+        _radii_points(sol, np.linspace(last * (1 + 1e-12), 3.0 * last, 50)),
+        _radii_points(sol, np.linspace(0.0, first * (1 - 1e-12), 50)),
+    ]
+    for pts in point_sets:
+        rows = barenblatt_eval(sol, pts, times)
+        assert rows.shape == (len(times),) + pts.shape[: pts.ndim - (d > 1)]
+        for t, row in zip(times.tolist(), rows):
+            assert row.tobytes() == barenblatt_eval(sol, pts, t).tobytes()
+            assert row.tobytes() == _barenblatt_eval_reference(sol, pts, t).tobytes()
+    pts, past, inside = point_sets
     rows = barenblatt_eval(sol, pts, times)
-    assert rows.shape == (len(times),) + pts.shape[: pts.ndim - (d > 1)]
-    for t, row in zip(times.tolist(), rows):
-        assert row.tobytes() == barenblatt_eval(sol, pts, t).tobytes()
-        assert row.tobytes() == _barenblatt_eval_reference(sol, pts, t).tobytes()
     assert np.any(rows[0] == 0.0) and np.any(rows[0] > 0.0)
+    outside = barenblatt_eval(sol, past, times)
+    assert outside.tobytes() == bytes(outside.nbytes)
+    assert np.all(barenblatt_eval(sol, inside, times) > 0.0)
     # a single point gives one value per time, and a list of times works
     one = barenblatt_eval(sol, pts[0], [0.0, 0.5])
     assert one.tobytes() == np.array([barenblatt_eval(sol, pts[0], t) for t in (0.0, 0.5)]).tobytes()

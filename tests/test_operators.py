@@ -14,6 +14,7 @@ from plapfd import (
     apply_dp_grid,
     couple_h_to_r,
     dpd_constant,
+    explicit_step,
     grid_axis,
     jp,
     sample_on_grid,
@@ -473,9 +474,36 @@ def test_apply_dp_geometry_mismatch():
     f2 = sample_on_grid(lambda x, y: 0.0 * x, 2, 0.1, 1.0)
     with pytest.raises(ConfigurationError):
         apply_dp_grid(s, f2)
-    # scratch arrays built for another stencil or grid are refused
+    # scratch arrays built for another stencil, grid or extension are refused
     f3 = GridField(d=1, h=0.1, half_width=1.0, values=np.zeros(21))
     with pytest.raises(ConfigurationError, match="workspace"):
-        apply_dp_grid(s, f3, _work=_Workspace(stencil_1d(0.1, 3.0), (21,)))
+        apply_dp_grid(s, f3, _work=_Workspace(stencil_1d(0.1, 3.0), (21,), "zero"))
     with pytest.raises(ConfigurationError, match="workspace"):
-        apply_dp_grid(s, f3, _work=_Workspace(s, (23,)))
+        apply_dp_grid(s, f3, _work=_Workspace(s, (23,), "zero"))
+    # a zero-extension workspace keeps unwritten margins, so it must not
+    # serve a clamped field, and the reverse is refused too
+    f4 = GridField(d=1, h=0.1, half_width=1.0, values=np.ones(21), extension="boundary")
+    with pytest.raises(ConfigurationError, match="workspace"):
+        apply_dp_grid(s, f4, _work=_Workspace(s, (21,), "zero"))
+    with pytest.raises(ConfigurationError, match="workspace"):
+        apply_dp_grid(s, f3, _work=_Workspace(s, (21,), "boundary"))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_zero_workspace_margins_stay_positive_zero(d):
+    # margins are zero-filled once, when the workspace is built; 50 steps
+    # on a field with nonzero edge nodes must not write into them
+    h, half_width = (0.1, 1.0) if d == 1 else (0.25, 1.0)
+    s = stencil_1d(h, 3.0) if d == 1 else stencil_ball(0.6, h, 3.0, 2)
+    rng = np.random.default_rng(5)
+    u = sample_on_grid(lambda *xs: 0.0 * xs[0], d, h, half_width)
+    u = u.with_values(rng.uniform(0.5, 1.0, u.values.shape))
+    f = u.with_values(np.zeros(u.values.shape))
+    work = _Workspace(s, u.values.shape, "zero")
+    for j in range(50):
+        u = explicit_step(u, s, f, 1e-6, step=j, _work=work)
+    assert np.all(u.values[(0,) * d] != 0.0)
+    m = work.reach
+    margins = work.padded.copy()
+    margins[(slice(m, -m),) * d] = 0.0
+    assert margins.tobytes() == bytes(margins.nbytes)

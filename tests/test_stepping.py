@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from plapfd import (
     SchemeConfig,
     apply_dp,
     barenblatt_data,
+    barenblatt_eval,
+    barenblatt_solution,
     cfl_report,
     cfl_tau_max,
     constant_data,
@@ -247,6 +250,22 @@ def test_blow_up_names_node_and_step():
     assert err.step == 5
     assert isinstance(err.node, tuple) and err.node == (-10,)
     assert "CFL" in str(err)
+
+
+def test_blow_up_and_evaluation_past_the_support_are_silent():
+    # overflow, inf - inf and log(0) are silenced where they happen, so the
+    # blow-up surfaces only as BlowUpError and the exact profile warns not
+    # at all, also with every warning turned into an error
+    data = oscillatory_data(0.1)
+    cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
+    sol = barenblatt_solution(1, 4.0)
+    pts = np.linspace(-3.0, 3.0, 121)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError):
+            solve(cfg, data)
+        rows = barenblatt_eval(sol, pts, [0.0, 0.5, 1.0])
+    assert np.any(rows == 0.0) and np.any(rows > 0.0)
 
 
 def _wavy_data():
