@@ -20,12 +20,14 @@ import numpy as np
 from .errors import BlowUpError, ConfigurationError
 from .exact import (
     BarenblattSolution,
+    _point_radius,
     barenblatt_data,
     barenblatt_eval,
     barenblatt_solution,
     plap_quadratic_oracle,
 )
 from .operators import (
+    _positive,
     apply_dp_grid,
     couple_h_to_r,
     grid_points,
@@ -37,6 +39,7 @@ from .stepping import (
     HolderData,
     SchemeConfig,
     Trajectory,
+    _cfl_exponent,
     check_margin,
     iter_levels,
     plan_config,
@@ -192,9 +195,7 @@ def consistency_table(
     to nodes with ``|x| >= h``, where the 1D cubic case is exact; it is NaN
     when the window holds no such node (window < h), never a silent 0.
     """
-    window = float(window)
-    if not (window > 0.0):
-        raise ValueError(f"window must be positive (got {window})")
+    window = _positive("window", window)
     rows = []
     for r in r_levels:
         r = float(r)
@@ -211,7 +212,7 @@ def consistency_table(
         dp = apply_dp_grid(stencil, field)
         ax = field.axis()
         pts = grid_points(d, h, half)
-        rho = np.abs(pts) if d == 1 else np.sqrt(np.sum(pts * pts, axis=-1))
+        rho = _point_radius(pts, d)
         oracle = plap_quadratic_oracle(pts, p, d)
         err = np.abs(dp - oracle)
         inwin = np.ones_like(err, dtype=bool)
@@ -315,7 +316,7 @@ def run_property_suite(
     rng = np.random.default_rng(seed)
     summary = _config_summary(config)
     kt, _, _, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
-    kappa = data.a / (2.0 + (1.0 - data.a) * (config.p - 2.0))
+    kappa = data.a / _cfl_exponent(data.a, config.p)
 
     names = (
         "modulus_preservation",

@@ -37,6 +37,7 @@ from .mollifier import REFERENCE_BOUNDS, mollifier_constants
 from .operators import _check_p, grid_points, grid_radius
 from .stepping import (
     HolderData,
+    _zero,
     cfl_report,
     constant_data,
     iter_levels,
@@ -223,16 +224,8 @@ def _build_data(cfg: dict) -> HolderData:
                 "tabulated data needs explicit regularity constants: missing "
                 + ", ".join(missing)
             )
-        u0 = (
-            _interp_table(spec["u0_table"], "data.u0_table")
-            if "u0_table" in spec
-            else (lambda x: np.zeros_like(x))
-        )
-        f = (
-            _interp_table(spec["f_table"], "data.f_table")
-            if "f_table" in spec
-            else (lambda x: np.zeros_like(x))
-        )
+        u0 = _interp_table(spec["u0_table"], "data.u0_table") if "u0_table" in spec else _zero
+        f = _interp_table(spec["f_table"], "data.f_table") if "f_table" in spec else _zero
         return HolderData(
             u0=u0,
             f=f,

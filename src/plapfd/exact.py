@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepping import HolderData
+from .operators import _check_p, _dimension, _nonnegative, _positive
+from .stepping import HolderData, _zero
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,10 @@ class BarenblattSolution:
 
 def barenblatt_constants(d: int, p) -> tuple[float, float, float]:
     """Exponents and normalization ``(alpha, beta, K)`` for given d, p > 2."""
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer (got {d})")
+    d = _dimension(d)
     p = float(p)
     if not math.isfinite(p) or p <= 2.0:
         raise ValueError(f"Barenblatt profiles need p > 2 (got {p})")
-    d = int(d)
     beta = 1.0 / (d * (p - 2.0) + p)
     alpha = d * beta
     K = ((p - 2.0) / p * beta ** (1.0 / (p - 1.0))) ** ((p - 1.0) / (p - 2.0))
@@ -62,9 +61,7 @@ def barenblatt_constants(d: int, p) -> tuple[float, float, float]:
 
 def barenblatt_solution(d: int, p, t_shift=1.0) -> BarenblattSolution:
     alpha, beta, K = barenblatt_constants(d, p)
-    t_shift = float(t_shift)
-    if not (t_shift >= 0.0) or not math.isfinite(t_shift):
-        raise ValueError(f"t_shift must be nonnegative (got {t_shift})")
+    t_shift = _nonnegative("t_shift", t_shift)
     return BarenblattSolution(d=int(d), p=float(p), alpha=alpha, beta=beta, K=K, t_shift=t_shift)
 
 
@@ -159,25 +156,18 @@ def barenblatt_data(p, horizon, d: int = 1, t_shift=1.0) -> HolderData:
     Requires ``t_shift > 0`` so the initial datum is Lipschitz rather than
     a point mass.
     """
-    t_shift = float(t_shift)
-    if not (t_shift > 0.0):
-        raise ValueError(f"t_shift must be positive (got {t_shift})")
-    horizon = float(horizon)
-    if not (horizon > 0.0) or not math.isfinite(horizon):
-        raise ValueError(f"horizon must be positive (got {horizon})")
+    t_shift = _positive("t_shift", t_shift)
+    horizon = _positive("horizon", horizon)
     sol = barenblatt_solution(d, p, t_shift)
 
     def u0(*xs):
         x = xs[0] if sol.d == 1 else np.stack(xs, axis=-1)
         return barenblatt_eval(sol, x, 0.0)
 
-    def f(*xs):
-        return np.zeros_like(np.asarray(xs[0], dtype=float))
-
     lip = barenblatt_lipschitz(p, sol.d) * t_shift ** (-(sol.alpha + sol.beta))
     return HolderData(
         u0=u0,
-        f=f,
+        f=_zero,
         a=1.0,
         L_u0=lip,
         L_f=0.0,
@@ -193,13 +183,10 @@ def plap_quadratic_oracle(x, p, d: int):
     Classical computation: ``2^(p-1) * (d + p - 2) * |x|^(p-2)``. Accepts
     points in the same convention as barenblatt_eval.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 2.0:
-        raise ValueError(f"p must be ≥ 2 (got {p})")
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer (got {d})")
-    rho = _point_radius(x, int(d))
-    out = 2.0 ** (p - 1.0) * (int(d) + p - 2.0) * rho ** (p - 2.0)
+    p = _check_p(p)
+    d = _dimension(d)
+    rho = _point_radius(x, d)
+    out = 2.0 ** (p - 1.0) * (d + p - 2.0) * rho ** (p - 2.0)
     if np.ndim(out) == 0:
         return float(out)
     return out

@@ -30,11 +30,37 @@ _LOG_SPACE_P = 32.0
 _REL_SLACK = 1e-12
 
 
+# The parameter rules, one helper each (with _check_a in stepping). They
+# raise ConfigurationError, a ValueError, so the CLI maps them to exit 2.
 def _check_p(p) -> float:
     p = float(p)
     if not math.isfinite(p) or p < 2.0:
-        raise ValueError(f"p must be ≥ 2 (got {p})")
+        raise ConfigurationError(f"p must be ≥ 2 (got {p})")
     return p
+
+
+def _positive(name: str, v) -> float:
+    v = float(v)
+    if not (v > 0.0) or not math.isfinite(v):
+        raise ConfigurationError(f"{name} must be finite and positive (got {v})")
+    return v
+
+
+def _nonnegative(name: str, v) -> float:
+    v = float(v)
+    if not math.isfinite(v) or v < 0.0:
+        raise ConfigurationError(f"{name} must be finite and >= 0 (got {v})")
+    return v
+
+
+def _dimension(d, least: int = 1) -> int:
+    try:
+        ok = int(d) == d and d >= least
+    except (OverflowError, ValueError):  # inf, nan or a non-numeric string
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"d must be an integer >= {least} (got {d})")
+    return int(d)
 
 
 def _signed_power(xi, p, out):
@@ -94,8 +120,7 @@ def jp(xi, p):
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d."""
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer (got {d})")
+    d = _dimension(d)
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
@@ -110,9 +135,7 @@ def dpd_constant(d: int, p) -> float:
     Relative accuracy is well below 1e-12 over the supported range.
     """
     p = _check_p(p)
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer (got {d})")
-    d = int(d)
+    d = _dimension(d)
     front = d / (4.0 * math.sqrt(math.pi)) * (p - 1.0) / (d + p)
     if (d + p) / 2.0 < 170.0:
         ratio = math.gamma(d / 2.0) * math.gamma((p - 1.0) / 2.0) / math.gamma((d + p) / 2.0)
@@ -131,14 +154,9 @@ def couple_h_to_r(r, p, d: int, c=0.1):
     (including ``p = 2``). The clamp keeps the ball stencil admissible.
     """
     p = _check_p(p)
-    r = float(r)
-    c = float(c)
-    if not (r > 0.0) or not math.isfinite(r):
-        raise ValueError(f"r must be positive (got {r})")
-    if not (c > 0.0) or not math.isfinite(c):
-        raise ValueError(f"c must be positive (got {c})")
-    if int(d) != d or d < 2:
-        raise ValueError(f"couple_h_to_r needs integer d >= 2 (got {d})")
+    r = _positive("r", r)
+    c = _positive("c", c)
+    d = _dimension(d, least=2)
     if 2.0 < p <= 3.0:
         gamma = p / (p - 1.0)
     else:
@@ -150,9 +168,9 @@ def grid_radius(h, half_width) -> int:
     """Number of nodes per side of the origin: ``n = floor(L/h)``.
 
     The additive fudge absorbs divisions like 2/0.04 that land a few ulp
-    below an integer.
+    below an integer. Both arguments must be finite and positive.
     """
-    return int(math.floor(float(half_width) / float(h) + 1e-9))
+    return int(math.floor(_positive("half_width", half_width) / _positive("h", h) + 1e-9))
 
 
 def grid_axis(h, half_width) -> np.ndarray:
@@ -196,13 +214,9 @@ class GridField:
     extension: str = "zero"
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise ConfigurationError(f"d must be a positive integer (got {self.d})")
-        object.__setattr__(self, "d", int(self.d))
-        h = float(self.h)
+        object.__setattr__(self, "d", _dimension(self.d))
+        h = _positive("h", self.h)
         L = float(self.half_width)
-        if not (h > 0.0) or not math.isfinite(h):
-            raise ConfigurationError(f"h must be positive (got {h})")
         if not math.isfinite(L) or L < h:
             raise ConfigurationError(f"half_width must be at least h (got {L} < {h})")
         object.__setattr__(self, "h", h)
@@ -338,15 +352,10 @@ class Stencil:
     weights: np.ndarray
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise ConfigurationError(f"d must be a positive integer (got {self.d})")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _dimension(self.d))
         object.__setattr__(self, "p", _check_p(self.p))
         for name in ("h", "r"):
-            val = float(getattr(self, name))
-            if not (val > 0.0) or not math.isfinite(val):
-                raise ConfigurationError(f"{name} must be positive (got {val})")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         off = np.asarray(self.offsets, dtype=np.int64).reshape(-1, self.d)
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if off.shape[0] == 0:
@@ -408,9 +417,7 @@ def stencil_1d(h, p) -> Stencil:
     """Two-point stencil in one dimension: weights ``1/h^p`` at offsets
     -1 and +1, radius ``r = h``, weight-sum constant ``M_bound = 2``.
     """
-    h = float(h)
-    if not (h > 0.0) or not math.isfinite(h):
-        raise ValueError(f"h must be positive (got {h})")
+    h = _positive("h", h)
     p = _check_p(p)
     w = h ** (-p)
     return Stencil(
@@ -432,13 +439,9 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
     so the ball contains at least one full cube of neighbors.
     """
     p = _check_p(p)
-    r = float(r)
-    h = float(h)
-    if int(d) != d or d < 2:
-        raise ValueError(f"stencil_ball needs integer d >= 2 (got {d})")
-    d = int(d)
-    if not (r > 0.0 and h > 0.0) or not (math.isfinite(r) and math.isfinite(h)):
-        raise ValueError(f"r and h must be positive (got r={r}, h={h})")
+    r = _positive("r", r)
+    h = _positive("h", h)
+    d = _dimension(d, least=2)
     if h > r / math.sqrt(d) * (1.0 + _REL_SLACK):
         raise ConfigurationError(
             f"h must satisfy h <= r/sqrt(d) = {r / math.sqrt(d):.6g} (got h={h})"

@@ -26,8 +26,12 @@ from .operators import (
     GridField,
     Stencil,
     _EXTENSIONS,
+    _REL_SLACK,
     _Workspace,
     _check_p,
+    _dimension,
+    _nonnegative,
+    _positive,
     apply_dp_grid,
     couple_h_to_r,
     sample_on_grid,
@@ -36,7 +40,22 @@ from .operators import (
     weight_sum_bound,
 )
 
-_REL_SLACK = 1e-12
+
+def _check_a(a) -> float:
+    a = float(a)
+    if not (0.0 < a <= 1.0):
+        raise ConfigurationError(f"a must lie in (0, 1] (got {a})")
+    return a
+
+
+def _cfl_exponent(a, p) -> float:
+    """Power of ``r`` in both step rules and in Ktilde: ``2 + (1-a)(p-2)``."""
+    return 2.0 + (1.0 - a) * (p - 2.0)
+
+
+def _zero(*xs):
+    """Zero datum or source, shaped like the first coordinate array."""
+    return np.zeros_like(np.asarray(xs[0], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -63,19 +82,11 @@ class HolderData:
     def __post_init__(self):
         if not callable(self.u0) or not callable(self.f):
             raise ConfigurationError("u0 and f must be callable")
-        a = float(self.a)
-        if not (0.0 < a <= 1.0):
-            raise ConfigurationError(f"a must lie in (0, 1] (got {a})")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _check_a(self.a))
         for name in ("L_u0", "L_f", "sup_u0", "sup_f"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val) or val < 0.0:
-                raise ConfigurationError(f"{name} must be finite and >= 0 (got {val})")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _nonnegative(name, getattr(self, name)))
         if self.support_radius is not None:
-            sr = float(self.support_radius)
-            if not math.isfinite(sr) or sr < 0.0:
-                raise ConfigurationError(f"support_radius must be >= 0 (got {sr})")
+            sr = _nonnegative("support_radius", self.support_radius)
             object.__setattr__(self, "support_radius", sr)
 
 
@@ -89,14 +100,11 @@ def ktilde(a, p, L_u0, K1, K2, M) -> float:
     of the stencil in use. Zero Lipschitz data gives Ktilde = 0.
     """
     p = _check_p(p)
-    a = float(a)
-    if not (0.0 < a <= 1.0):
-        raise ValueError(f"a must lie in (0, 1] (got {a})")
-    for name, val in (("L_u0", L_u0), ("K1", K1), ("K2", K2), ("M", M)):
-        if not math.isfinite(float(val)) or float(val) < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0 (got {val})")
-    L_u0, K1, K2, M = float(L_u0), float(K1), float(K2), float(M)
-    denom = 2.0 + (1.0 - a) * (p - 2.0)
+    a = _check_a(a)
+    L_u0, K1, K2, M = (
+        _nonnegative(name, val) for name, val in (("L_u0", L_u0), ("K1", K1), ("K2", K2), ("M", M))
+    )
+    denom = _cfl_exponent(a, p)
     if L_u0 == 0.0:
         return 0.0
     return (
@@ -115,29 +123,20 @@ def cfl_tau_max(r, a, p, L_u0, L_f, T, Ktilde, M) -> float:
     at ``a = 1`` the exponent is 2 for every p.
     """
     p = _check_p(p)
-    a = float(a)
-    r = float(r)
-    if not (0.0 < a <= 1.0):
-        raise ValueError(f"a must lie in (0, 1] (got {a})")
-    if not (r > 0.0) or not math.isfinite(r):
-        raise ValueError(f"r must be positive (got {r})")
+    a = _check_a(a)
+    r = _positive("r", r)
     C = cfl_constant(a, p, L_u0, L_f, T, Ktilde, M)
-    return C * r ** (2.0 + (1.0 - a) * (p - 2.0))
+    return C * r ** _cfl_exponent(a, p)
 
 
 def cfl_constant(a, p, L_u0, L_f, T, Ktilde, M) -> float:
-    for name, val in (
-        ("L_u0", L_u0),
-        ("L_f", L_f),
-        ("T", T),
-        ("Ktilde", Ktilde),
-        ("M", M),
-    ):
-        if not math.isfinite(float(val)) or float(val) < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0 (got {val})")
+    L_u0, L_f, T, Ktilde, M = (
+        _nonnegative(name, val)
+        for name, val in (("L_u0", L_u0), ("L_f", L_f), ("T", T), ("Ktilde", Ktilde), ("M", M))
+    )
     p = float(p)
-    grad = float(L_u0) + float(T) * float(L_f) + 3.0 * float(Ktilde) + 1.0
-    return min(1.0, 1.0 / (float(M) * (p - 1.0) * grad ** (p - 2.0)))
+    grad = L_u0 + T * L_f + 3.0 * Ktilde + 1.0
+    return min(1.0, 1.0 / (M * (p - 1.0) * grad ** (p - 2.0)))
 
 
 def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
@@ -147,18 +146,32 @@ def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
     ``K1``/``K2`` come from :func:`plapfd.mollifier.mollifier_constants` and
     ``M_bound`` from :func:`plapfd.operators.weight_sum_bound`. The mollifier
     constants are tabulated for ``d <= 3`` only; larger ``d`` raises
-    ConfigurationError.
+    ConfigurationError. So does a bound outside float range: at large ``p``
+    the powers in Ktilde and C overflow (a float ``**`` raises
+    OverflowError, a product becomes inf), and ``C`` or ``tau_max``
+    underflows to 0.
     """
     if d > 3:
         raise ConfigurationError(
             f"the theoretical step bound needs mollifier constants, tabulated "
             f"for d <= 3 (got d = {d})"
         )
+    r = _positive("r", r)
     mc = mollifier_constants(d)
     M_bound = weight_sum_bound(d, p)
-    kt = ktilde(data.a, p, data.L_u0, mc.K1, mc.K2, M_bound)
-    C = cfl_constant(data.a, p, data.L_u0, data.L_f, T, kt, M_bound)
-    tau_max = cfl_tau_max(r, data.a, p, data.L_u0, data.L_f, T, kt, M_bound)
+    kt = C = tau_max = 0.0  # what an overflow leaves
+    try:
+        kt = ktilde(data.a, p, data.L_u0, mc.K1, mc.K2, M_bound)
+        if kt < math.inf:
+            C = cfl_constant(data.a, p, data.L_u0, data.L_f, T, kt, M_bound)
+            tau_max = C * r ** _cfl_exponent(data.a, p)
+    except OverflowError:
+        pass
+    if not tau_max > 0.0:
+        raise ConfigurationError(
+            f"the theoretical step bound is outside float range "
+            f"(p = {p}, L_u0 = {data.L_u0}, L_f = {data.L_f}, T = {T})"
+        )
     return kt, C, tau_max, M_bound
 
 
@@ -188,14 +201,9 @@ class SchemeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_p(self.p))
-        if int(self.d) != self.d or self.d < 1:
-            raise ConfigurationError(f"d must be a positive integer (got {self.d})")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _dimension(self.d))
         for name in ("T", "r", "h", "tau", "half_width"):
-            val = float(getattr(self, name))
-            if not (val > 0.0) or not math.isfinite(val):
-                raise ConfigurationError(f"{name} must be positive (got {val})")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if int(self.N) != self.N or self.N < 1:
             raise ConfigurationError(f"N must be a positive integer (got {self.N})")
         object.__setattr__(self, "N", int(self.N))
@@ -259,29 +267,22 @@ def plan_config(
     with ``tau = T/N``.
     """
     p = _check_p(p)
-    T = float(T)
-    if not (T > 0.0) or not math.isfinite(T):
-        raise ConfigurationError(f"T must be positive (got {T})")
-    if int(d) != d or d < 1:
-        raise ConfigurationError(f"d must be a positive integer (got {d})")
-    d = int(d)
+    T = _positive("T", T)
+    d = _dimension(d)
     if d == 1:
         if h is None:
             h = r
         if h is None:
             raise ConfigurationError("give h (or r) for one-dimensional runs")
-        h = float(h)
-        r = float(h)
+        h = r = _positive("h", h)
     else:
         if r is None:
             raise ConfigurationError(f"give the stencil radius r for d = {d}")
-        r = float(r)
+        r = _positive("r", r)
         h = couple_h_to_r(r, p, d, coupling_c) if h is None else float(h)
     explicit_tau = None
     if tau is not None:
-        tau = float(tau)
-        if not (tau > 0.0):
-            raise ConfigurationError(f"tau must be positive (got {tau})")
+        tau = _positive("tau", tau)
         N = max(1, int(round(T / tau)))
         explicit_tau = tau
     elif num_steps is not None:
@@ -290,7 +291,7 @@ def plan_config(
             raise ConfigurationError(f"num_steps must be >= 1 (got {num_steps})")
     else:
         if cfl_mode == "practical":
-            target = float(c_practical) * r ** (2.0 + (1.0 - data.a) * (p - 2.0))
+            target = _positive("c_practical", c_practical) * r ** _cfl_exponent(data.a, p)
             N = max(1, int(math.ceil(T / target - 1e-9)))
         elif cfl_mode == "theoretical":
             _, _, target, _ = theoretical_step_bound(p, d, r, T, data)
@@ -315,7 +316,11 @@ def cfl_report(config: SchemeConfig, data: HolderData) -> dict:
     """Constants behind the theoretical step bound, for logs and metadata.
 
     ``Ktilde``, ``C`` and ``tau_max_theoretical`` are NaN where the bound is
-    unavailable (``d > 3``).
+    unavailable: for ``d > 3``, or where it is outside float range (see
+    :func:`theoretical_step_bound`). Those are the only ConfigurationErrors
+    the bound can raise here: every other check inside it sees values that
+    SchemeConfig and HolderData have already validated, the tabulated
+    mollifier constants, or a Ktilde checked to be finite.
     """
     stencil = stencil_for(config)
     try:
@@ -354,9 +359,7 @@ def explicit_step(
     :func:`iter_levels`); the new level never shares memory with them or
     with the input.
     """
-    tau = float(tau)
-    if not (tau >= 0.0) or not math.isfinite(tau):
-        raise ConfigurationError(f"tau must be nonnegative (got {tau})")
+    tau = _nonnegative("tau", tau)
     if (
         f_values.d != field.d
         or f_values.h != field.h
@@ -444,9 +447,6 @@ class Trajectory:
             raise ConfigurationError("times must have length N + 1")
         object.__setattr__(self, "times", t)
 
-    def level(self, j: int) -> GridField:
-        return self.levels[j]
-
 
 def solve(config: SchemeConfig, data: HolderData) -> Trajectory:
     """Run the scheme to time ``T`` and keep every level."""
@@ -505,17 +505,12 @@ def constant_data(u0_value=0.0, f_value=0.0) -> HolderData:
 
 def tent_data(height=1.0) -> HolderData:
     """1D tent ``u0 = height * max(0, 1 - |x|)``, zero source."""
-    height = float(height)
-    if not (height > 0.0):
-        raise ConfigurationError(f"height must be positive (got {height})")
+    height = _positive("height", height)
 
     def u0(x):
         return height * np.maximum(0.0, 1.0 - np.abs(x))
 
-    def f(x):
-        return np.zeros_like(x)
-
-    return HolderData(u0=u0, f=f, a=1.0, L_u0=height, L_f=0.0, sup_u0=height, sup_f=0.0)
+    return HolderData(u0=u0, f=_zero, a=1.0, L_u0=height, L_f=0.0, sup_u0=height, sup_f=0.0)
 
 
 def sqrt_cusp_data() -> HolderData:
@@ -529,12 +524,9 @@ def sqrt_cusp_data() -> HolderData:
     def u0(x):
         return np.sqrt(np.abs(x)) * np.maximum(0.0, 1.0 - np.abs(x))
 
-    def f(x):
-        return np.zeros_like(x)
-
     return HolderData(
         u0=u0,
-        f=f,
+        f=_zero,
         a=0.5,
         L_u0=2.0,
         L_f=0.0,
@@ -546,20 +538,15 @@ def sqrt_cusp_data() -> HolderData:
 def oscillatory_data(h, amplitude=1.0) -> HolderData:
     """Checkerboard datum ``u0 = A * cos(pi x / h)``: alternating signs on a
     grid of spacing h. Useful for demonstrating step-size violations."""
-    h = float(h)
-    amplitude = float(amplitude)
-    if not (h > 0.0 and amplitude > 0.0):
-        raise ConfigurationError("h and amplitude must be positive")
+    h = _positive("h", h)
+    amplitude = _positive("amplitude", amplitude)
 
     def u0(x):
         return amplitude * np.cos(math.pi * x / h)
 
-    def f(x):
-        return np.zeros_like(x)
-
     return HolderData(
         u0=u0,
-        f=f,
+        f=_zero,
         a=1.0,
         L_u0=amplitude * math.pi / h,
         L_f=0.0,

@@ -44,6 +44,48 @@ def test_invalid_p_exits_2(capsys):
     assert "p must be ≥ 2" in err
 
 
+# tabulated tent at p = 50 with L_u0 = 1: the theoretical bound overflows
+_P50_TENT = [
+    "solve",
+    "--p=50",
+    "--h=0.1",
+    "--T=0.01",
+    "--snapshot_times=[0.01]",
+    "--data.kind=tabulated",
+    "--data.u0_table=[[-1,0],[0,1],[1,0]]",
+    "--data.a=1",
+    "--data.L_u0=1",
+    "--data.L_f=0",
+    "--data.sup_u0=1",
+    "--data.sup_f=0",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        (["solve", "--cfl.c=0"], 2, "c_practical"),
+        (["solve", "--cfl.c=-1"], 2, "c_practical"),
+        (["solve", "--tau=Infinity"], 2, "tau must be finite"),
+        (["consistency", "--window=Infinity"], 2, "window"),
+        ([*_P50_TENT, "--cfl.mode=theoretical"], 2, "outside float range"),
+        (_P50_TENT, 0, None),
+    ],
+    ids=["cfl.c=0", "cfl.c=-1", "tau=inf", "window=inf", "p50-theoretical", "p50-practical"],
+)
+def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
+    # each used to end in a traceback (exit 1) or, at --cfl.c=-1, a run
+    # of one step of size T; main must return, never raise
+    got, out, err = run_cli([*argv, f"--output_dir={tmp_path}"], capsys)
+    assert got == code, err
+    if code == 2:
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "metadata.json").exists()
+    else:
+        derived = json.loads((tmp_path / "metadata.json").read_text())["derived"]
+        assert [derived[k] for k in ("Ktilde", "C", "tau_max_theoretical")] == [None] * 3
+
+
 def test_unknown_key_rejected(capsys):
     code, out, err = run_cli(["solve", "--bogus=1"], capsys)
     assert code == 2

@@ -100,6 +100,10 @@ def test_dpd_constant_validation():
         dpd_constant(0, 3.0)
     with pytest.raises(ValueError):
         dpd_constant(2, 1.0)
+    # int(inf) used to escape as OverflowError
+    for d in (math.inf, math.nan, 2.5):
+        with pytest.raises(ConfigurationError, match="integer"):
+            dpd_constant(d, 3.0)
 
 
 def test_couple_h_to_r_reference_values():
@@ -208,6 +212,13 @@ def test_grid_field_validation():
         GridField(d=1, h=1.0, half_width=2.0, values=np.zeros(5), extension="mirror")
     with pytest.raises(ConfigurationError):
         GridField(d=1, h=-1.0, half_width=2.0, values=np.zeros(5))
+    # grid construction refuses what it cannot divide by or count: h = 0
+    # divided by zero and half_width = inf overflowed in int()
+    for h, half_width in ((0.0, 2.0), (math.inf, 2.0), (math.nan, 2.0), (0.1, math.inf)):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            sample_on_grid(lambda x: x, 1, h, half_width)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            grid_axis(h, half_width)
 
 
 def test_grid_field_extensions():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -53,6 +54,10 @@ def test_holder_data_validation():
             u0=lambda x: x, f=lambda x: x, a=1.0, L_u0=1, L_f=0, sup_u0=1, sup_f=0,
             support_radius=-2.0,
         )
+    # the builders' parameters too: h = inf used to certify L_u0 = 0
+    for build in (lambda: oscillatory_data(math.inf), lambda: tent_data(math.inf)):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            build()
 
 
 def test_ktilde_reference_values():
@@ -138,6 +143,9 @@ def test_plan_config_geometry():
         plan_config(3.0, 2, 1.0, 2.0, data)
     cfg2 = plan_config(3.0, 2, 1.0, 2.0, data, r=0.4)
     assert cfg2.h == couple_h_to_r(0.4, 3.0, 2)
+    # r = h = 0 used to reach the step target and divide by zero
+    with pytest.raises(ConfigurationError, match="h must be finite and positive"):
+        plan_config(3.0, 1, 1.0, 2.0, data, h=0.0)
 
 
 def test_plan_config_explicit_tau_is_kept_verbatim():
@@ -157,6 +165,10 @@ def test_plan_config_practical_step_target():
     # a = 1 data: target 0.2 * 0.01 = 0.002, so exactly 500 steps
     assert cfg.N == 500
     assert cfg.tau == pytest.approx(0.002, rel=1e-12)
+    # c = 0 used to divide by zero, and c = -1 to plan one step of size T
+    for c in (0.0, -1.0, math.inf):
+        with pytest.raises(ConfigurationError, match="c_practical"):
+            plan_config(4.0, 1, 1.0, 2.0, data, h=0.1, c_practical=c)
 
 
 def test_plan_config_theoretical_step_respects_bound():
@@ -203,6 +215,31 @@ def test_plan_config_theoretical_needs_tabulated_constants():
     # the report of a d = 4 practical run leaves the bound's constants NaN
     cfg = SchemeConfig(p=3.0, d=4, T=0.1, r=0.5, h=0.25, tau=0.05, N=2, half_width=1.0)
     rep = cfl_report(cfg, zero_data())
+    assert all(math.isnan(rep[k]) for k in ("Ktilde", "C", "tau_max_theoretical"))
+
+
+def test_theoretical_step_bound_is_finite_or_outside_float_range():
+    # On validated data the bound's constants are finite and positive, or the
+    # bound is refused as outside float range: no other check inside it can
+    # fire, so cfl_report's NaN fallback covers that case and d > 3 only.
+    refused = 0
+    for d, p, a, L in itertools.product(
+        (1, 2, 3), (2.0, 3.0, 10.0, 50.0, 200.0), (0.25, 1.0), (0.0, 1.0, 1e3)
+    ):
+        data = HolderData(u0=abs, f=abs, a=a, L_u0=L, L_f=L, sup_u0=1.0, sup_f=1.0)
+        try:
+            kt, C, tau_max, _ = theoretical_step_bound(p, d, 0.1, 1.0, data)
+        except ConfigurationError as exc:
+            assert "outside float range" in str(exc)
+            refused += 1
+        else:
+            assert 0.0 <= kt < math.inf and 0.0 < C <= 1.0 and 0.0 < tau_max < math.inf
+    assert refused > 0
+    # p = 50 with L_u0 = 1: float ** raised OverflowError in ktilde/cfl_constant
+    data = tent_data()
+    with pytest.raises(ConfigurationError, match="outside float range"):
+        plan_config(50.0, 1, 0.01, 2.0, data, h=0.1, cfl_mode="theoretical")
+    rep = cfl_report(plan_config(50.0, 1, 0.01, 2.0, data, h=0.1), data)
     assert all(math.isnan(rep[k]) for k in ("Ktilde", "C", "tau_max_theoretical"))
 
 
