@@ -44,72 +44,64 @@ from .stepping import (
     plan_config,
 )
 
-DEFAULTS = {
-    "p": 4.0,
-    "d": 1,
-    "T": 1.0,
-    "half_width": 2.0,
-    "h": 0.01,
-    "r": None,
-    "coupling_c": 0.1,
-    "tau": None,
-    "num_steps": None,
-    "cfl": {"mode": "practical", "c": 0.2},
-    "extension": "zero",
-    "data": {"kind": "barenblatt", "t_shift": 1.0},
-    "snapshot_times": [1.0],
-    "levels": [0.04, 0.02, 0.01, 0.005],
-    "r_levels": [0.4, 0.2, 0.1, 0.05],
-    "window": 0.15,
-    "samples": 1000,
-    "seed": 20260817,
-    "output_dir": ".",
-}
-
 _NUMBER = (int, float)
+_NO_DEFAULT = object()  # an optional key that DEFAULTS leaves out
 
-# key -> (accepted types, nullable); nested dicts hold their own tables
+# key -> (default, accepted types, nullable); nested dicts hold their own
+# tables. DEFAULTS is read from this table.
 _SCHEMA = {
-    "p": (_NUMBER, False),
-    "d": ((int,), False),
-    "T": (_NUMBER, False),
-    "half_width": (_NUMBER, False),
-    "h": (_NUMBER, True),
-    "r": (_NUMBER, True),
-    "coupling_c": (_NUMBER, False),
-    "tau": (_NUMBER, True),
-    "num_steps": ((int,), True),
+    "p": (4.0, _NUMBER, False),
+    "d": (1, (int,), False),
+    "T": (1.0, _NUMBER, False),
+    "half_width": (2.0, _NUMBER, False),
+    "h": (0.01, _NUMBER, True),
+    "r": (None, _NUMBER, True),
+    "coupling_c": (0.1, _NUMBER, False),
+    "tau": (None, _NUMBER, True),
+    "num_steps": (None, (int,), True),
     "cfl": {
-        "mode": ((str,), False),
-        "c": (_NUMBER, False),
+        "mode": ("practical", (str,), False),
+        "c": (0.2, _NUMBER, False),
     },
-    "extension": ((str,), False),
+    "extension": ("zero", (str,), False),
     "data": {
-        "kind": ((str,), False),
-        "t_shift": (_NUMBER, False),
-        "u0": (_NUMBER, False),
-        "f": (_NUMBER, False),
-        "u0_table": ((list,), False),
-        "f_table": ((list,), False),
-        "a": (_NUMBER, False),
-        "L_u0": (_NUMBER, False),
-        "L_f": (_NUMBER, False),
-        "sup_u0": (_NUMBER, False),
-        "sup_f": (_NUMBER, False),
-        "support_radius": (_NUMBER, True),
+        "kind": ("barenblatt", (str,), False),
+        "t_shift": (1.0, _NUMBER, False),
+        "u0": (_NO_DEFAULT, _NUMBER, False),
+        "f": (_NO_DEFAULT, _NUMBER, False),
+        "u0_table": (_NO_DEFAULT, (list,), False),
+        "f_table": (_NO_DEFAULT, (list,), False),
+        "a": (_NO_DEFAULT, _NUMBER, False),
+        "L_u0": (_NO_DEFAULT, _NUMBER, False),
+        "L_f": (_NO_DEFAULT, _NUMBER, False),
+        "sup_u0": (_NO_DEFAULT, _NUMBER, False),
+        "sup_f": (_NO_DEFAULT, _NUMBER, False),
+        "support_radius": (_NO_DEFAULT, _NUMBER, True),
     },
-    "snapshot_times": ((list,), False),
-    "levels": ((list,), False),
-    "r_levels": ((list,), False),
-    "window": (_NUMBER, False),
-    "samples": ((int,), False),
-    "seed": ((int,), False),
-    "output_dir": ((str,), False),
+    "snapshot_times": ([1.0], (list,), False),
+    "levels": ([0.04, 0.02, 0.01, 0.005], (list,), False),
+    "r_levels": ([0.4, 0.2, 0.1, 0.05], (list,), False),
+    "window": (0.15, _NUMBER, False),
+    "samples": (1000, (int,), False),
+    "seed": (20260817, (int,), False),
+    "output_dir": (".", (str,), False),
 }
 
 
-def _validate(cfg: dict, schema=None, path="") -> None:
-    schema = _SCHEMA if schema is None else schema
+def _defaults(schema: dict) -> dict:
+    out = {}
+    for key, rule in schema.items():
+        if isinstance(rule, dict):
+            out[key] = _defaults(rule)
+        elif rule[0] is not _NO_DEFAULT:
+            out[key] = rule[0]
+    return out
+
+
+DEFAULTS = _defaults(_SCHEMA)
+
+
+def _validate(cfg: dict, schema=_SCHEMA, path="") -> None:
     for key, val in cfg.items():
         where = f"{path}{key}"
         if key not in schema:
@@ -120,7 +112,7 @@ def _validate(cfg: dict, schema=None, path="") -> None:
                 raise ConfigurationError(f"{where} must be an object")
             _validate(val, rule, where + ".")
             continue
-        types, nullable = rule
+        _, types, nullable = rule
         if val is None:
             if not nullable:
                 raise ConfigurationError(f"{where} must not be null")
@@ -211,7 +203,7 @@ def _build_data(cfg: dict) -> HolderData:
     kind = spec["kind"]
     if kind == "barenblatt":
         return barenblatt_data(
-            cfg["p"], horizon=cfg["T"], d=cfg["d"], t_shift=spec.get("t_shift", 1.0)
+            cfg["p"], horizon=cfg["T"], d=cfg["d"], t_shift=spec["t_shift"]
         )
     if kind == "constant":
         return constant_data(spec.get("u0", 0.0), spec.get("f", 0.0))
@@ -296,8 +288,8 @@ def cmd_solve(cfg: dict) -> int:
     config = _plan(cfg, data)
     snap_times = [float(t) for t in cfg["snapshot_times"]]
     for t in snap_times:
-        if t < 0.0 or t > config.T * (1.0 + 1e-12):
-            raise ConfigurationError(f"snapshot time {t} outside [0, {config.T}]")
+        if not 0.0 <= t <= config.T * (1.0 + 1e-12):
+            raise ConfigurationError(f"snapshot_times: snapshot time {t} outside [0, {config.T}]")
     target = {}
     for k, t in enumerate(snap_times):
         j = min(config.N, max(0, int(round(t / config.tau))))
@@ -364,7 +356,7 @@ def cmd_convergence(cfg: dict) -> int:
         hs,
         T=cfg["T"],
         half_width=cfg["half_width"],
-        t_shift=cfg["data"].get("t_shift", 1.0),
+        t_shift=cfg["data"]["t_shift"],
         c_practical=cfg["cfl"]["c"],
     )
     csv_path = os.path.join(cfg["output_dir"], "errors.csv")

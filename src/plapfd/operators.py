@@ -500,17 +500,17 @@ def apply_dp(stencil: Stencil, field: GridField, alpha) -> float:
 
 
 class _Workspace:
-    """Scratch arrays of apply_dp_grid for one stencil on one grid shape
-    under one extension rule.
+    """The kernel of apply_dp_grid, for one stencil on one grid shape under
+    one extension rule: its scratch arrays, its offset plan, and ``apply``,
+    which runs the plan.
 
     The padded copy is zero-filled once, here: under the zero extension
     ``_fill_padded`` then writes only its interior, so the margins stay +0
     for the workspace's life. The weights are 0-d float64 arrays, which
     numpy multiplies by faster than Python floats, with the same bits.
-    Each offset's views of the padded copy (and in d = 1 of the edge
-    arrays) are fixed here, once; in d >= 2 the workspace also holds a
-    difference and a term buffer. The result is not among them: every
-    call returns a new array.
+    Every view of the padded copy and of the edge arrays is fixed here,
+    once. The result is not among the scratch arrays: every call returns a
+    new array.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -522,19 +522,19 @@ class _Workspace:
         size = shape[0]
         self.padded = padded = np.zeros((size + 2 * m,) * len(shape))
         if len(shape) == 1:
-            # lexicographic order puts -k before +k: offset -k forms the
-            # edge terms P_k and subtracts their head, +k adds their tail
+            # the stencil order is every -k, then every +k: offset -k forms
+            # the edge terms P_k and subtracts their head, +k adds their tail
             diff = np.empty(size + m)
             edges = {}
-            self.plan = []
+            self.heads, self.tails = [], []
             for (b,), w in zip(stencil.offsets.tolist(), weights):
                 if b < 0:
                     k = -b
                     edges[k] = edge = np.empty(size + k)
                     hi, lo = padded[m : m + size + k], padded[m - k : m + size]
-                    self.plan.append((hi, lo, diff[: size + k], edge, w, edge[:size]))
+                    self.heads.append((hi, lo, diff[: size + k], edge, w, edge[:size]))
                 else:
-                    self.plan.append((None, None, None, None, None, edges[b][b:]))
+                    self.tails.append(edges[b][b:])
         else:
             # each offset reads a fixed view of the padded copy
             self.terms = [
@@ -543,6 +543,31 @@ class _Workspace:
             ]
             self.diff = np.empty(shape)
             self.term = np.empty(shape)
+
+    def apply(self, field: GridField) -> np.ndarray:
+        """``D U`` for a field that fits this workspace, as a new array,
+        under the caller's errstate."""
+        field._fill_padded(self.reach, self.padded)
+        p = self.stencil.p
+        if field.d == 1:
+            acc = np.empty(self.shape)
+            lhs = 0.0
+            for hi, lo, diff, edge, w, head in self.heads:
+                np.subtract(hi, lo, out=diff)
+                np.multiply(_signed_power(diff, p, edge), w, out=edge)
+                np.subtract(lhs, head, out=acc)
+                lhs = acc
+            for tail in self.tails:
+                np.add(acc, tail, out=acc)
+            return acc
+        values = field.values
+        acc = np.zeros(self.shape)
+        diff, term = self.diff, self.term
+        for shift, w in self.terms:
+            np.subtract(shift, values, out=diff)
+            np.multiply(_signed_power(diff, p, term), w, out=term)
+            np.add(acc, term, out=acc)
+        return acc
 
 
 def apply_dp_grid(
@@ -583,34 +608,7 @@ def apply_dp_grid(
     shape = field.values.shape
     if _work is None:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _apply(stencil, field, _Workspace(stencil, shape, field.extension))
+            return _Workspace(stencil, shape, field.extension).apply(field)
     if _work.stencil is not stencil or _work.shape != shape or _work.extension != field.extension:
         raise ConfigurationError("workspace was built for another stencil, grid or extension")
-    return _apply(stencil, field, _work)
-
-
-def _apply(stencil: Stencil, field: GridField, work: _Workspace) -> np.ndarray:
-    """The kernel of apply_dp_grid, on a workspace that fits ``field``,
-    under the caller's errstate."""
-    field._fill_padded(work.reach, work.padded)
-    p = stencil.p
-    if field.d == 1:
-        acc = np.empty(field.values.shape)
-        lhs = 0.0
-        for hi, lo, diff, edge, w, part in work.plan:
-            if hi is None:
-                np.add(acc, part, out=acc)
-            else:
-                np.subtract(hi, lo, out=diff)
-                np.multiply(_signed_power(diff, p, edge), w, out=edge)
-                np.subtract(lhs, part, out=acc)
-                lhs = acc
-        return acc
-    values = field.values
-    acc = np.zeros(values.shape)
-    diff, term = work.diff, work.term
-    for shift, w in work.terms:
-        np.subtract(shift, values, out=diff)
-        np.multiply(_signed_power(diff, p, term), w, out=term)
-        np.add(acc, term, out=acc)
-    return acc
+    return _work.apply(field)

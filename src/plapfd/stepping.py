@@ -242,6 +242,14 @@ def stencil_for(config: SchemeConfig) -> Stencil:
     return config._stencil
 
 
+def _step_ratio(T: float, step: float, name: str) -> float:
+    """``T / step``, refused unless it is finite: a step that underflowed to
+    0 or is subnormal raises ConfigurationError naming ``name``."""
+    if step > 0.0 and T / step < math.inf:
+        return T / step
+    raise ConfigurationError(f"{name} gives a time step too small for float range (T = {T})")
+
+
 def plan_config(
     p,
     d: int,
@@ -280,31 +288,30 @@ def plan_config(
             raise ConfigurationError(f"give the stencil radius r for d = {d}")
         r = _positive("r", r)
         h = couple_h_to_r(r, p, d, coupling_c) if h is None else float(h)
-    explicit_tau = None
     if tau is not None:
         tau = _positive("tau", tau)
-        N = max(1, int(round(T / tau)))
-        explicit_tau = tau
-    elif num_steps is not None:
-        N = int(num_steps)
-        if N < 1:
-            raise ConfigurationError(f"num_steps must be >= 1 (got {num_steps})")
+        N = max(1, int(round(_step_ratio(T, tau, "tau"))))
     else:
-        if cfl_mode == "practical":
+        if num_steps is not None:
+            N = int(num_steps)
+            if N < 1:
+                raise ConfigurationError(f"num_steps must be >= 1 (got {num_steps})")
+        elif cfl_mode == "practical":
             target = _positive("c_practical", c_practical) * r ** _cfl_exponent(data.a, p)
-            N = max(1, int(math.ceil(T / target - 1e-9)))
+            N = max(1, int(math.ceil(_step_ratio(T, target, "c_practical") - 1e-9)))
         elif cfl_mode == "theoretical":
             _, _, target, _ = theoretical_step_bound(p, d, r, T, data)
-            N = max(1, int(math.ceil(T / target)))
+            N = max(1, int(math.ceil(_step_ratio(T, target, "the theoretical step bound"))))
         else:
             raise ConfigurationError(f"cfl_mode must be one of {_CFL_MODES} (got {cfl_mode!r})")
+        tau = T / N
     return SchemeConfig(
         p=p,
         d=d,
         T=T,
         r=r,
         h=h,
-        tau=T / N if explicit_tau is None else explicit_tau,
+        tau=tau,
         N=N,
         half_width=float(half_width),
         cfl_mode=cfl_mode,
@@ -465,7 +472,7 @@ def time_interpolate(traj: Trajectory, x_alpha, t) -> float:
     """
     cfg = traj.config
     t = float(t)
-    if t < 0.0 or t > cfg.T:
+    if not 0.0 <= t <= cfg.T:
         raise ValueError(f"t = {t} outside [0, {cfg.T}]")
     slot = traj.levels[0]._slot(x_alpha)
     j = min(int(math.floor(t / cfg.tau)), cfg.N - 1)

@@ -70,12 +70,28 @@ _P50_TENT = [
         (["consistency", "--window=Infinity"], 2, "window"),
         ([*_P50_TENT, "--cfl.mode=theoretical"], 2, "outside float range"),
         (_P50_TENT, 0, None),
+        (["solve", "--T=0.01", "--h=0.01", "--cfl.c=1e-320"], 2, "c_practical"),
+        (["solve", "--T=0.01", "--h=0.1", "--cfl.c=1e-320"], 2, "c_practical"),
+        (["solve", "--T=0.01", "--tau=1e-320"], 2, "tau gives a time step too small"),
+        (["solve", "--T=0.01", "--snapshot_times=[NaN]"], 2, "snapshot_times"),
     ],
-    ids=["cfl.c=0", "cfl.c=-1", "tau=inf", "window=inf", "p50-theoretical", "p50-practical"],
+    ids=[
+        "cfl.c=0",
+        "cfl.c=-1",
+        "tau=inf",
+        "window=inf",
+        "p50-theoretical",
+        "p50-practical",
+        "cfl.c-underflows",
+        "cfl.c-subnormal",
+        "tau-subnormal",
+        "snapshot-nan",
+    ],
 )
 def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
-    # each used to end in a traceback (exit 1) or, at --cfl.c=-1, a run
-    # of one step of size T; main must return, never raise
+    # each used to end in a traceback (exit 1), at --cfl.c=-1 in a run of
+    # one step of size T, or at a NaN snapshot time in a message naming no
+    # key; main must return, never raise
     got, out, err = run_cli([*argv, f"--output_dir={tmp_path}"], capsys)
     assert got == code, err
     if code == 2:
@@ -84,6 +100,33 @@ def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     else:
         derived = json.loads((tmp_path / "metadata.json").read_text())["derived"]
         assert [derived[k] for k in ("Ktilde", "C", "tau_max_theoretical")] == [None] * 3
+
+
+def test_defaults_tree_is_pinned():
+    # DEFAULTS is read from _SCHEMA; every run resolves against this tree,
+    # so its values and its key order (metadata.json's config) must stay
+    want = {
+        "p": 4.0,
+        "d": 1,
+        "T": 1.0,
+        "half_width": 2.0,
+        "h": 0.01,
+        "r": None,
+        "coupling_c": 0.1,
+        "tau": None,
+        "num_steps": None,
+        "cfl": {"mode": "practical", "c": 0.2},
+        "extension": "zero",
+        "data": {"kind": "barenblatt", "t_shift": 1.0},
+        "snapshot_times": [1.0],
+        "levels": [0.04, 0.02, 0.01, 0.005],
+        "r_levels": [0.4, 0.2, 0.1, 0.05],
+        "window": 0.15,
+        "samples": 1000,
+        "seed": 20260817,
+        "output_dir": ".",
+    }
+    assert json.dumps(cli.DEFAULTS) == json.dumps(want)
 
 
 def test_unknown_key_rejected(capsys):

@@ -157,6 +157,9 @@ def test_plan_config_explicit_tau_is_kept_verbatim():
     cfg2 = plan_config(2.0, 1, 0.2, 3.0, data, h=0.1, num_steps=25)
     assert cfg2.N == 25
     assert cfg2.tau == 0.2 / 25
+    # T / tau overflowed to inf, and round(inf) raised OverflowError
+    with pytest.raises(ConfigurationError, match="tau gives a time step too small"):
+        plan_config(2.0, 1, 0.01, 3.0, data, h=0.1, tau=1e-320)
 
 
 def test_plan_config_practical_step_target():
@@ -169,6 +172,11 @@ def test_plan_config_practical_step_target():
     for c in (0.0, -1.0, math.inf):
         with pytest.raises(ConfigurationError, match="c_practical"):
             plan_config(4.0, 1, 1.0, 2.0, data, h=0.1, c_practical=c)
+    # a target that underflows to 0 divided by zero; a subnormal one made
+    # T / target inf, and math.ceil raised OverflowError
+    for h in (0.01, 0.1):
+        with pytest.raises(ConfigurationError, match="c_practical gives a time step too small"):
+            plan_config(4.0, 1, 0.01, 2.0, data, h=h, c_practical=1e-320)
 
 
 def test_plan_config_theoretical_step_respects_bound():
@@ -180,6 +188,9 @@ def test_plan_config_theoretical_step_respects_bound():
     assert rep["stencil_size"] == 2
     assert math.isfinite(rep["Ktilde"]) and rep["Ktilde"] > 0.0
     assert 0.0 < rep["C"] <= 1.0
+    # a subnormal bound (4.8e-319 here) made T / bound inf and math.ceil raise
+    with pytest.raises(ConfigurationError, match="theoretical step bound gives a time step"):
+        plan_config(3.0, 1, 0.01, 2.0, tent_data(), h=1e-158, cfl_mode="theoretical")
 
 
 def test_directly_built_theoretical_config_uses_the_planned_bound():
@@ -458,6 +469,9 @@ def test_time_interpolate_domain_and_exactness():
         time_interpolate(traj, 0, -0.001)
     with pytest.raises(ValueError):
         time_interpolate(traj, 0, 0.2 + 1e-9)
+    # NaN passed both comparisons and failed later, in int(), unnamed
+    with pytest.raises(ValueError, match="t = nan outside"):
+        time_interpolate(traj, 0, math.nan)
     for j in (0, 3, cfg.N):
         assert time_interpolate(traj, 0, traj.times[j]) == traj.levels[j].value_at(0)
     mid = 0.5 * (traj.times[4] + traj.times[5])
