@@ -13,7 +13,6 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 
 from plapfd import barenblatt_data, plan_config, run_property_suite
@@ -44,7 +43,7 @@ def main(argv=None):
 
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
+            fh.write(report.to_json() + "\n")
         print(f"wrote {args.json}")
     return 0 if report.passed else 1
 

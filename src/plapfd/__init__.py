@@ -21,7 +21,7 @@ from .analysis import (
     run_property_suite,
     sup_error,
 )
-from .errors import BlowUpError, ConfigurationError, DegenerateStencilError
+from .errors import BlowUpError, ConfigurationError
 from .exact import (
     BarenblattSolution,
     barenblatt_constants,
@@ -81,7 +81,6 @@ __all__ = [
     "BlowUpError",
     "ConfigurationError",
     "ConsistencyRow",
-    "DegenerateStencilError",
     "ErrorRow",
     "GridField",
     "HolderData",

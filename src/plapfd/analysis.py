@@ -39,13 +39,14 @@ from .stepping import (
     HolderData,
     SchemeConfig,
     Trajectory,
+    _bracket,
     _cfl_exponent,
+    _interpolate,
     check_margin,
     iter_levels,
     plan_config,
     solve,
     theoretical_step_bound,
-    time_interpolate,
 )
 
 
@@ -210,15 +211,11 @@ def consistency_table(
             lambda *cs: sum(c * c for c in cs), d, h, half, extension="zero"
         )
         dp = apply_dp_grid(stencil, field)
-        ax = field.axis()
         pts = grid_points(d, h, half)
         rho = _point_radius(pts, d)
         oracle = plap_quadratic_oracle(pts, p, d)
         err = np.abs(dp - oracle)
-        inwin = np.ones_like(err, dtype=bool)
-        for axis_idx in range(d):
-            coord = np.abs(ax).reshape([-1 if i == axis_idx else 1 for i in range(d)])
-            inwin &= coord <= window + 1e-12
+        inwin = np.all(np.abs(pts.reshape(err.shape + (d,))) <= window + 1e-12, axis=-1)
         max_error = float(np.max(err[inwin]))
         away = inwin & (rho >= h * (1.0 - 1e-12))
         max_away = float(np.max(err[away])) if away.any() else float("nan")
@@ -346,12 +343,8 @@ def run_property_suite(
     times = traj.times
     nnodes = values.shape[1]
     shape = traj.levels[0].values.shape
-    ax = traj.levels[0].axis()
     n = traj.levels[0].n
-
-    def coords_of(flat):
-        idx = np.unravel_index(flat, shape)
-        return np.stack([ax[i] for i in idx], axis=-1)
+    coords = grid_points(config.d, config.h, config.half_width).reshape(nnodes, -1)
 
     def signed_index(flat):
         idx = np.unravel_index(int(flat), shape)
@@ -379,7 +372,7 @@ def run_property_suite(
     lev = rng.integers(0, config.N + 1, samples)
     na = rng.integers(0, nnodes, samples)
     ng = rng.integers(0, nnodes, samples)
-    dist = np.sqrt(np.sum((coords_of(na) - coords_of(ng)) ** 2, axis=-1))
+    dist = np.sqrt(np.sum((coords[na] - coords[ng]) ** 2, axis=-1))
     lhs = np.abs(values[lev, na] - values[lev, ng])
     rhs = (data.L_u0 + times[lev] * data.L_f) * dist**data.a
     record(
@@ -428,17 +421,15 @@ def run_property_suite(
     ng = rng.integers(0, nnodes, samples)
     t1 = rng.uniform(0.0, config.T, samples)
     t2 = rng.uniform(0.0, config.T, samples)
-    dist = np.sqrt(np.sum((coords_of(na) - coords_of(ng)) ** 2, axis=-1))
+    dist = np.sqrt(np.sum((coords[na] - coords[ng]) ** 2, axis=-1))
     gap = np.abs(t1 - t2)
-    lhs = np.array(
-        [
-            abs(
-                time_interpolate(traj, signed_index(na[k]), t1[k])
-                - time_interpolate(traj, signed_index(ng[k]), t2[k])
-            )
-            for k in range(samples)
-        ]
-    )
+
+    def interpolant(nodes, t):
+        j = _bracket(t, config.tau, config.N)
+        lo, hi = values[j, nodes], values[j + 1, nodes]
+        return _interpolate(lo, hi, times[j], times[j + 1], t, config.tau)
+
+    lhs = np.abs(interpolant(na, t1) - interpolant(ng, t2))
     rhs = (
         (data.L_u0 + config.T * data.L_f) * dist**data.a
         + 3.0 * (kt * gap**kappa + data.sup_f * gap)

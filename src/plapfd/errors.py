@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """Grids, stencils, or scheme parameters are mutually inconsistent."""
 
 
-class DegenerateStencilError(ValueError):
-    """A stencil construction produced no offsets."""
-
-
 class BlowUpError(ArithmeticError):
     """The explicit scheme produced a non-finite node value.
 

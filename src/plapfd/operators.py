@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateStencilError
+from .errors import ConfigurationError
 
 # Above this exponent the signed power runs through exp/log to dodge
 # intermediate overflow; below it, plain powers keep small integer cases
@@ -359,7 +359,7 @@ class Stencil:
         off = np.asarray(self.offsets, dtype=np.int64).reshape(-1, self.d)
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if off.shape[0] == 0:
-            raise DegenerateStencilError("stencil has no offsets")
+            raise ConfigurationError("stencil has no offsets")
         if off.shape[0] != w.shape[0]:
             raise ConfigurationError("offsets and weights disagree in length")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
@@ -451,10 +451,6 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
     cube = np.indices((2 * m + 1,) * d, dtype=np.int64).reshape(d, -1).T - m
     inside = (h * h * np.sum(cube * cube, axis=1) < r * r) & np.any(cube != 0, axis=1)
     offsets = cube[inside]
-    if len(offsets) == 0:
-        raise DegenerateStencilError(
-            f"no lattice offsets inside the ball (r={r}, h={h}, d={d})"
-        )
     w = h**d / (dpd_constant(d, p) * unit_ball_volume(d) * r ** (p + d))
     weights = np.full(len(offsets), w)
     return Stencil(

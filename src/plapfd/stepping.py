@@ -176,6 +176,7 @@ def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
 
 
 _CFL_MODES = ("theoretical", "practical")
+_MAX_STEPS = 2**53  # every j <= N is exact as a float, so j * tau is one rounding
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,11 @@ class SchemeConfig:
         if int(self.N) != self.N or self.N < 1:
             raise ConfigurationError(f"N must be a positive integer (got {self.N})")
         object.__setattr__(self, "N", int(self.N))
+        if self.N > _MAX_STEPS:
+            raise ConfigurationError(
+                f"N = {self.N:.3g} steps exceeds 2**53, past which "
+                "the level times j * tau are no longer exact"
+            )
         gap = abs(self.N * self.tau - self.T)
         if gap > max(1e-9 * self.T, self.tau * 1e-6):
             raise ConfigurationError(
@@ -440,7 +446,6 @@ class Trajectory:
     ``times[j] = j * tau``."""
 
     levels: tuple
-    times: np.ndarray
     config: SchemeConfig
 
     def __post_init__(self):
@@ -449,16 +454,29 @@ class Trajectory:
             raise ConfigurationError(
                 f"expected {self.config.N + 1} levels, got {len(self.levels)}"
             )
-        t = np.asarray(self.times, dtype=float)
-        if t.shape != (self.config.N + 1,):
-            raise ConfigurationError("times must have length N + 1")
-        object.__setattr__(self, "times", t)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return self.config.times()
 
 
 def solve(config: SchemeConfig, data: HolderData) -> Trajectory:
     """Run the scheme to time ``T`` and keep every level."""
-    levels = list(iter_levels(config, data))
-    return Trajectory(levels=tuple(levels), times=config.times(), config=config)
+    return Trajectory(levels=tuple(iter_levels(config, data)), config=config)
+
+
+def _bracket(t, tau, N):
+    """Index ``j`` of the level pair ``[t_j, t_{j+1}]`` holding ``t``:
+    ``min(floor(t / tau), N - 1)``, elementwise for an array ``t``."""
+    return np.minimum(np.floor(t / tau), N - 1).astype(np.intp)
+
+
+def _interpolate(lo, hi, tj, tj1, t, tau):
+    """The interpolant between ``lo`` at ``tj`` and ``hi`` at ``tj1``, for
+    scalars and arrays alike: ``lo`` where ``t == tj``, ``hi`` where ``t ==
+    tj1``, and ``((tj1 - t)/tau) * lo + ((t - tj)/tau) * hi`` elsewhere."""
+    mid = ((tj1 - t) / tau) * lo + ((t - tj) / tau) * hi
+    return np.where(t == tj, lo, np.where(t == tj1, hi, mid))
 
 
 def time_interpolate(traj: Trajectory, x_alpha, t) -> float:
@@ -475,16 +493,10 @@ def time_interpolate(traj: Trajectory, x_alpha, t) -> float:
     if not 0.0 <= t <= cfg.T:
         raise ValueError(f"t = {t} outside [0, {cfg.T}]")
     slot = traj.levels[0]._slot(x_alpha)
-    j = min(int(math.floor(t / cfg.tau)), cfg.N - 1)
-    tj = traj.times[j]
-    tj1 = traj.times[j + 1]
-    if t == tj:
-        return float(traj.levels[j].values[slot])
-    if t == tj1:
-        return float(traj.levels[j + 1].values[slot])
-    lo = float(traj.levels[j].values[slot])
-    hi = float(traj.levels[j + 1].values[slot])
-    return ((tj1 - t) / cfg.tau) * lo + ((t - tj) / cfg.tau) * hi
+    j = int(_bracket(t, cfg.tau, cfg.N))
+    lo = traj.levels[j].values[slot]
+    hi = traj.levels[j + 1].values[slot]
+    return float(_interpolate(lo, hi, traj.times[j], traj.times[j + 1], t, cfg.tau))
 
 
 def constant_data(u0_value=0.0, f_value=0.0) -> HolderData:

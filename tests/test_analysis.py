@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -18,7 +19,9 @@ from plapfd import (
     plan_config,
     run_property_suite,
     solve,
+    sqrt_cusp_data,
     sup_error,
+    tent_data,
 )
 
 
@@ -211,3 +214,54 @@ def test_property_suite_validation():
     cfg4 = SchemeConfig(p=3.0, d=4, T=0.1, r=0.5, h=0.25, tau=0.05, N=2, half_width=1.0)
     with pytest.raises(ConfigurationError, match="mollifier"):
         run_property_suite(cfg4, data, samples=10)
+
+
+def _pinned_suite(name):
+    if name.startswith("barenblatt p="):
+        p = float(name[-1])
+        data = barenblatt_data(p, horizon=0.1)
+        return _theoretical_config(p, data, 0.05, 0.1), data, 1000, 20260817
+    if name == "cusp theoretical p=3":
+        data = sqrt_cusp_data()
+        return _theoretical_config(3.0, data, 0.1, 0.1), data, 1000, 20260817
+    if name == "cusp practical p=4":
+        data = sqrt_cusp_data()
+        return plan_config(4.0, 1, 0.05, 2.0, data, h=0.1), data, 500, 11
+    if name == "constant boundary":
+        data = constant_data(2.0, 0.5)
+        return _theoretical_config(3.0, data, 0.25, 0.1, extension="boundary"), data, 200, 7
+    if name == "tent practical p=4":
+        data = tent_data()
+        return plan_config(4.0, 1, 0.1, 2.0, data, h=0.1), data, 1000, 3
+    if name == "barenblatt d=2":
+        data = barenblatt_data(3.0, horizon=0.05, d=2)
+        return plan_config(3.0, 2, 0.05, 2.0, data, r=0.4), data, 500, 5
+    data = oscillatory_data(0.1)
+    if name == "unstable p=2":
+        # tau = 0.55 h^2 is past the heat limit h^2/2: the checkerboard grows
+        # by 1.2 per step, so three checks fail with finite margins
+        return plan_config(2.0, 1, 8 * 0.0055, 1.0, data, h=0.1, tau=0.0055), data, 300, 2
+    return plan_config(4.0, 1, 0.5, 1.0, data, h=0.1, num_steps=8), data, 100, 20260817
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("barenblatt p=3", "80c15bbb0dc9e3374fb4a0a8a21a226e629eb4926d473b02623f6c434d6ffb03"),
+        ("barenblatt p=4", "4921f3ca242c66dc932859cea08a3bf4961d0f4bac73feb105a6bdfe302fb03b"),
+        ("cusp theoretical p=3", "bae21f96b45923a3ebfb3d53c66a84d8b80b7daf515a0cabef5d79a745f48708"),
+        ("cusp practical p=4", "d74271cad73912b290da3729aa0eace2793b5e24ee82af1d14591f7d540ae3e7"),
+        ("constant boundary", "6a1c9943902a52fd64aee3d3edf8c06108108a5b22882de0b1097616940dfef2"),
+        ("tent practical p=4", "a5261c69a36a2d1b6f9f40237760a7e53ad6b24a3cd6f4c7dd7e42afc50628d1"),
+        ("barenblatt d=2", "332294e7db82e245c8d795a537bc9af7d582535c07c966cc9fa064507a8a9b72"),
+        ("unstable p=2", "26a1ef31cd8a8056a2fae9b0836da6e78251f757f4805a94284617562c312d23"),
+        ("blow-up", "b1dd112805649bb83759853685729bd267f1ce399e25eb53d6d9fbc41530c254"),
+    ],
+)
+def test_property_suite_reports_are_pinned(name, digest):
+    # sha256 of to_json() as the suite wrote it with a per-sample
+    # time_interpolate loop and per-axis node coordinates; the array form
+    # must give the same report byte for byte, passing or failing, d = 1 or 2
+    config, data, samples, seed = _pinned_suite(name)
+    report = run_property_suite(config, data, samples=samples, seed=seed)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

@@ -74,6 +74,9 @@ _P50_TENT = [
         (["solve", "--T=0.01", "--h=0.1", "--cfl.c=1e-320"], 2, "c_practical"),
         (["solve", "--T=0.01", "--tau=1e-320"], 2, "tau gives a time step too small"),
         (["solve", "--T=0.01", "--snapshot_times=[NaN]"], 2, "snapshot_times"),
+        (["solve", "--cfl.c=1e-300"], 2, "N = 1e+304 steps"),
+        (["solve", "--tau=1e-200"], 2, "N = 1e+200 steps"),
+        (["solve", f"--num_steps={10**30}"], 2, "N = 1e+30 steps"),
     ],
     ids=[
         "cfl.c=0",
@@ -86,12 +89,16 @@ _P50_TENT = [
         "cfl.c-subnormal",
         "tau-subnormal",
         "snapshot-nan",
+        "cfl.c=1e-300",
+        "tau=1e-200",
+        "num_steps=1e30",
     ],
 )
 def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     # each used to end in a traceback (exit 1), at --cfl.c=-1 in a run of
-    # one step of size T, or at a NaN snapshot time in a message naming no
-    # key; main must return, never raise
+    # one step of size T, at a NaN snapshot time in a message naming no
+    # key, or at more than 2**53 steps in a run that could not finish;
+    # main must return, never raise
     got, out, err = run_cli([*argv, f"--output_dir={tmp_path}"], capsys)
     assert got == code, err
     if code == 2:

@@ -188,6 +188,7 @@ def test_stencil_ball_weight_sum_bound():
         ([[-1, 0], [0, 1], [1, 0]], [1.0, 1.0, 1.0], r"offset \(0, 1\)$"),
         ([[-3, 0], [3, 0]], [1.0, 1.0], "outside the ball"),
         ([[-1, 0], [1, 0]], [5.0, 5.0], "exceeds M_bound"),
+        ([], [], "no offsets"),
     ],
 )
 def test_stencil_rejects_malformed_offsets(offsets, weights, match):

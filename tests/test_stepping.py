@@ -119,6 +119,20 @@ def test_scheme_config_step_count_consistency():
         )
 
 
+def test_step_count_is_capped_at_2_pow_53():
+    # past 2**53 the times j * tau are no longer exact, and a run that long
+    # cannot finish: each of these planned without complaint
+    data = tent_data()
+    for kwargs in ({"c_practical": 1e-300}, {"tau": 1e-200}, {"num_steps": 10**30}):
+        with pytest.raises(ConfigurationError, match=r"N = 1e\+\d+ steps exceeds 2\*\*53"):
+            plan_config(4.0, 1, 1.0, 2.0, data, h=0.01, **kwargs)
+    with pytest.raises(ConfigurationError, match=r"N = 9\.01e\+15 steps"):
+        SchemeConfig(p=3.0, d=1, T=1.0, r=0.1, h=0.1, tau=2.0**-53, N=2**53 + 1, half_width=2.0)
+    assert SchemeConfig(
+        p=3.0, d=1, T=1.0, r=0.1, h=0.1, tau=2.0**-53, N=2**53, half_width=2.0
+    ).N == 2**53
+
+
 def test_scheme_config_times():
     cfg = SchemeConfig(p=3.0, d=1, T=1.0, r=0.25, h=0.25, tau=0.25, N=4, half_width=1.0)
     np.testing.assert_array_equal(cfg.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -478,6 +492,17 @@ def test_time_interpolate_domain_and_exactness():
     lo = traj.levels[4].value_at((2,))
     hi = traj.levels[5].value_at((2,))
     assert time_interpolate(traj, (2,), mid) == pytest.approx(0.5 * (lo + hi), rel=1e-15)
+    # between level times: a Python float, equal to the weighted form
+    for t in (mid, 0.0123, 0.1999):
+        j = min(math.floor(t / cfg.tau), cfg.N - 1)
+        tj, tj1 = float(traj.times[j]), float(traj.times[j + 1])
+        assert tj < t < tj1
+        value = time_interpolate(traj, (2,), t)
+        assert type(value) is float
+        lo = traj.levels[j].value_at((2,))
+        hi = traj.levels[j + 1].value_at((2,))
+        assert value == ((tj1 - t) / cfg.tau) * lo + ((t - tj) / cfg.tau) * hi
+    assert type(time_interpolate(traj, 0, traj.times[3])) is float
 
 
 def test_time_interpolate_satisfies_slab_identity():
