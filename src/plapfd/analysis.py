@@ -42,6 +42,7 @@ from .stepping import (
     _bracket,
     _cfl_exponent,
     _interpolate,
+    _levels_per_block,
     check_margin,
     iter_levels,
     plan_config,
@@ -61,20 +62,19 @@ class ErrorRow:
     runtime_seconds: float
 
 
-# Bytes of level values compared with one barenblatt_eval call: 20 rows of
-# 401 nodes, one row on grids of 8k nodes or more. Four times as much ran
-# no faster and raised a 1D run's peak RSS by ~1.5 MB in temporaries.
-_BLOCK_BYTES = 1 << 16
+def _level_errors(config: SchemeConfig, sol: BarenblattSolution, levels):
+    """Largest nodal error of each of ``levels`` (``U^0, U^1, ...`` at times
+    ``j * tau``) against ``sol``, as one array per block of levels, after
+    checking that the grid keeps a margin of ``r`` around its support at
+    the final time.
 
-
-def _worst_error(config: SchemeConfig, sol: BarenblattSolution, levels) -> float:
-    """Largest nodal error of ``levels`` (``U^0, U^1, ...`` at times ``j *
-    tau``) against ``sol``, after checking that the grid keeps a margin of
-    ``r`` around its support at the final time.
-
-    Levels are copied into a block of rows and compared one block at a
-    time, with one barenblatt_eval call per block; each row's error and
-    the running maximum are the per-level ones, bit for bit.
+    Levels are copied into a block of ``stepping._BLOCK_BYTES`` and
+    compared one block at a time, with one barenblatt_eval call per block;
+    each error is the per-level one, bit for bit. In d = 1 the profile is
+    evaluated on the nonnegative half of the grid only and mirrored: the
+    grid is exactly symmetric (``(-i) * h`` is ``-(i * h)``), and the
+    profile reads ``|x|`` one node at a time, so the mirror holds the
+    full grid's values.
     """
     if sol.d != config.d:
         raise ConfigurationError(
@@ -84,10 +84,9 @@ def _worst_error(config: SchemeConfig, sol: BarenblattSolution, levels) -> float
     sol.support_radius(0.0)  # the profile must exist from the first level on
     pts = grid_points(config.d, config.h, config.half_width)
     shape = pts.shape[: config.d]
-    nodes = int(np.prod(shape))
-    block = np.empty((max(1, _BLOCK_BYTES // (8 * nodes)),) + shape)
+    block = np.empty((_levels_per_block(shape),) + shape)
+    n = shape[0] // 2
     levels = iter(levels)
-    worst = 0.0
     first = 0
     while True:
         rows = 0
@@ -95,11 +94,23 @@ def _worst_error(config: SchemeConfig, sol: BarenblattSolution, levels) -> float
             block[rows] = lvl.values
             rows += 1
         if rows == 0:
-            return worst
-        exact = barenblatt_eval(sol, pts, [j * config.tau for j in range(first, first + rows)])
-        err = np.abs(block[:rows] - exact).reshape(rows, -1).max(axis=1)
-        worst = max(worst, *err.tolist())
+            return
+        times = [j * config.tau for j in range(first, first + rows)]
+        if config.d == 1:
+            half = barenblatt_eval(sol, pts[n:], times)
+            exact = np.concatenate((half[:, :0:-1], half), axis=1)
+        else:
+            exact = barenblatt_eval(sol, pts, times)
+        yield np.abs(block[:rows] - exact).reshape(rows, -1).max(axis=1)
         first += rows
+
+
+def _worst_error(config: SchemeConfig, sol: BarenblattSolution, levels) -> float:
+    """Largest of the :func:`_level_errors` of ``levels``, 0.0 for none."""
+    worst = 0.0
+    for err in _level_errors(config, sol, levels):
+        worst = max(worst, *err.tolist())
+    return worst
 
 
 def sup_error(traj: Trajectory, sol: BarenblattSolution) -> float:

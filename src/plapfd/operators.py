@@ -249,7 +249,8 @@ class GridField:
 
     def _with_checked_values(self, values: np.ndarray) -> "GridField":
         """``with_values`` without re-validation, for a float array of this
-        grid's shape that the caller has already checked to be finite."""
+        grid's shape that the caller has checked to be finite, or checks
+        before the field leaves its hands (as iter_levels does per chunk)."""
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, values=values)
         return out
@@ -285,23 +286,25 @@ class GridField:
         """Values on the box widened by ``m`` nodes per side, read with the
         extension rule: slot ``i`` along each axis holds node ``i - n - m``."""
         size = self.values.shape[0] + 2 * m
-        return self._fill_padded(m, np.zeros((size,) * self.d))
+        out = np.zeros((size,) * self.d)
+        return self._fill_padded(m, out, out[(slice(m, size - m),) * self.d])
 
-    def _fill_padded(self, m: int, out: np.ndarray) -> np.ndarray:
-        """Write ``padded(m)`` into ``out``, of that shape, and return it.
+    def _fill_padded(self, m: int, out: np.ndarray, interior: np.ndarray) -> np.ndarray:
+        """Write ``padded(m)`` into ``out``, of that shape, and return it;
+        ``interior`` is the view of ``out`` that holds the box's own nodes.
 
         The one home of the extension rule on arrays. Under the zero
-        extension only the interior is written: the margins of ``out`` must
-        already hold +0, as they do in a fresh ``np.zeros`` array and in an
-        apply_dp_grid workspace, which nothing else writes into. np.pad
-        costs ~10x more than these slice copies on the small 1D grids that
-        are stepped thousands of times.
+        extension only the interior is written, in one copy: the margins
+        of ``out`` must already hold +0, as they do in a fresh ``np.zeros``
+        array and in an apply_dp_grid workspace, which nothing else writes
+        into. np.pad costs ~10x more than these copies on the small 1D
+        grids that are stepped thousands of times.
         """
-        size = out.shape[0]
-        out[(slice(m, size - m),) * self.d] = self.values
+        interior[...] = self.values
         if self.extension == "boundary":
             # clamp one axis at a time, as np.pad does: the axes before it
             # are already padded, so corner blocks copy the corner nodes
+            size = out.shape[0]
             for axis in range(self.d):
                 lead = (slice(None),) * axis
                 out[lead + (slice(0, m),)] = out[lead + (slice(m, m + 1),)]
@@ -501,12 +504,12 @@ class _Workspace:
     which runs the plan.
 
     The padded copy is zero-filled once, here: under the zero extension
-    ``_fill_padded`` then writes only its interior, so the margins stay +0
-    for the workspace's life. The weights are 0-d float64 arrays, which
-    numpy multiplies by faster than Python floats, with the same bits.
-    Every view of the padded copy and of the edge arrays is fixed here,
-    once. The result is not among the scratch arrays: every call returns a
-    new array.
+    ``_fill_padded`` then copies the field into its fixed interior view
+    only, so the margins stay +0 for the workspace's life. The weights are
+    0-d float64 arrays, which numpy multiplies by faster than Python
+    floats, with the same bits. Every view of the padded copy and of the
+    edge arrays is fixed here, once. The result is not among the scratch
+    arrays: every call returns a new array.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -517,6 +520,7 @@ class _Workspace:
         weights = [np.array(w) for w in stencil.weights.tolist()]
         size = shape[0]
         self.padded = padded = np.zeros((size + 2 * m,) * len(shape))
+        self.interior = padded[(slice(m, m + size),) * len(shape)]
         if len(shape) == 1:
             # the stencil order is every -k, then every +k: offset -k forms
             # the edge terms P_k and subtracts their head, +k adds their tail
@@ -543,7 +547,7 @@ class _Workspace:
     def apply(self, field: GridField) -> np.ndarray:
         """``D U`` for a field that fits this workspace, as a new array,
         under the caller's errstate."""
-        field._fill_padded(self.reach, self.padded)
+        field._fill_padded(self.reach, self.padded, self.interior)
         p = self.stencil.p
         if field.d == 1:
             acc = np.empty(self.shape)
@@ -596,9 +600,9 @@ def apply_dp_grid(
     call allocates its own. A caller who passes ``_work`` also owns the
     ``np.errstate``: overflow to inf (caught by the caller's blow-up
     check), ``inf - inf`` and ``log(0)`` must be silenced around the call,
-    as :func:`plapfd.stepping.explicit_step` does once per step. Without
-    ``_work`` the call silences them itself. The result is always a new
-    array.
+    as :func:`plapfd.stepping.iter_levels` does once per chunk of levels.
+    Without ``_work`` the call silences them itself. The result is always
+    a new array.
     """
     _check_geometry(stencil, field)
     shape = field.values.shape

@@ -77,6 +77,7 @@ _P50_TENT = [
         (["solve", "--cfl.c=1e-300"], 2, "N = 1e+304 steps"),
         (["solve", "--tau=1e-200"], 2, "N = 1e+200 steps"),
         (["solve", f"--num_steps={10**30}"], 2, "N = 1e+30 steps"),
+        (["solve", "--T=0.01", f"--num_steps={10**400}"], 2, "N = 1e+400 steps"),
     ],
     ids=[
         "cfl.c=0",
@@ -92,12 +93,14 @@ _P50_TENT = [
         "cfl.c=1e-300",
         "tau=1e-200",
         "num_steps=1e30",
+        "num_steps=1e400",
     ],
 )
 def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     # each used to end in a traceback (exit 1), at --cfl.c=-1 in a run of
     # one step of size T, at a NaN snapshot time in a message naming no
-    # key, or at more than 2**53 steps in a run that could not finish;
+    # key, at more than 2**53 steps in a run that could not finish, or at
+    # a step count past float range in an OverflowError;
     # main must return, never raise
     got, out, err = run_cli([*argv, f"--output_dir={tmp_path}"], capsys)
     assert got == code, err

@@ -16,8 +16,9 @@ from plapfd import (
     solve,
     sup_error,
 )
-from plapfd.analysis import _BLOCK_BYTES
+from plapfd.analysis import _level_errors
 from plapfd.operators import grid_points
+from plapfd.stepping import _BLOCK_BYTES
 
 
 def test_constants_reference_values():
@@ -274,6 +275,29 @@ def _worst_error_per_level(config, sol, levels):
         exact = barenblatt_eval(sol, pts, j * config.tau)
         worst = max(worst, float(np.max(np.abs(lvl.values - exact))))
     return worst
+
+
+@pytest.mark.parametrize("nodes", [101, 201, 401])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.0, 40.0])
+def test_half_grid_errors_match_full_grid_per_level(p, nodes):
+    # in d = 1 the profile is evaluated on x >= 0 only and compared with
+    # both halves; each level's error must be the full grid's, byte for
+    # byte, also where noise puts the worst node on either side
+    h = 4.0 / (nodes - 1)
+    data = barenblatt_data(p, horizon=0.01)
+    sol = barenblatt_solution(1, p)
+    cfg = plan_config(p, 1, 0.01, 2.0, data, h=h)
+    rng = np.random.default_rng(nodes)
+    levels = list(iter_levels(cfg, data))
+    levels += [lvl.with_values(lvl.values + rng.normal(0.0, 1e-3, nodes)) for lvl in levels]
+    pts = grid_points(1, h, 2.0)
+    assert pts.shape == (nodes,)
+    want = [
+        np.max(np.abs(lvl.values - barenblatt_eval(sol, pts, j * cfg.tau)))
+        for j, lvl in enumerate(levels)
+    ]
+    got = np.concatenate(list(_level_errors(cfg, sol, levels)))
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -33,6 +33,7 @@ from plapfd import (
     theoretical_step_bound,
     time_interpolate,
 )
+from plapfd import stepping
 from test_operators import _apply_dp_grid_padded_reference
 
 
@@ -123,7 +124,10 @@ def test_step_count_is_capped_at_2_pow_53():
     # past 2**53 the times j * tau are no longer exact, and a run that long
     # cannot finish: each of these planned without complaint
     data = tent_data()
-    for kwargs in ({"c_practical": 1e-300}, {"tau": 1e-200}, {"num_steps": 10**30}):
+    # num_steps=10**400 ended in an OverflowError at T / N, before the cap
+    for kwargs in (
+        {"c_practical": 1e-300}, {"tau": 1e-200}, {"num_steps": 10**30}, {"num_steps": 10**400},
+    ):
         with pytest.raises(ConfigurationError, match=r"N = 1e\+\d+ steps exceeds 2\*\*53"):
             plan_config(4.0, 1, 1.0, 2.0, data, h=0.01, **kwargs)
     with pytest.raises(ConfigurationError, match=r"N = 9\.01e\+15 steps"):
@@ -387,6 +391,108 @@ def test_levels_match_reference_step_bitwise(d, extension, p):
     want = [lev.values.tobytes() for lev in want]
     assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
     assert [lev.values.tobytes() for lev in solve(cfg, data).levels] == want
+
+
+def _chunk_config(d, N, source):
+    # tau = 1e-3 at every N; "zero" keeps the datum and drops the source
+    data = _wavy_data()
+    if source == "zero":
+        data = HolderData(u0=data.u0, f=lambda *xs: 0.0 * xs[0], a=1.0,
+                          L_u0=3.0, L_f=0.0, sup_u0=1.0, sup_f=0.0)
+    if d == 1:
+        cfg = plan_config(3.0, 1, N * 1e-3, 1.0, data, h=0.1, num_steps=N)
+    else:
+        cfg = plan_config(
+            3.0, 2, N * 1e-3, 1.0, data, r=0.3, h=0.1, num_steps=N, extension="boundary"
+        )
+    return cfg, data
+
+
+def _reference_levels(cfg, data):
+    stencil = stencil_for(cfg)
+    args = (cfg.d, cfg.h, cfg.half_width, cfg.extension)
+    f = sample_on_grid(data.f, *args)
+    want = [sample_on_grid(data.u0, *args)]
+    for _ in range(cfg.N):
+        want.append(_explicit_step_reference(want[-1], stencil, f, cfg.tau))
+    return [lev.values.tobytes() for lev in want]
+
+
+_CHUNK_1D = stepping._levels_per_block((21,))  # 390 levels of 21 nodes
+_CHUNK_2D = stepping._levels_per_block((21, 21))  # 18 levels of 21^2 nodes
+
+
+@pytest.mark.parametrize("source", ["wavy", "zero"])
+@pytest.mark.parametrize(
+    "d, N",
+    [(1, 1), (1, _CHUNK_1D - 1), (1, _CHUNK_1D), (1, _CHUNK_1D + 1), (2, _CHUNK_2D + 1)],
+    ids=["1d-N=1", "1d-N<chunk", "1d-N=chunk", "1d-N=chunk+1", "2d-N=chunk+1"],
+)
+def test_chunked_levels_match_reference_step_bitwise(d, N, source):
+    # the chunk boundaries fall where they would in a long run; with a
+    # zero source the add is skipped, with the wavy one it is not
+    cfg, data = _chunk_config(d, N, source)
+    want = _reference_levels(cfg, data)
+    assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
+
+
+def test_chunked_stepping_leaks_no_errstate():
+    # each chunk's errstate is left before its levels are yielded: the
+    # consumer sees its own error settings, and an overflow in its own
+    # code still warns, here as an error
+    cfg, data = _chunk_config(1, 2 * _CHUNK_1D + 3, "wavy")
+    with np.errstate(over="warn", divide="raise"):
+        caller = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j, _ in enumerate(iter_levels(cfg, data)):
+                assert np.geterr() == caller, j
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    np.multiply(np.array(1e308), 10.0)
+    assert j == cfg.N
+
+
+def test_blow_up_in_mid_chunk_yields_the_healthy_levels():
+    # all ten steps are one chunk, checked for finiteness once, at its
+    # end; the levels before the pinned blow-up come out as a check after
+    # every step would give them, and then the same error
+    data = oscillatory_data(0.1)
+    cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
+    assert stepping._levels_per_block((21,)) > cfg.N
+    stencil = stencil_for(cfg)
+    f = sample_on_grid(data.f, 1, cfg.h, cfg.half_width)
+    want = [sample_on_grid(data.u0, 1, cfg.h, cfg.half_width)]
+    for _ in range(4):
+        want.append(_explicit_step_reference(want[-1], stencil, f, cfg.tau))
+    got = []
+    with pytest.raises(BlowUpError) as exc:
+        for lev in iter_levels(cfg, data):
+            got.append(lev.values.tobytes())
+    assert got == [lev.values.tobytes() for lev in want]
+    assert (exc.value.node, exc.value.step) == ((-10,), 5)
+
+
+@pytest.mark.parametrize("f_value", [0.0, -0.0, 5e-324])
+def test_source_is_skipped_only_when_every_bit_is_clear(monkeypatch, f_value):
+    # -0.0 and the least subnormal are not +0 and take the add; with a
+    # zero datum and tau = 1 the subnormal source is what the levels hold
+    data = constant_data(0.0, f_value)
+    cfg = plan_config(3.0, 1, 8.0, 1.0, data, h=0.25, num_steps=8)
+    sources = []
+    original = stepping.explicit_step
+
+    def spy(field, stencil, f_values, *args, **kwargs):
+        sources.append(f_values)
+        return original(field, stencil, f_values, *args, **kwargs)
+
+    monkeypatch.setattr(stepping, "explicit_step", spy)
+    got = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
+    assert got == _reference_levels(cfg, data)
+    skipped = f_value == 0.0 and math.copysign(1.0, f_value) > 0
+    assert len(sources) == cfg.N
+    assert all((s is None) == skipped for s in sources)
+    if f_value == 5e-324:
+        assert np.frombuffer(got[-1])[0] == 8 * 5e-324
 
 
 def test_kept_levels_are_distinct_arrays():
