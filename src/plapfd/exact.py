@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _check_p, _dimension, _nonnegative, _positive
+from .operators import _check_p, _integer, _nonnegative, _positive
 from .stepping import HolderData, _zero
 
 
@@ -49,7 +49,7 @@ class BarenblattSolution:
 
 def barenblatt_constants(d: int, p) -> tuple[float, float, float]:
     """Exponents and normalization ``(alpha, beta, K)`` for given d, p > 2."""
-    d = _dimension(d)
+    d = _integer("d", d)
     p = float(p)
     if not math.isfinite(p) or p <= 2.0:
         raise ValueError(f"Barenblatt profiles need p > 2 (got {p})")
@@ -184,7 +184,7 @@ def plap_quadratic_oracle(x, p, d: int):
     points in the same convention as barenblatt_eval.
     """
     p = _check_p(p)
-    d = _dimension(d)
+    d = _integer("d", d)
     rho = _point_radius(x, d)
     out = 2.0 ** (p - 1.0) * (d + p - 2.0) * rho ** (p - 2.0)
     if np.ndim(out) == 0:

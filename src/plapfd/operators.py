@@ -53,14 +53,15 @@ def _nonnegative(name: str, v) -> float:
     return v
 
 
-def _dimension(d, least: int = 1) -> int:
+def _integer(name: str, v, least: int = 1) -> int:
+    """The rule for dimensions and step counts: an integer value >= least."""
     try:
-        ok = int(d) == d and d >= least
-    except (OverflowError, ValueError):  # inf, nan or a non-numeric string
+        ok = int(v) == v and v >= least
+    except (OverflowError, TypeError, ValueError):  # inf, nan, None or a string
         ok = False
     if not ok:
-        raise ConfigurationError(f"d must be an integer >= {least} (got {d})")
-    return int(d)
+        raise ConfigurationError(f"{name} must be an integer >= {least} (got {v})")
+    return int(v)
 
 
 def _signed_power(xi, p, out):
@@ -120,7 +121,7 @@ def jp(xi, p):
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d."""
-    d = _dimension(d)
+    d = _integer("d", d)
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
@@ -135,7 +136,7 @@ def dpd_constant(d: int, p) -> float:
     Relative accuracy is well below 1e-12 over the supported range.
     """
     p = _check_p(p)
-    d = _dimension(d)
+    d = _integer("d", d)
     front = d / (4.0 * math.sqrt(math.pi)) * (p - 1.0) / (d + p)
     if (d + p) / 2.0 < 170.0:
         ratio = math.gamma(d / 2.0) * math.gamma((p - 1.0) / 2.0) / math.gamma((d + p) / 2.0)
@@ -156,7 +157,7 @@ def couple_h_to_r(r, p, d: int, c=0.1):
     p = _check_p(p)
     r = _positive("r", r)
     c = _positive("c", c)
-    d = _dimension(d, least=2)
+    d = _integer("d", d, least=2)
     if 2.0 < p <= 3.0:
         gamma = p / (p - 1.0)
     else:
@@ -214,7 +215,7 @@ class GridField:
     extension: str = "zero"
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _dimension(self.d))
+        object.__setattr__(self, "d", _integer("d", self.d))
         h = _positive("h", self.h)
         L = float(self.half_width)
         if not math.isfinite(L) or L < h:
@@ -355,7 +356,7 @@ class Stencil:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _dimension(self.d))
+        object.__setattr__(self, "d", _integer("d", self.d))
         object.__setattr__(self, "p", _check_p(self.p))
         for name in ("h", "r"):
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
@@ -444,7 +445,7 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
     p = _check_p(p)
     r = _positive("r", r)
     h = _positive("h", h)
-    d = _dimension(d, least=2)
+    d = _integer("d", d, least=2)
     if h > r / math.sqrt(d) * (1.0 + _REL_SLACK):
         raise ConfigurationError(
             f"h must satisfy h <= r/sqrt(d) = {r / math.sqrt(d):.6g} (got h={h})"
@@ -498,6 +499,14 @@ def apply_dp(stencil: Stencil, field: GridField, alpha) -> float:
     return acc
 
 
+def _aligned_empty(n: int) -> np.ndarray:
+    """``np.empty(n)`` starting on a 64-byte cache line: numpy's ufuncs
+    write about 2x slower into an output that starts off a line."""
+    raw = np.empty(n + 8)
+    skip = (-raw.ctypes.data % 64) // 8
+    return raw[skip : skip + n]
+
+
 class _Workspace:
     """The kernel of apply_dp_grid, for one stencil on one grid shape under
     one extension rule: its scratch arrays, its offset plan, and ``apply``,
@@ -510,6 +519,19 @@ class _Workspace:
     floats, with the same bits. Every view of the padded copy and of the
     edge arrays is fixed here, once. The result is not among the scratch
     arrays: every call returns a new array.
+
+    In d >= 2 each offset's passes read a fixed view ``shift`` of the
+    padded copy and the nodes' own values ``base``, and write ``diff``,
+    ``term`` and ``acc``, buffers that each start on a 64-byte line; the
+    result copies ``acc_interior``. At p = 2, 3 and 4, whose powers are
+    cheap passes, all of these are 1D views of one flat span from the
+    first interior node to the last, ``(size-1) * sum(strides) + 1``
+    slots (strides in elements; offset ``beta`` starts ``beta . strides``
+    slots from the base, inside the padded copy as ``|beta_k| <=
+    reach``), so each pass is one aligned ufunc call. The margin slots
+    between rows hold nothing meaningful. At other p the power dominates
+    and would only slow down on those slots (mostly exact zeros), so the
+    views and buffers are grid-shaped.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -535,14 +557,31 @@ class _Workspace:
                     self.heads.append((hi, lo, diff[: size + k], edge, w, edge[:size]))
                 else:
                     self.tails.append(edges[b][b:])
-        else:
-            # each offset reads a fixed view of the padded copy
+        elif stencil.p not in (2.0, 3.0, 4.0):
+            self.base = self.interior
             self.terms = [
                 (padded[tuple(slice(m + c, m + c + size) for c in beta)], w)
                 for beta, w in zip(stencil.offsets.tolist(), weights)
             ]
-            self.diff = np.empty(shape)
-            self.term = np.empty(shape)
+            n = size ** len(shape)
+            self.diff, self.term, self.acc = (_aligned_empty(n).reshape(shape) for _ in range(3))
+            self.acc_interior = self.acc
+        else:
+            strides = [s // padded.itemsize for s in padded.strides]
+            start, span = m * sum(strides), (size - 1) * sum(strides) + 1
+            flat = padded.reshape(-1)
+            self.base = flat[start : start + span]
+            self.terms = []
+            for beta, w in zip(stencil.offsets.tolist(), weights):
+                at = start + sum(b * s for b, s in zip(beta, strides))
+                self.terms.append((flat[at : at + span], w))
+            self.diff, self.term = _aligned_empty(span), _aligned_empty(span)
+            # size padded rows: the span, laid out as the padded copy's rows
+            rows = _aligned_empty(size * strides[0])
+            self.acc = rows[:span]
+            self.acc_interior = rows.reshape((size,) + padded.shape[1:])[
+                (slice(0, size),) * len(shape)
+            ]
 
     def apply(self, field: GridField) -> np.ndarray:
         """``D U`` for a field that fits this workspace, as a new array,
@@ -560,14 +599,13 @@ class _Workspace:
             for tail in self.tails:
                 np.add(acc, tail, out=acc)
             return acc
-        values = field.values
-        acc = np.zeros(self.shape)
-        diff, term = self.diff, self.term
+        base, diff, term, acc = self.base, self.diff, self.term, self.acc
+        acc.fill(0.0)
         for shift, w in self.terms:
-            np.subtract(shift, values, out=diff)
+            np.subtract(shift, base, out=diff)
             np.multiply(_signed_power(diff, p, term), w, out=term)
             np.add(acc, term, out=acc)
-        return acc
+        return self.acc_interior.copy()
 
 
 def apply_dp_grid(
@@ -592,17 +630,19 @@ def apply_dp_grid(
     of subtracting from a zeroed accumulator. In d >= 2 every offset
     forms its own term; there the edge form was measured slower, because
     all edge arrays must be live before the first positive offset is
-    added.
+    added. A node sees the same operations in the same order in either
+    of ``_Workspace``'s d >= 2 layouts, so its bits do not depend on it.
 
-    The scratch arrays (padded copy, differences, edges or terms) come
-    from ``_work``, which :func:`plapfd.stepping.iter_levels` allocates
-    once per run for its stencil, grid and extension; without it, each
-    call allocates its own. A caller who passes ``_work`` also owns the
-    ``np.errstate``: overflow to inf (caught by the caller's blow-up
-    check), ``inf - inf`` and ``log(0)`` must be silenced around the call,
-    as :func:`plapfd.stepping.iter_levels` does once per chunk of levels.
+    The scratch arrays (padded copy, differences, edges or terms, and in
+    d >= 2 the accumulator) come from ``_work``, which
+    :func:`plapfd.stepping.iter_levels` allocates once per run for its
+    stencil, grid and extension; without it, each call allocates its own.
+    A caller who passes ``_work`` also owns the ``np.errstate``: overflow
+    to inf (caught by the caller's blow-up check), ``inf - inf`` and
+    ``log(0)`` must be silenced around the call, as
+    :func:`plapfd.stepping.iter_levels` does once per chunk of levels.
     Without ``_work`` the call silences them itself. The result is always
-    a new array.
+    a new C-contiguous array that shares no memory with the scratch.
     """
     _check_geometry(stencil, field)
     shape = field.values.shape

@@ -29,7 +29,7 @@ from .operators import (
     _REL_SLACK,
     _Workspace,
     _check_p,
-    _dimension,
+    _integer,
     _nonnegative,
     _positive,
     apply_dp_grid,
@@ -216,12 +216,10 @@ class SchemeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_p(self.p))
-        object.__setattr__(self, "d", _dimension(self.d))
+        object.__setattr__(self, "d", _integer("d", self.d))
         for name in ("T", "r", "h", "tau", "half_width"):
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
-        if int(self.N) != self.N or self.N < 1:
-            raise ConfigurationError(f"N must be a positive integer (got {self.N})")
-        object.__setattr__(self, "N", _capped_steps(int(self.N)))
+        object.__setattr__(self, "N", _capped_steps(_integer("N", self.N)))
         gap = abs(self.N * self.tau - self.T)
         if gap > max(1e-9 * self.T, self.tau * 1e-6):
             raise ConfigurationError(
@@ -291,7 +289,7 @@ def plan_config(
     """
     p = _check_p(p)
     T = _positive("T", T)
-    d = _dimension(d)
+    d = _integer("d", d)
     if d == 1:
         if h is None:
             h = r
@@ -308,10 +306,8 @@ def plan_config(
         N = max(1, int(round(_step_ratio(T, tau, "tau"))))
     else:
         if num_steps is not None:
-            N = int(num_steps)
-            if N < 1:
-                raise ConfigurationError(f"num_steps must be >= 1 (got {num_steps})")
-            _capped_steps(N)  # before T / N, which overflows past float range
+            # capped before T / N, which overflows past float range
+            N = _capped_steps(_integer("num_steps", num_steps))
         elif cfl_mode == "practical":
             target = _positive("c_practical", c_practical) * r ** _cfl_exponent(data.a, p)
             N = max(1, int(math.ceil(_step_ratio(T, target, "c_practical") - 1e-9)))

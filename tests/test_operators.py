@@ -9,17 +9,22 @@ from hypothesis import strategies as st
 from plapfd import (
     ConfigurationError,
     GridField,
+    HolderData,
     Stencil,
     apply_dp,
     apply_dp_grid,
+    barenblatt_data,
     couple_h_to_r,
     dpd_constant,
     explicit_step,
     grid_axis,
+    iter_levels,
     jp,
+    plan_config,
     sample_on_grid,
     stencil_1d,
     stencil_ball,
+    stencil_for,
     unit_ball_volume,
 )
 from plapfd.operators import _Workspace, _signed_power, weight_sum_bound
@@ -293,6 +298,25 @@ def _apply_dp_grid_padded_reference(stencil, field):
     return acc
 
 
+def _apply_dp_grid_row_view_reference(stencil, field):
+    # the d >= 2 workspace kernel before flat spans: each offset reads a
+    # fixed d-dimensional view of the padded copy, made of rows that mostly
+    # start off a cache line, into full-grid buffers
+    m = int(np.max(np.abs(stencil.offsets)))
+    padded = field.padded(m)
+    size = field.values.shape[0]
+    acc = np.zeros(field.values.shape)
+    diff = np.empty(field.values.shape)
+    term = np.empty(field.values.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for beta, w in zip(stencil.offsets.tolist(), stencil.weights.tolist()):
+            shift = padded[tuple(slice(m + c, m + c + size) for c in beta)]
+            np.subtract(shift, field.values, out=diff)
+            np.multiply(_signed_power(diff, stencil.p, term), np.array(w), out=term)
+            np.add(acc, term, out=acc)
+    return acc
+
+
 # zeros of both signs, the smallest subnormals, and magnitudes whose
 # differences overflow inside the power (1e300) or in the subtraction (1e308)
 _EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e308, -1e308])
@@ -364,6 +388,7 @@ def test_apply_dp_grid_matches_shifted_kernel(case):
     # as both earlier array kernels, overflow to inf and nan included
     stencil, field = case
     got = apply_dp_grid(stencil, field).tobytes()
+    assert got == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
     assert got == _apply_dp_grid_padded_reference(stencil, field).tobytes()
     assert got == _apply_dp_grid_shifted_reference(stencil, field).tobytes()
     m = int(np.max(np.abs(stencil.offsets)))
@@ -519,3 +544,79 @@ def test_zero_workspace_margins_stay_positive_zero(d):
     margins = work.padded.copy()
     margins[(slice(m, -m),) * d] = 0.0
     assert margins.tobytes() == bytes(margins.nbytes)
+
+
+def _assert_levels_match_row_view_kernel(cfg, data):
+    # every level of iter_levels against U + tau * (D U + f) stepped with
+    # the row-view kernel, byte for byte
+    stencil = stencil_for(cfg)
+    args = (cfg.d, cfg.h, cfg.half_width, cfg.extension)
+    f = sample_on_grid(data.f, *args).values
+    want = [sample_on_grid(data.u0, *args)]
+    for _ in range(cfg.N):
+        rate = _apply_dp_grid_row_view_reference(stencil, want[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want.append(want[-1].with_values(want[-1].values + cfg.tau * (rate + f)))
+    assert not np.array_equal(want[-1].values, want[0].values)
+    got = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
+    assert got == [lev.values.tobytes() for lev in want]
+
+
+def test_levels_match_row_view_kernel_at_ball2d_geometry():
+    # the benchmark's 2D Barenblatt solve: p = 3, r = 0.3, coupled h, half
+    # width 1.44, so 175^2 nodes, 1048 offsets and rows of 175 doubles
+    data = barenblatt_data(3.0, 0.05, d=2)
+    cfg = plan_config(3.0, 2, 0.05, 1.44, data, r=0.3, coupling_c=0.1, num_steps=3)
+    assert len(stencil_for(cfg)) == 1048
+    assert sample_on_grid(data.u0, 2, cfg.h, cfg.half_width).values.shape == (175, 175)
+    _assert_levels_match_row_view_kernel(cfg, data)
+
+
+def _wavy_3d_data():
+    # a smooth datum and a nonzero source, so every node moves
+    def u0(x, y, z):
+        return np.cos(x + 2.0 * y - z) * np.exp(-(x * x + y * y + z * z))
+
+    def f(x, y, z):
+        return 0.5 * np.sin(3.0 * x) + 0.25 * y
+
+    return HolderData(u0=u0, f=f, a=1.0, L_u0=4.0, L_f=1.5, sup_u0=1.0, sup_f=0.75)
+
+
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("p", [3.0, 3.7])
+def test_levels_match_row_view_kernel_in_3d(extension, p):
+    # 25^3 nodes, rows of 25 doubles, 178 offsets of reach 3; p = 3.7
+    # takes np.power, whose SIMD body and tail meet other nodes on a span
+    cfg = plan_config(p, 3, 4e-3, 1.2, _wavy_3d_data(), r=0.35, h=0.1, num_steps=4,
+                      extension=extension)
+    assert len(stencil_for(cfg)) == 178
+    _assert_levels_match_row_view_kernel(cfg, _wavy_3d_data())
+
+
+@pytest.mark.parametrize(
+    "d, n, r, h", [(2, 1, 0.3, 0.1), (2, 4, 0.3, 0.1), (2, 10, 0.3, 0.1), (2, 87, 0.3, 0.0164),
+                   (3, 2, 0.3, 0.1), (3, 5, 0.3, 0.1), (3, 8, 0.25, 0.1)],
+)
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("p", [3.0, 3.5])
+def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, extension, p):
+    # the d >= 2 kernel writes diff, term and acc, over the flat span at
+    # p = 3 and grid-shaped at p = 3.5; numpy writes about 2x slower into an
+    # output that starts off a 64-byte line, so each must start on one.
+    # The result must be a new C-contiguous array, since explicit_step
+    # updates it in place
+    stencil = stencil_ball(r, h, p, d)
+    rng = np.random.default_rng(n)
+    field = GridField(d=d, h=h, half_width=n * h, values=rng.standard_normal((2 * n + 1,) * d),
+                      extension=extension)
+    work = _Workspace(stencil, field.values.shape, extension)
+    written = (work.diff, work.term, work.acc)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = apply_dp_grid(stencil, field, _work=work)
+    for buf in written:
+        assert buf.ctypes.data % 64 == 0
+    assert out.flags.c_contiguous and out.flags.owndata
+    for buf in written + (work.padded, field.values):
+        assert not np.shares_memory(out, buf)
+    assert out.tobytes() == _apply_dp_grid_row_view_reference(stencil, field).tobytes()

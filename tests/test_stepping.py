@@ -137,6 +137,21 @@ def test_step_count_is_capped_at_2_pow_53():
     ).N == 2**53
 
 
+@pytest.mark.parametrize("count", [math.inf, -math.inf, math.nan, 2.5, 0, -3, None])
+def test_step_counts_follow_the_integer_rule(count):
+    # N and num_steps take the rule d takes; int() let inf escape as an
+    # OverflowError and nan as a ValueError that named no parameter, and
+    # num_steps=2.5 was truncated to 2 steps
+    with pytest.raises(ConfigurationError, match=r"^N must be an integer >= 1 \(got "):
+        SchemeConfig(p=3.0, d=1, T=1.0, r=0.1, h=0.1, tau=0.01, N=count, half_width=2.0)
+    if count is not None:  # None asks plan_config for a CFL-planned count
+        with pytest.raises(ConfigurationError, match=r"^num_steps must be an integer >= 1"):
+            plan_config(4.0, 1, 1.0, 2.0, tent_data(), h=0.01, num_steps=count)
+    with pytest.raises(ConfigurationError, match=r"^d must be an integer >= 1"):
+        plan_config(4.0, count, 1.0, 2.0, tent_data(), h=0.01, num_steps=10)
+    assert plan_config(4.0, 1, 1.0, 2.0, tent_data(), h=0.01, num_steps=10.0).N == 10
+
+
 def test_scheme_config_times():
     cfg = SchemeConfig(p=3.0, d=1, T=1.0, r=0.25, h=0.25, tau=0.25, N=4, half_width=1.0)
     np.testing.assert_array_equal(cfg.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
