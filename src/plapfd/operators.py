@@ -520,18 +520,16 @@ class _Workspace:
     edge arrays is fixed here, once. The result is not among the scratch
     arrays: every call returns a new array.
 
-    In d >= 2 each offset's passes read a fixed view ``shift`` of the
-    padded copy and the nodes' own values ``base``, and write ``diff``,
-    ``term`` and ``acc``, buffers that each start on a 64-byte line; the
-    result copies ``acc_interior``. At p = 2, 3 and 4, whose powers are
-    cheap passes, all of these are 1D views of one flat span from the
-    first interior node to the last, ``(size-1) * sum(strides) + 1``
-    slots (strides in elements; offset ``beta`` starts ``beta . strides``
-    slots from the base, inside the padded copy as ``|beta_k| <=
-    reach``), so each pass is one aligned ufunc call. The margin slots
-    between rows hold nothing meaningful. At other p the power dominates
-    and would only slow down on those slots (mostly exact zeros), so the
-    views and buffers are grid-shaped.
+    In d >= 2 the padded copy is read as one flat span from the first
+    interior node to the last, ``(size-1) * sum(strides) + 1`` slots
+    (strides in elements). The nodes' own values ``base`` and each
+    offset's shifted values ``shift`` are fixed 1D views of it: offset
+    ``beta`` starts ``beta . strides`` slots from the base, inside the
+    padded copy as ``|beta_k| <= reach``. Each pass writes one of
+    ``diff``, ``term`` and ``acc``, span-long buffers that each start on
+    a 64-byte line, so it is one aligned ufunc call. The slots between
+    interior rows hold nothing meaningful; the result copies the
+    interior, ``acc_interior``.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -557,15 +555,6 @@ class _Workspace:
                     self.heads.append((hi, lo, diff[: size + k], edge, w, edge[:size]))
                 else:
                     self.tails.append(edges[b][b:])
-        elif stencil.p not in (2.0, 3.0, 4.0):
-            self.base = self.interior
-            self.terms = [
-                (padded[tuple(slice(m + c, m + c + size) for c in beta)], w)
-                for beta, w in zip(stencil.offsets.tolist(), weights)
-            ]
-            n = size ** len(shape)
-            self.diff, self.term, self.acc = (_aligned_empty(n).reshape(shape) for _ in range(3))
-            self.acc_interior = self.acc
         else:
             strides = [s // padded.itemsize for s in padded.strides]
             start, span = m * sum(strides), (size - 1) * sum(strides) + 1
@@ -630,8 +619,9 @@ def apply_dp_grid(
     of subtracting from a zeroed accumulator. In d >= 2 every offset
     forms its own term; there the edge form was measured slower, because
     all edge arrays must be live before the first positive offset is
-    added. A node sees the same operations in the same order in either
-    of ``_Workspace``'s d >= 2 layouts, so its bits do not depend on it.
+    added. ``_Workspace`` runs the offsets over one flat span of the
+    padded copy, so each pass is a single ufunc call; every node still
+    sees the same operations in the same order.
 
     The scratch arrays (padded copy, differences, edges or terms, and in
     d >= 2 the accumulator) come from ``_work``, which

@@ -601,9 +601,10 @@ def test_levels_match_row_view_kernel_in_3d(extension, p):
 @pytest.mark.parametrize("extension", ["zero", "boundary"])
 @pytest.mark.parametrize("p", [3.0, 3.5])
 def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, extension, p):
-    # the d >= 2 kernel writes diff, term and acc, over the flat span at
-    # p = 3 and grid-shaped at p = 3.5; numpy writes about 2x slower into an
-    # output that starts off a 64-byte line, so each must start on one.
+    # the d >= 2 kernel writes diff, term and acc over the flat span, by
+    # cheap passes at p = 3 and np.power at p = 3.5; numpy writes about 2x
+    # slower into an output that starts off a 64-byte line, so each must
+    # start on one.
     # The result must be a new C-contiguous array, since explicit_step
     # updates it in place
     stencil = stencil_ball(r, h, p, d)
