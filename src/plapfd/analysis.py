@@ -26,23 +26,18 @@ from .exact import (
     barenblatt_solution,
     plap_quadratic_oracle,
 )
-from .operators import (
-    _positive,
-    apply_dp_grid,
-    couple_h_to_r,
-    grid_points,
-    sample_on_grid,
-    stencil_1d,
-    stencil_ball,
-)
+from .operators import _positive, apply_dp_grid, grid_points, sample_on_grid
 from .stepping import (
     HolderData,
     SchemeConfig,
     Trajectory,
     _bracket,
     _cfl_exponent,
+    _geometry,
     _interpolate,
     _levels_per_block,
+    _node,
+    _stencil_of,
     check_margin,
     iter_levels,
     plan_config,
@@ -200,27 +195,20 @@ def consistency_table(
 ) -> list[ConsistencyRow]:
     """Consistency sweep on the quadratic ``psi(x) = |x|^2``.
 
-    For each radius the mesh follows the coupling rule (in 1D the two-point
-    stencil with ``h = r`` is used instead) and the discrete operator is
-    compared against the exact p-Laplacian on all nodes of the box
-    ``|x_i| <= window``. ``max_error_off_origin`` restricts the comparison
-    to nodes with ``|x| >= h``, where the 1D cubic case is exact; it is NaN
-    when the window holds no such node (window < h), never a silent 0.
+    Each radius gets the ``h`` and stencil that plan_config gives a run with
+    this ``r`` and no ``h``, and the discrete operator is compared against
+    the exact p-Laplacian on all nodes of the box ``|x_i| <= window``.
+    ``max_error_off_origin`` restricts the comparison to nodes with ``|x| >=
+    h``, where the 1D cubic case is exact; it is NaN when the window holds
+    no such node (window < h), never a silent 0.
     """
     window = _positive("window", window)
     rows = []
     for r in r_levels:
-        r = float(r)
-        if d == 1:
-            h = r
-            stencil = stencil_1d(h, p)
-        else:
-            h = couple_h_to_r(r, p, d, coupling_c)
-            stencil = stencil_ball(r, h, p, d)
+        h, r = _geometry(p, d, None, r, coupling_c)
+        stencil = _stencil_of(p, d, r, h)
         half = window + r + 2.0 * h
-        field = sample_on_grid(
-            lambda *cs: sum(c * c for c in cs), d, h, half, extension="zero"
-        )
+        field = sample_on_grid(lambda *cs: sum(c * c for c in cs), d, h, half)
         dp = apply_dp_grid(stencil, field)
         pts = grid_points(d, h, half)
         rho = _point_radius(pts, d)
@@ -313,10 +301,10 @@ def run_property_suite(
     report is reproducible from its recorded seed. Each comparison gets the
     float slack ``1e-9 * (1 + bound)``.
 
-    The estimates are guaranteed under the theoretical step-size rule;
-    running a practical or oversized step through the suite is the intended
-    way to demonstrate violations, and produces a failing report rather
-    than an exception (including on numerical blow-up).
+    The estimates hold under the theoretical step-size rule; a practical or
+    oversized step demonstrates violations with a failing report, not an
+    exception, also on blow-up (the data's run reported under ``stability``,
+    its downscaled copy's under ``continuous_dependence``).
     """
     samples = int(samples)
     if samples < 1:
@@ -333,8 +321,12 @@ def run_property_suite(
         "time_equicontinuity",
         "interpolant_equicontinuity",
     )
+    data2 = _scaled_data(data)
+    blown = "stability"  # the check a blow-up is reported under
     try:
         traj = solve(config, data)
+        blown = "continuous_dependence"
+        traj2 = solve(config, data2)
     except BlowUpError as exc:
         results = tuple(
             PropertyResult(
@@ -342,7 +334,7 @@ def run_property_suite(
                 passed=False,
                 checked=0,
                 worst_margin=float("inf"),
-                detail=str(exc) if name == "stability" else "not evaluated: solver blew up",
+                detail=str(exc) if name == blown else "not evaluated: solver blew up",
             )
             for name in names
         )
@@ -356,10 +348,6 @@ def run_property_suite(
     shape = traj.levels[0].values.shape
     n = traj.levels[0].n
     coords = grid_points(config.d, config.h, config.half_width).reshape(nnodes, -1)
-
-    def signed_index(flat):
-        idx = np.unravel_index(int(flat), shape)
-        return tuple(int(i) - n for i in idx)
 
     results = []
 
@@ -390,7 +378,9 @@ def run_property_suite(
         "modulus_preservation",
         lhs,
         rhs,
-        lambda k: f"level {int(lev[k])}, nodes {signed_index(na[k])} and {signed_index(ng[k])}",
+        lambda k: (
+            f"level {int(lev[k])}, nodes {_node(na[k], shape, n)} and {_node(ng[k], shape, n)}"
+        ),
     )
 
     # 2: sup-norm stability at every level
@@ -399,8 +389,6 @@ def run_property_suite(
     record("stability", lhs, rhs, lambda k: f"level {k}, t = {times[k]:.6g}")
 
     # 3: continuous dependence against the downscaled data
-    data2 = _scaled_data(data)
-    traj2 = solve(config, data2)
     values2 = np.stack([lvl.values.ravel() for lvl in traj2.levels])
     f1 = sample_on_grid(data.f, config.d, config.h, config.half_width).values
     f2 = sample_on_grid(data2.f, config.d, config.h, config.half_width).values
@@ -450,7 +438,7 @@ def run_property_suite(
         lhs,
         rhs,
         lambda k: (
-            f"nodes {signed_index(na[k])} and {signed_index(ng[k])}, "
+            f"nodes {_node(na[k], shape, n)} and {_node(ng[k], shape, n)}, "
             f"times {t1[k]:.6g} and {t2[k]:.6g}"
         ),
     )

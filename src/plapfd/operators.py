@@ -64,6 +64,13 @@ def _integer(name: str, v, least: int = 1) -> int:
     return int(v)
 
 
+def _one_of(name: str, value, choices: tuple):
+    """The rule for named choices: ``value`` must be one of ``choices``."""
+    if value not in choices:
+        raise ConfigurationError(f"{name} must be one of {choices} (got {value!r})")
+    return value
+
+
 def _signed_power(xi, p, out):
     """Write ``|xi|^(p-2) * xi`` into ``out`` (same shape) and return it.
 
@@ -222,10 +229,7 @@ class GridField:
             raise ConfigurationError(f"half_width must be at least h (got {L} < {h})")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "half_width", L)
-        if self.extension not in _EXTENSIONS:
-            raise ConfigurationError(
-                f"extension must be one of {_EXTENSIONS} (got {self.extension!r})"
-            )
+        _one_of("extension", self.extension, _EXTENSIONS)
         v = np.asarray(self.values, dtype=float)
         n = grid_radius(h, L)
         want = (2 * n + 1,) * self.d

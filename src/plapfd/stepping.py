@@ -31,6 +31,7 @@ from .operators import (
     _check_p,
     _integer,
     _nonnegative,
+    _one_of,
     _positive,
     apply_dp_grid,
     couple_h_to_r,
@@ -193,14 +194,33 @@ def _capped_steps(N: int) -> int:
     return N
 
 
+def _geometry(p, d: int, h, r, coupling_c) -> tuple[float, float]:
+    """``(h, r)``: in 1D ``r = h``, from either one; for ``d >= 2`` ``r``,
+    with ``h = couple_h_to_r(r, p, d, coupling_c)`` unless ``h`` is given."""
+    if d == 1:
+        if h is None and r is None:
+            raise ConfigurationError("give h (or r) for one-dimensional runs")
+        h = _positive("h", r if h is None else h)
+        return h, (h if r is None else _positive("r", r))
+    if r is None:
+        raise ConfigurationError(f"give the stencil radius r for d = {d}")
+    r = _positive("r", r)
+    return (couple_h_to_r(r, p, d, coupling_c) if h is None else float(h)), r
+
+
+def _stencil_of(p, d: int, r, h) -> Stencil:
+    """Two-point stencil in 1D, the ball of radius ``r`` otherwise."""
+    return stencil_1d(h, p) if d == 1 else stencil_ball(r, h, p, d)
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Fully resolved discretization parameters.
 
     ``N * tau`` must reproduce ``T`` to within one representable step; grids
-    are the symmetric boxes of :class:`plapfd.operators.GridField`. In
-    theoretical mode ``tau`` is checked against :func:`theoretical_step_bound`
-    when the run starts.
+    are the symmetric boxes of :class:`plapfd.operators.GridField`. In 1D
+    ``r`` must equal ``h``. In theoretical mode ``tau`` is checked against
+    :func:`theoretical_step_bound` when the run starts.
     """
 
     p: float
@@ -225,25 +245,19 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"N * tau = {self.N * self.tau} does not reproduce T = {self.T}"
             )
-        if self.cfl_mode not in _CFL_MODES:
+        if self.d == 1 and self.r != self.h:
             raise ConfigurationError(
-                f"cfl_mode must be one of {_CFL_MODES} (got {self.cfl_mode!r})"
+                f"one-dimensional runs require r = h (got r={self.r}, h={self.h})"
             )
-        if self.extension not in _EXTENSIONS:
-            raise ConfigurationError(f"unknown extension {self.extension!r}")
+        _one_of("cfl_mode", self.cfl_mode, _CFL_MODES)
+        _one_of("extension", self.extension, _EXTENSIONS)
 
     def times(self) -> np.ndarray:
         return np.arange(self.N + 1, dtype=float) * self.tau
 
     @cached_property
     def _stencil(self) -> Stencil:
-        if self.d == 1:
-            if self.r != self.h:
-                raise ConfigurationError(
-                    f"one-dimensional runs require r = h (got r={self.r}, h={self.h})"
-                )
-            return stencil_1d(self.h, self.p)
-        return stencil_ball(self.r, self.h, self.p, self.d)
+        return _stencil_of(self.p, self.d, self.r, self.h)
 
 
 def stencil_for(config: SchemeConfig) -> Stencil:
@@ -280,27 +294,17 @@ def plan_config(
 ) -> SchemeConfig:
     """Resolve grid, radius, and step count into a SchemeConfig.
 
-    Geometry: in 1D ``r = h`` (give either one); for ``d >= 2`` give ``r``
-    and optionally ``h``, otherwise ``h = couple_h_to_r(r, p, d,
-    coupling_c)``. The step: an explicit ``tau`` or ``num_steps`` wins;
-    otherwise the target is the practical rule ``c_practical *
-    r^(2+(1-a)(p-2))`` or the theoretical bound, and ``N = ceil(T/target)``
-    with ``tau = T/N``.
+    Geometry, shared with consistency_table: in 1D ``r = h``, so give one
+    (or both, equal); for ``d >= 2`` give ``r`` and optionally ``h``,
+    otherwise ``h = couple_h_to_r(r, p, d, coupling_c)``. The step: an
+    explicit ``tau`` or ``num_steps`` wins; otherwise the target is the
+    practical rule ``c_practical * r^(2+(1-a)(p-2))`` or the theoretical
+    bound, and ``N = ceil(T/target)`` with ``tau = T/N``.
     """
     p = _check_p(p)
     T = _positive("T", T)
     d = _integer("d", d)
-    if d == 1:
-        if h is None:
-            h = r
-        if h is None:
-            raise ConfigurationError("give h (or r) for one-dimensional runs")
-        h = r = _positive("h", h)
-    else:
-        if r is None:
-            raise ConfigurationError(f"give the stencil radius r for d = {d}")
-        r = _positive("r", r)
-        h = couple_h_to_r(r, p, d, coupling_c) if h is None else float(h)
+    h, r = _geometry(p, d, h, r, coupling_c)
     if tau is not None:
         tau = _positive("tau", tau)
         N = max(1, int(round(_step_ratio(T, tau, "tau"))))
@@ -308,14 +312,12 @@ def plan_config(
         if num_steps is not None:
             # capped before T / N, which overflows past float range
             N = _capped_steps(_integer("num_steps", num_steps))
-        elif cfl_mode == "practical":
+        elif _one_of("cfl_mode", cfl_mode, _CFL_MODES) == "practical":
             target = _positive("c_practical", c_practical) * r ** _cfl_exponent(data.a, p)
             N = max(1, int(math.ceil(_step_ratio(T, target, "c_practical") - 1e-9)))
-        elif cfl_mode == "theoretical":
+        else:
             _, _, target, _ = theoretical_step_bound(p, d, r, T, data)
             N = max(1, int(math.ceil(_step_ratio(T, target, "the theoretical step bound"))))
-        else:
-            raise ConfigurationError(f"cfl_mode must be one of {_CFL_MODES} (got {cfl_mode!r})")
         tau = T / N
     return SchemeConfig(
         p=p,
@@ -411,12 +413,17 @@ def _advance(field, stencil, f_values, tau, work) -> np.ndarray:
     return out
 
 
+def _node(flat, shape: tuple, n: int) -> tuple:
+    """Node index ``alpha`` at C-order position ``flat`` of a grid array."""
+    return tuple(int(i) - n for i in np.unravel_index(int(flat), shape))
+
+
 def _nonfinite_node(values: np.ndarray, n: int) -> tuple | None:
     """Index of the first non-finite node in scan order, or None."""
     finite = np.isfinite(values)
     if np.count_nonzero(finite) == finite.size:
         return None
-    return tuple(int(i) - n for i in np.unravel_index(int(np.argmin(finite)), values.shape))
+    return _node(np.argmin(finite), values.shape, n)
 
 
 def _initial_fields(config: SchemeConfig, data: HolderData) -> tuple[GridField, GridField]:

@@ -7,7 +7,9 @@ import pytest
 from plapfd import (
     ConfigurationError,
     ErrorRow,
+    HolderData,
     SchemeConfig,
+    apply_dp_grid,
     barenblatt_data,
     barenblatt_error_row,
     barenblatt_solution,
@@ -18,8 +20,11 @@ from plapfd import (
     oscillatory_data,
     plan_config,
     run_property_suite,
+    sample_on_grid,
     solve,
     sqrt_cusp_data,
+    stencil_1d,
+    stencil_for,
     sup_error,
     tent_data,
 )
@@ -97,6 +102,15 @@ def test_consistency_2d_errors_decrease():
     assert rows[0].h < rows[0].r
     with pytest.raises(ValueError):
         consistency_table(3.0, 1, [0.1], window=-1.0)
+
+
+@pytest.mark.parametrize("p, d, r", [(3.0, 1, 0.25), (3.0, 2, 0.4), (2.5, 3, 0.5)])
+def test_consistency_table_and_plan_config_share_the_geometry(p, d, r):
+    # one rule gives both the (h, r) and the stencil of a radius
+    (row,) = consistency_table(p, d, [r], window=0.1, coupling_c=0.5)
+    cfg = plan_config(p, d, 1.0, 2.0, constant_data(), r=r, coupling_c=0.5, num_steps=1)
+    assert (row.h, row.r) == (cfg.h, cfg.r)
+    assert row.stencil_size == len(stencil_for(cfg))
 
 
 def _theoretical_config(p, data, h, T, half_width=2.0, extension="zero"):
@@ -204,6 +218,36 @@ def test_property_suite_blow_up_report_is_pinned():
         "seed": 20260817,
     }
     assert report.to_json() == json.dumps(expected, indent=2, sort_keys=True)
+
+
+def test_property_suite_reports_a_blow_up_of_the_downscaled_run():
+    # u0 = exp(-x^2) with f = -D u0 on the grid is an exact discrete steady
+    # state, so the run at 10x the p = 2 step limit stays put bit for bit;
+    # the downscaled copy is no steady state and blows up. That BlowUpError
+    # used to escape the suite, which promises a failing report.
+    h, half_width = 0.1, 2.0
+
+    def u0(x):
+        return np.exp(-x * x)
+
+    u0_grid = sample_on_grid(u0, 1, h, half_width, extension="boundary")
+    du0 = apply_dp_grid(stencil_1d(h, 2.0), u0_grid)
+    data = HolderData(
+        u0=u0, f=lambda x: -du0, a=1.0, L_u0=1.0, L_f=10.0, sup_u0=1.0,
+        sup_f=float(np.max(np.abs(du0))),
+    )
+    cfg = plan_config(2.0, 1, 20.0, half_width, data, h=h, tau=0.05, extension="boundary")
+    assert cfg.N == 400
+    final = solve(cfg, data).levels[-1].values
+    assert final.tobytes() == u0_grid.values.tobytes()
+    report = run_property_suite(cfg, data, samples=50)
+    assert not report.passed
+    details = {res.name: res.detail for res in report.results}
+    assert details.pop("continuous_dependence") == (
+        "scheme blew up at step 247, node (-19,); the time step likely violates "
+        "the CFL restriction"
+    )
+    assert set(details.values()) == {"not evaluated: solver blew up"}
 
 
 def test_property_suite_validation():

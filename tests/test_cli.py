@@ -78,6 +78,8 @@ _P50_TENT = [
         (["solve", "--tau=1e-200"], 2, "N = 1e+200 steps"),
         (["solve", f"--num_steps={10**30}"], 2, "N = 1e+30 steps"),
         (["solve", "--T=0.01", f"--num_steps={10**400}"], 2, "N = 1e+400 steps"),
+        (["solve", "--r=0.05"], 2, "require r = h (got r=0.05, h=0.01)"),
+        (["solve", "--extension=mirror"], 2, "extension must be one of ('zero', 'boundary')"),
     ],
     ids=[
         "cfl.c=0",
@@ -94,13 +96,16 @@ _P50_TENT = [
         "tau=1e-200",
         "num_steps=1e30",
         "num_steps=1e400",
+        "1d-r-differs-from-h",
+        "extension=mirror",
     ],
 )
 def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     # each used to end in a traceback (exit 1), at --cfl.c=-1 in a run of
     # one step of size T, at a NaN snapshot time in a message naming no
     # key, at more than 2**53 steps in a run that could not finish, or at
-    # a step count past float range in an OverflowError;
+    # a step count past float range in an OverflowError; a 1D --r other
+    # than h ran with r = h and exited 0;
     # main must return, never raise
     got, out, err = run_cli([*argv, f"--output_dir={tmp_path}"], capsys)
     assert got == code, err

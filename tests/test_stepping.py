@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -108,16 +109,22 @@ def test_scheme_config_step_count_consistency():
     SchemeConfig(p=3.0, d=1, T=1.0, r=0.1, h=0.1, tau=0.01, N=100, half_width=2.0)
     with pytest.raises(ConfigurationError):
         SchemeConfig(p=3.0, d=1, T=1.0, r=0.1, h=0.1, tau=0.01, N=90, half_width=2.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^cfl_mode must be one of \("):
         SchemeConfig(
             p=3.0, d=1, T=1.0, r=0.1, h=0.1, tau=0.01, N=100, half_width=2.0,
             cfl_mode="adaptive",
         )
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^cfl_mode must be one of \("):
+        plan_config(3.0, 1, 1.0, 2.0, tent_data(), h=0.1, cfl_mode="adaptive")
+    # the config and the grid refuse an unknown extension in the same words
+    message = "extension must be one of ('zero', 'boundary') (got 'mirror')"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
         SchemeConfig(
             p=3.0, d=1, T=1.0, r=0.1, h=0.1, tau=0.01, N=100, half_width=2.0,
             extension="mirror",
         )
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        GridField(d=1, h=0.5, half_width=1.0, values=np.zeros(5), extension="mirror")
 
 
 def test_step_count_is_capped_at_2_pow_53():
@@ -158,9 +165,8 @@ def test_scheme_config_times():
 
 
 def test_stencil_for_dimension_rules():
-    cfg = SchemeConfig(p=3.0, d=1, T=1.0, r=0.2, h=0.1, tau=0.1, N=10, half_width=1.0)
-    with pytest.raises(ConfigurationError):
-        stencil_for(cfg)
+    with pytest.raises(ConfigurationError, match=r"require r = h \(got r=0.2, h=0.1\)"):
+        SchemeConfig(p=3.0, d=1, T=1.0, r=0.2, h=0.1, tau=0.1, N=10, half_width=1.0)
     cfg2 = SchemeConfig(p=2.0, d=2, T=1.0, r=1.0, h=0.5, tau=0.1, N=10, half_width=2.0)
     st = stencil_for(cfg2)
     assert len(st) == 8
@@ -176,6 +182,10 @@ def test_plan_config_geometry():
         plan_config(3.0, 2, 1.0, 2.0, data)
     cfg2 = plan_config(3.0, 2, 1.0, 2.0, data, r=0.4)
     assert cfg2.h == couple_h_to_r(0.4, 3.0, 2)
+    # a 1D r that differs from h used to be dropped without a word
+    assert plan_config(3.0, 1, 1.0, 2.0, data, h=0.05, r=0.05).r == 0.05
+    with pytest.raises(ConfigurationError, match=r"r = h \(got r=0.05, h=0.01\)"):
+        plan_config(3.0, 1, 1.0, 2.0, data, h=0.01, r=0.05)
     # r = h = 0 used to reach the step target and divide by zero
     with pytest.raises(ConfigurationError, match="h must be finite and positive"):
         plan_config(3.0, 1, 1.0, 2.0, data, h=0.0)
