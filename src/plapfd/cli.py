@@ -34,7 +34,7 @@ from .analysis import (
 from .errors import BlowUpError, ConfigurationError
 from .exact import barenblatt_data
 from .mollifier import REFERENCE_BOUNDS, mollifier_constants
-from .operators import _check_p, grid_points, grid_radius
+from .operators import _check_p, _one_of, grid_points, grid_radius
 from .stepping import (
     HolderData,
     _zero,
@@ -200,35 +200,33 @@ def _interp_table(table, name):
 
 def _build_data(cfg: dict) -> HolderData:
     spec = cfg["data"]
-    kind = spec["kind"]
+    kind = _one_of("data.kind", spec["kind"], ("barenblatt", "constant", "tabulated"))
     if kind == "barenblatt":
         return barenblatt_data(
             cfg["p"], horizon=cfg["T"], d=cfg["d"], t_shift=spec["t_shift"]
         )
     if kind == "constant":
         return constant_data(spec.get("u0", 0.0), spec.get("f", 0.0))
-    if kind == "tabulated":
-        if cfg["d"] != 1:
-            raise ConfigurationError("tabulated data is one-dimensional")
-        missing = [k for k in ("a", "L_u0", "L_f", "sup_u0", "sup_f") if k not in spec]
-        if missing:
-            raise ConfigurationError(
-                "tabulated data needs explicit regularity constants: missing "
-                + ", ".join(missing)
-            )
-        u0 = _interp_table(spec["u0_table"], "data.u0_table") if "u0_table" in spec else _zero
-        f = _interp_table(spec["f_table"], "data.f_table") if "f_table" in spec else _zero
-        return HolderData(
-            u0=u0,
-            f=f,
-            a=spec["a"],
-            L_u0=spec["L_u0"],
-            L_f=spec["L_f"],
-            sup_u0=spec["sup_u0"],
-            sup_f=spec["sup_f"],
-            support_radius=spec.get("support_radius"),
+    if cfg["d"] != 1:
+        raise ConfigurationError("tabulated data is one-dimensional")
+    missing = [k for k in ("a", "L_u0", "L_f", "sup_u0", "sup_f") if k not in spec]
+    if missing:
+        raise ConfigurationError(
+            "tabulated data needs explicit regularity constants: missing "
+            + ", ".join(missing)
         )
-    raise ConfigurationError(f"unknown data kind {kind!r}")
+    u0 = _interp_table(spec["u0_table"], "data.u0_table") if "u0_table" in spec else _zero
+    f = _interp_table(spec["f_table"], "data.f_table") if "f_table" in spec else _zero
+    return HolderData(
+        u0=u0,
+        f=f,
+        a=spec["a"],
+        L_u0=spec["L_u0"],
+        L_f=spec["L_f"],
+        sup_u0=spec["sup_u0"],
+        sup_f=spec["sup_f"],
+        support_radius=spec.get("support_radius"),
+    )
 
 
 def _plan(cfg: dict, data: HolderData):
@@ -422,9 +420,8 @@ def cmd_properties(cfg: dict) -> int:
 
 def cmd_constants(cfg: dict) -> int:
     print(f"{'d':>2} {'M':>12} {'K1':>12} {'K2':>12} {'quad_error':>12}  reference bounds")
-    for d in (1, 2, 3):
+    for d, (bm, b1, b2) in REFERENCE_BOUNDS.items():
         mc = mollifier_constants(d)
-        bm, b1, b2 = REFERENCE_BOUNDS[d]
         print(
             f"{d:>2} {mc.M:>12.6f} {mc.K1:>12.6f} {mc.K2:>12.6f} {mc.quad_error:>12.3e}"
             f"  M <= {bm}, K1 <= {b1}, K2 <= {b2}"

@@ -10,7 +10,7 @@ used as a consistency oracle for the discrete operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,15 +29,22 @@ class BarenblattSolution:
     come from mass conservation and scaling; the amplitude
     ``K = ((p-2)/p * beta^(1/(p-1)))^((p-1)/(p-2))`` is exactly the value
     that makes this an exact solution, and the positive part closes at
-    ``|x| = s^beta``.
+    ``|x| = s^beta``. Only ``(d, p, t_shift)`` are given: ``alpha``, ``beta``
+    and ``K`` are set from :func:`barenblatt_constants` on construction.
     """
 
     d: int
     p: float
-    alpha: float
-    beta: float
-    K: float
     t_shift: float = 1.0
+    alpha: float = field(init=False)
+    beta: float = field(init=False)
+    K: float = field(init=False)
+
+    def __post_init__(self):
+        derived = barenblatt_constants(self.d, self.p)
+        given = (int(self.d), float(self.p), _nonnegative("t_shift", self.t_shift))
+        for name, val in zip(("d", "p", "t_shift", "alpha", "beta", "K"), given + derived):
+            object.__setattr__(self, name, val)
 
     def support_radius(self, t) -> float:
         """Radius of the support at time ``t``: ``(t + t_shift)^beta``."""
@@ -59,10 +66,7 @@ def barenblatt_constants(d: int, p) -> tuple[float, float, float]:
     return alpha, beta, K
 
 
-def barenblatt_solution(d: int, p, t_shift=1.0) -> BarenblattSolution:
-    alpha, beta, K = barenblatt_constants(d, p)
-    t_shift = _nonnegative("t_shift", t_shift)
-    return BarenblattSolution(d=int(d), p=float(p), alpha=alpha, beta=beta, K=K, t_shift=t_shift)
+barenblatt_solution = BarenblattSolution  # the constructor derives the constants
 
 
 def _point_radius(x, d: int):

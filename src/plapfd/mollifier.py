@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import ConfigurationError
 from .operators import jp
 import numpy as np
 
@@ -50,42 +51,39 @@ REFERENCE_BOUNDS = {
 }
 
 
-def profile_tau(r):
-    """Bump value ``tau(r)``; identically zero for ``|r| >= 1``."""
+def _on_support(r, formula):
+    """``formula`` on ``|r| < 1``, zero elsewhere; a float for a scalar ``r``."""
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     out = np.zeros_like(r)
     inside = np.abs(r) < 1.0
-    ri = r[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ri * ri))
+    out[inside] = formula(r[inside])
     return float(out[0]) if scalar else out
+
+
+def profile_tau(r):
+    """Bump value ``tau(r)``; identically zero for ``|r| >= 1``."""
+    return _on_support(r, lambda ri: np.exp(-1.0 / (1.0 - ri * ri)))
 
 
 def profile_tau_d1(r):
     """First derivative: ``tau(r) * (-2r) / (1-r^2)^2``, zero outside."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    ri = r[inside]
-    s = 1.0 - ri * ri
-    out[inside] = np.exp(-1.0 / s) * (-2.0 * ri) / s**2
-    return float(out[0]) if scalar else out
+    def formula(ri):
+        s = 1.0 - ri * ri
+        return np.exp(-1.0 / s) * (-2.0 * ri) / s**2
+
+    return _on_support(r, formula)
 
 
 def profile_tau_d2(r):
     """Second derivative: ``tau(r) * (6r^4 - 2) / (1-r^2)^4``, zero outside."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    rr = r[inside] * r[inside]
-    s = 1.0 - rr
-    out[inside] = np.exp(-1.0 / s) * (6.0 * rr * rr - 2.0) / s**4
-    return float(out[0]) if scalar else out
+    def formula(ri):
+        rr = ri * ri
+        s = 1.0 - rr
+        return np.exp(-1.0 / s) * (6.0 * rr * rr - 2.0) / s**4
+
+    return _on_support(r, formula)
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,8 @@ _TABLE = {
 
 @lru_cache(maxsize=None)
 def mollifier_constants(d: int) -> MollifierConstants:
-    """Return M, K1, K2 for ``d`` in {1, 2, 3} from the module's table.
+    """Return M, K1, K2 for ``d`` in {1, 2, 3} from the module's table;
+    any other ``d`` raises ConfigurationError, naming the mollifier.
 
     The values are those of an adaptive QUADPACK run (``scipy.integrate.quad``
     with ``epsabs = epsrel = 1e-13``, ``limit = 200``, upper limit
@@ -122,7 +121,9 @@ def mollifier_constants(d: int) -> MollifierConstants:
     requires the same bits and an estimate of at most 1e-8.
     """
     if d not in _TABLE:
-        raise ValueError(f"mollifier constants are tabulated for d in {{1,2,3}} (got {d})")
+        raise ConfigurationError(
+            f"mollifier constants are tabulated for d in {{1,2,3}} (got {d})"
+        )
     M, K1, K2, quad_error = _TABLE[d]
     return MollifierConstants(d=d, M=M, K1=K1, K2=K2, quad_error=quad_error)
 

@@ -145,18 +145,12 @@ def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
     horizon ``T``: ``(Ktilde, C, tau_max, M_bound)``.
 
     ``K1``/``K2`` come from :func:`plapfd.mollifier.mollifier_constants` and
-    ``M_bound`` from :func:`plapfd.operators.weight_sum_bound`. The mollifier
-    constants are tabulated for ``d <= 3`` only; larger ``d`` raises
-    ConfigurationError. So does a bound outside float range: at large ``p``
-    the powers in Ktilde and C overflow (a float ``**`` raises
-    OverflowError, a product becomes inf), and ``C`` or ``tau_max``
-    underflows to 0.
+    ``M_bound`` from :func:`plapfd.operators.weight_sum_bound`; a ``d``
+    outside the mollifier table raises its ConfigurationError. So does a
+    bound outside float range: at large ``p`` the powers in Ktilde and C
+    overflow (a float ``**`` raises OverflowError, a product becomes inf),
+    and ``C`` or ``tau_max`` underflows to 0.
     """
-    if d > 3:
-        raise ConfigurationError(
-            f"the theoretical step bound needs mollifier constants, tabulated "
-            f"for d <= 3 (got d = {d})"
-        )
     r = _positive("r", r)
     mc = mollifier_constants(d)
     M_bound = weight_sum_bound(d, p)
@@ -195,13 +189,19 @@ def _capped_steps(N: int) -> int:
 
 
 def _geometry(p, d: int, h, r, coupling_c) -> tuple[float, float]:
-    """``(h, r)``: in 1D ``r = h``, from either one; for ``d >= 2`` ``r``,
-    with ``h = couple_h_to_r(r, p, d, coupling_c)`` unless ``h`` is given."""
+    """``(h, r)``: in 1D ``r = h``, from one or both (equal); for ``d >= 2``
+    ``r``, with ``h = couple_h_to_r(r, p, d, coupling_c)`` unless ``h`` is
+    given. The one home of the 1D rule."""
     if d == 1:
         if h is None and r is None:
             raise ConfigurationError("give h (or r) for one-dimensional runs")
         h = _positive("h", r if h is None else h)
-        return h, (h if r is None else _positive("r", r))
+        r = h if r is None else _positive("r", r)
+        if r != h:
+            raise ConfigurationError(
+                f"one-dimensional runs require r = h (got r={r}, h={h})"
+            )
+        return h, r
     if r is None:
         raise ConfigurationError(f"give the stencil radius r for d = {d}")
     r = _positive("r", r)
@@ -217,9 +217,10 @@ def _stencil_of(p, d: int, r, h) -> Stencil:
 class SchemeConfig:
     """Fully resolved discretization parameters.
 
-    ``N * tau`` must reproduce ``T`` to within one representable step; grids
-    are the symmetric boxes of :class:`plapfd.operators.GridField`. In 1D
-    ``r`` must equal ``h``. In theoretical mode ``tau`` is checked against
+    ``N * tau`` must reproduce ``T`` to within one representable step, the
+    one check a given ``tau`` and ``num_steps`` pair meets; grids are the
+    symmetric boxes of :class:`plapfd.operators.GridField`. ``(h, r)`` obey
+    :func:`_geometry`. In theoretical mode ``tau`` is checked against
     :func:`theoretical_step_bound` when the run starts.
     """
 
@@ -245,10 +246,7 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"N * tau = {self.N * self.tau} does not reproduce T = {self.T}"
             )
-        if self.d == 1 and self.r != self.h:
-            raise ConfigurationError(
-                f"one-dimensional runs require r = h (got r={self.r}, h={self.h})"
-            )
+        _geometry(self.p, self.d, self.h, self.r, None)
         _one_of("cfl_mode", self.cfl_mode, _CFL_MODES)
         _one_of("extension", self.extension, _EXTENSIONS)
 
@@ -294,38 +292,35 @@ def plan_config(
 ) -> SchemeConfig:
     """Resolve grid, radius, and step count into a SchemeConfig.
 
-    Geometry, shared with consistency_table: in 1D ``r = h``, so give one
-    (or both, equal); for ``d >= 2`` give ``r`` and optionally ``h``,
-    otherwise ``h = couple_h_to_r(r, p, d, coupling_c)``. The step: an
-    explicit ``tau`` or ``num_steps`` wins; otherwise the target is the
-    practical rule ``c_practical * r^(2+(1-a)(p-2))`` or the theoretical
-    bound, and ``N = ceil(T/target)`` with ``tau = T/N``.
+    Geometry first, by :func:`_geometry`: in 1D give ``h`` or ``r`` (or
+    both, equal); for ``d >= 2`` give ``r`` and optionally ``h``. Then
+    ``N``, from the first given of ``num_steps``, ``tau`` (``max(1,
+    round(T/tau))``), and ``ceil(T/target)`` with the practical target
+    ``c_practical * r^(2+(1-a)(p-2))`` or the theoretical bound. ``tau`` is
+    the given one, else ``T/N``; SchemeConfig judges a given pair.
     """
     p = _check_p(p)
     T = _positive("T", T)
     d = _integer("d", d)
     h, r = _geometry(p, d, h, r, coupling_c)
-    if tau is not None:
-        tau = _positive("tau", tau)
-        N = max(1, int(round(_step_ratio(T, tau, "tau"))))
+    if num_steps is not None:
+        # capped before T / N, which overflows past float range
+        N = _capped_steps(_integer("num_steps", num_steps))
+    elif tau is not None:
+        N = max(1, int(round(_step_ratio(T, _positive("tau", tau), "tau"))))
+    elif _one_of("cfl_mode", cfl_mode, _CFL_MODES) == "practical":
+        target = _positive("c_practical", c_practical) * r ** _cfl_exponent(data.a, p)
+        N = max(1, int(math.ceil(_step_ratio(T, target, "c_practical") - 1e-9)))
     else:
-        if num_steps is not None:
-            # capped before T / N, which overflows past float range
-            N = _capped_steps(_integer("num_steps", num_steps))
-        elif _one_of("cfl_mode", cfl_mode, _CFL_MODES) == "practical":
-            target = _positive("c_practical", c_practical) * r ** _cfl_exponent(data.a, p)
-            N = max(1, int(math.ceil(_step_ratio(T, target, "c_practical") - 1e-9)))
-        else:
-            _, _, target, _ = theoretical_step_bound(p, d, r, T, data)
-            N = max(1, int(math.ceil(_step_ratio(T, target, "the theoretical step bound"))))
-        tau = T / N
+        _, _, target, _ = theoretical_step_bound(p, d, r, T, data)
+        N = max(1, int(math.ceil(_step_ratio(T, target, "the theoretical step bound"))))
     return SchemeConfig(
         p=p,
         d=d,
         T=T,
         r=r,
         h=h,
-        tau=tau,
+        tau=T / N if tau is None else tau,
         N=N,
         half_width=float(half_width),
         cfl_mode=cfl_mode,
@@ -337,11 +332,12 @@ def cfl_report(config: SchemeConfig, data: HolderData) -> dict:
     """Constants behind the theoretical step bound, for logs and metadata.
 
     ``Ktilde``, ``C`` and ``tau_max_theoretical`` are NaN where the bound is
-    unavailable: for ``d > 3``, or where it is outside float range (see
-    :func:`theoretical_step_bound`). Those are the only ConfigurationErrors
-    the bound can raise here: every other check inside it sees values that
-    SchemeConfig and HolderData have already validated, the tabulated
-    mollifier constants, or a Ktilde checked to be finite.
+    unavailable: for a ``d`` the mollifier table lacks, or where it is
+    outside float range (see :func:`theoretical_step_bound`). Those are the
+    only ConfigurationErrors the bound can raise here: every other check
+    inside it sees values that SchemeConfig and HolderData have already
+    validated, the tabulated mollifier constants, or a Ktilde checked to be
+    finite.
     """
     stencil = stencil_for(config)
     try:

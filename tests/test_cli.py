@@ -79,7 +79,15 @@ _P50_TENT = [
         (["solve", f"--num_steps={10**30}"], 2, "N = 1e+30 steps"),
         (["solve", "--T=0.01", f"--num_steps={10**400}"], 2, "N = 1e+400 steps"),
         (["solve", "--r=0.05"], 2, "require r = h (got r=0.05, h=0.01)"),
+        (["solve", "--r=1e-200"], 2, "require r = h (got r=1e-200, h=0.01)"),
         (["solve", "--extension=mirror"], 2, "extension must be one of ('zero', 'boundary')"),
+        (
+            ["solve", "--data.kind=foo"],
+            2,
+            "data.kind must be one of ('barenblatt', 'constant', 'tabulated') (got 'foo')",
+        ),
+        (["solve", "--tau=0.001", "--num_steps=7"], 2, "N * tau = 0.007 does not reproduce"),
+        (["solve", "--p=3", "--T=1", "--num_steps=40"], 4, "blew up at step 10, node (-5,)"),
     ],
     ids=[
         "cfl.c=0",
@@ -97,7 +105,11 @@ _P50_TENT = [
         "num_steps=1e30",
         "num_steps=1e400",
         "1d-r-differs-from-h",
+        "1d-r-too-small-for-the-step",
         "extension=mirror",
+        "data.kind=foo",
+        "tau-and-num_steps-disagree",
+        "blow-up",
     ],
 )
 def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
@@ -105,11 +117,12 @@ def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     # one step of size T, at a NaN snapshot time in a message naming no
     # key, at more than 2**53 steps in a run that could not finish, or at
     # a step count past float range in an OverflowError; a 1D --r other
-    # than h ran with r = h and exited 0;
-    # main must return, never raise
+    # than h ran with r = h and exited 0, and one too small was reported
+    # as a step too small; num_steps given with tau was dropped; main must
+    # return, never raise, and a failed run writes no metadata
     got, out, err = run_cli([*argv, f"--output_dir={tmp_path}"], capsys)
     assert got == code, err
-    if code == 2:
+    if code:
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "metadata.json").exists()
     else:
@@ -230,6 +243,34 @@ def test_solve_metadata_round_trip_is_bit_identical(tmp_path, capsys):
     assert meta_a == meta_b
     for name in ("snapshot_00.csv", "snapshot_01.csv", "snapshot_02.csv"):
         assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False)
+    # the file gives tau and num_steps; an edited step count disagrees with
+    # tau and is refused (it used to be dropped, rerunning the old N), while
+    # a null tau lets it choose the step
+    dir_c = tmp_path / "c"
+    dir_c.mkdir()
+    refeed = ["solve", f"--config={dir_a / 'metadata.json'}", f"--output_dir={dir_c}"]
+    code, _, err = run_cli([*refeed, "--num_steps=7"], capsys)
+    assert code == 2 and "does not reproduce T" in err
+    assert not (dir_c / "metadata.json").exists()
+    code, _, _ = run_cli([*refeed, "--num_steps=7", "--tau=null"], capsys)
+    assert code == 0
+    assert json.loads((dir_c / "metadata.json").read_text())["derived"]["N"] == 7
+
+
+def test_constant_data_follows_its_line(tmp_path, capsys):
+    # u0 = 1.5, f = 0.5 under the boundary extension: every node moves on
+    # the line u0 + t * f
+    code, _, err = run_cli(
+        _solve_args(
+            tmp_path, ["--data.kind=constant", "--data.u0=1.5", "--data.f=0.5", "--extension=boundary"]
+        ),
+        capsys,
+    )
+    assert code == 0, err
+    snaps = json.loads((tmp_path / "metadata.json").read_text())["outputs"]["snapshots"]
+    for snap in snaps:
+        u = np.loadtxt(tmp_path / snap["file"], delimiter=",", skiprows=1)[:, 1]
+        np.testing.assert_allclose(u, 1.5 + snap["t"] * 0.5, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plapfd import (
+    BarenblattSolution,
     barenblatt_constants,
     barenblatt_data,
     barenblatt_error_row,
@@ -45,8 +46,13 @@ def test_constants_rejects_p_at_most_2():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0])
 def test_alpha_is_d_times_beta(d, p):
-    alpha, beta, _ = barenblatt_constants(d, p)
+    alpha, beta, K = barenblatt_constants(d, p)
     assert alpha == pytest.approx(d * beta, rel=1e-15)
+    # the solution derives its constants: they cannot be passed in
+    sol = BarenblattSolution(d, p, t_shift=0.5)
+    assert (sol.alpha, sol.beta, sol.K) == (alpha, beta, K)
+    with pytest.raises(TypeError):
+        BarenblattSolution(d, p, alpha=alpha, beta=beta, K=K)
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0, 100.0])

@@ -11,6 +11,7 @@ from scipy.special import exp1
 
 from plapfd import (
     REFERENCE_BOUNDS,
+    ConfigurationError,
     check_jp_taylor_bound,
     mollifier_constants,
     profile_tau,
@@ -189,10 +190,10 @@ def test_constants_identities():
 
 def test_constants_cached_and_validated():
     assert mollifier_constants(2) is mollifier_constants(2)
-    with pytest.raises(ValueError):
-        mollifier_constants(4)
-    with pytest.raises(ValueError):
-        mollifier_constants(0)
+    # the table is the one home of the certified dimensions
+    for d in (4, 0):
+        with pytest.raises(ConfigurationError, match=r"^mollifier constants are tabulated"):
+            mollifier_constants(d)
 
 
 def _mollify_1d(u, xs, delta, M):

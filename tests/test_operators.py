@@ -409,6 +409,9 @@ def test_apply_dp_constant_field_is_zero():
         )
         out = apply_dp_grid(s, f)
         assert np.all(out == 0.0)
+        # a scalar-valued callable is broadcast to the same field
+        g = sample_on_grid(lambda *cs: 2.7, d, s.h, 1.0, extension="boundary")
+        assert g.values.tobytes() == f.values.tobytes()
     # under the zero extension only nodes at distance > r from the box edge
     # see the constant everywhere
     s = stencil_1d(0.1, 3.5)

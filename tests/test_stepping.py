@@ -12,6 +12,7 @@ from plapfd import (
     GridField,
     HolderData,
     SchemeConfig,
+    Trajectory,
     apply_dp,
     barenblatt_data,
     barenblatt_eval,
@@ -186,6 +187,10 @@ def test_plan_config_geometry():
     assert plan_config(3.0, 1, 1.0, 2.0, data, h=0.05, r=0.05).r == 0.05
     with pytest.raises(ConfigurationError, match=r"r = h \(got r=0.05, h=0.01\)"):
         plan_config(3.0, 1, 1.0, 2.0, data, h=0.01, r=0.05)
+    # the rule is judged before a step is planned from r: this r used to
+    # be reported as a step too small for float range
+    with pytest.raises(ConfigurationError, match=r"r = h \(got r=1e-200, h=0.01\)"):
+        plan_config(3.0, 1, 1.0, 2.0, tent_data(), h=0.01, r=1e-200)
     # r = h = 0 used to reach the step target and divide by zero
     with pytest.raises(ConfigurationError, match="h must be finite and positive"):
         plan_config(3.0, 1, 1.0, 2.0, data, h=0.0)
@@ -200,6 +205,11 @@ def test_plan_config_explicit_tau_is_kept_verbatim():
     cfg2 = plan_config(2.0, 1, 0.2, 3.0, data, h=0.1, num_steps=25)
     assert cfg2.N == 25
     assert cfg2.tau == 0.2 / 25
+    # given together, both are kept when N * tau reproduces T; otherwise
+    # SchemeConfig refuses the pair (num_steps used to be dropped)
+    assert plan_config(2.0, 1, 0.2, 3.0, data, h=0.1, tau=tau, num_steps=40) == cfg
+    with pytest.raises(ConfigurationError, match="does not reproduce T"):
+        plan_config(2.0, 1, 0.2, 3.0, data, h=0.1, tau=tau, num_steps=25)
     # T / tau overflowed to inf, and round(inf) raised OverflowError
     with pytest.raises(ConfigurationError, match="tau gives a time step too small"):
         plan_config(2.0, 1, 0.01, 3.0, data, h=0.1, tau=1e-320)
@@ -264,7 +274,7 @@ def test_directly_built_theoretical_config_uses_the_planned_bound():
 
 
 def test_plan_config_theoretical_needs_tabulated_constants():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="mollifier constants are tabulated"):
         plan_config(3.0, 4, 1.0, 2.0, zero_data(), r=0.5, cfl_mode="theoretical")
     # the report of a d = 4 practical run leaves the bound's constants NaN
     cfg = SchemeConfig(p=3.0, d=4, T=0.1, r=0.5, h=0.25, tau=0.05, N=2, half_width=1.0)
@@ -341,6 +351,13 @@ def test_blow_up_names_node_and_step():
     assert err.step == 5
     assert isinstance(err.node, tuple) and err.node == (-10,)
     assert "CFL" in str(err)
+    # the public one-step call names the step it is given, or none
+    field = sample_on_grid(oscillatory_data(0.1, 1e300).u0, 1, 0.1, 1.0)
+    zero = field.with_values(np.zeros_like(field.values))
+    for step, where in ((7, "step 7, node "), (None, "blew up at node ")):
+        with pytest.raises(BlowUpError, match=where) as exc:
+            explicit_step(field, stencil_1d(0.1, 4.0), zero, 0.1, step=step)
+        assert exc.value.step == step
 
 
 def test_blow_up_and_evaluation_past_the_support_are_silent():
@@ -542,6 +559,8 @@ def test_solve_zero_data_stays_zero():
     cfg = plan_config(3.0, 1, 0.5, 1.0, zero_data(), h=0.25, num_steps=8)
     traj = solve(cfg, zero_data())
     assert len(traj.levels) == 9
+    with pytest.raises(ConfigurationError, match="expected 9 levels, got 8"):
+        Trajectory(levels=traj.levels[:-1], config=cfg)
     for lev in traj.levels:
         assert np.all(lev.values == 0.0)
 
