@@ -164,7 +164,7 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigurationError("config file must hold a JSON object")
     if "config" in obj and "derived" in obj:
-        # a solve metadata file; its config block reproduces the run
+        # a solve metadata file; its config block holds the run's inputs
         obj = obj["config"]
         if not isinstance(obj, dict):
             raise ConfigurationError("metadata config block must be an object")
@@ -281,6 +281,7 @@ def _write_snapshot(path: str, field) -> None:
 
 
 def cmd_solve(cfg: dict) -> int:
+    """Run the scheme; write CSV snapshots and a re-feedable metadata.json."""
     _require_dir(cfg["output_dir"])
     data = _build_data(cfg)
     config = _plan(cfg, data)
@@ -304,18 +305,9 @@ def cmd_solve(cfg: dict) -> int:
                     "level": j,
                     "t": j * config.tau,
                 }
-    resolved = _merge(
-        cfg,
-        {
-            "h": config.h,
-            "r": config.r,
-            "tau": config.tau,
-            "num_steps": config.N,
-        },
-    )
     report = cfl_report(config, data)
     metadata = {
-        "config": resolved,
+        "config": cfg,  # the inputs as given: a re-fed file plans the run again
         "derived": {
             "N": config.N,
             "tau": config.tau,
@@ -341,6 +333,7 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_convergence(cfg: dict) -> int:
+    """Barenblatt error table in 1D, with the observed order."""
     _require_dir(cfg["output_dir"])
     if cfg["d"] != 1:
         raise ConfigurationError("the convergence benchmark is one-dimensional")
@@ -380,6 +373,7 @@ def cmd_convergence(cfg: dict) -> int:
 
 
 def cmd_consistency(cfg: dict) -> int:
+    """Discrete operator against the exact p-Laplacian of |x|^2."""
     rows = consistency_table(
         cfg["p"],
         cfg["d"],
@@ -397,6 +391,7 @@ def cmd_consistency(cfg: dict) -> int:
 
 
 def cmd_properties(cfg: dict) -> int:
+    """Randomized structural checks of the scheme, as a JSON report."""
     _require_dir(cfg["output_dir"])
     data = _build_data(cfg)
     config = _plan(cfg, data)
@@ -419,6 +414,7 @@ def cmd_properties(cfg: dict) -> int:
 
 
 def cmd_constants(cfg: dict) -> int:
+    """Mollifier constants M, K1, K2 against their reference bounds."""
     print(f"{'d':>2} {'M':>12} {'K1':>12} {'K2':>12} {'quad_error':>12}  reference bounds")
     for d, (bm, b1, b2) in REFERENCE_BOUNDS.items():
         mc = mollifier_constants(d)

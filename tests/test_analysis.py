@@ -38,6 +38,9 @@ def test_sup_error_requires_support_margin():
     # reach at least 1.22
     with pytest.raises(ConfigurationError, match="support radius"):
         barenblatt_error_row(cfg, data, sol)
+    # the error is measured against a solution of the config's dimension
+    with pytest.raises(ConfigurationError, match="solution dimension 2 does not match"):
+        barenblatt_error_row(cfg, data, barenblatt_solution(2, 4.0))
 
 
 def test_streaming_row_matches_stored_trajectory():

@@ -88,6 +88,18 @@ _P50_TENT = [
         ),
         (["solve", "--tau=0.001", "--num_steps=7"], 2, "N * tau = 0.007 does not reproduce"),
         (["solve", "--p=3", "--T=1", "--num_steps=40"], 4, "blew up at step 10, node (-5,)"),
+        (["solve", "--config=TMP/list.json"], 2, "config file must hold a JSON object"),
+        (["solve", "--config=TMP/meta.json"], 2, "metadata config block must be an object"),
+        (["solve", "--cfl=3"], 2, "cfl must be an object"),
+        (["solve", "--p=null"], 2, "p must not be null"),
+        (["solve", "foo"], 2, "unrecognized argument 'foo'"),
+        (["solve", "--=3"], 2, "empty key in override '--=3'"),
+        (["solve", "--cfl=3", "--cfl.c=2"], 2, "conflicting overrides at 'cfl.c'"),
+        ([*_P50_TENT, "--data.u0_table=[1]"], 2, "data.u0_table must be a list of [x, value] pairs"),
+        ([*_P50_TENT, "--data.u0_table=[[0,1]]"], 2, "data.u0_table needs at least 2 rows"),
+        ([*_P50_TENT, "--d=2"], 2, "tabulated data is one-dimensional"),
+        (["convergence", "--d=2"], 2, "the convergence benchmark is one-dimensional"),
+        (["convergence", "--cfl.mode=theoretical"], 2, "uses the practical step rule"),
     ],
     ids=[
         "cfl.c=0",
@@ -110,6 +122,18 @@ _P50_TENT = [
         "data.kind=foo",
         "tau-and-num_steps-disagree",
         "blow-up",
+        "config-is-a-list",
+        "metadata-config-not-an-object",
+        "cfl-not-an-object",
+        "p=null",
+        "bare-argument",
+        "empty-key",
+        "conflicting-overrides",
+        "table-rows-not-pairs",
+        "table-one-row",
+        "tabulated-in-2d",
+        "convergence-2d",
+        "convergence-theoretical",
     ],
 )
 def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
@@ -119,7 +143,12 @@ def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     # a step count past float range in an OverflowError; a 1D --r other
     # than h ran with r = h and exited 0, and one too small was reported
     # as a step too small; num_steps given with tau was dropped; main must
-    # return, never raise, and a failed run writes no metadata
+    # return, never raise, and a failed run writes no metadata; TMP names
+    # tmp_path, which holds a config file that is a list and a metadata
+    # file whose config block is not an object
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "meta.json").write_text('{"config": 3, "derived": {}}')
+    argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
     got, out, err = run_cli([*argv, f"--output_dir={tmp_path}"], capsys)
     assert got == code, err
     if code:
@@ -128,6 +157,15 @@ def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     else:
         derived = json.loads((tmp_path / "metadata.json").read_text())["derived"]
         assert [derived[k] for k in ("Ktilde", "C", "tau_max_theoretical")] == [None] * 3
+
+
+def test_help_lists_each_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for name, (fn, _) in cli._COMMANDS.items():
+        assert fn.__doc__ and f"{name} {fn.__doc__}" in out
 
 
 def test_defaults_tree_is_pinned():
@@ -210,7 +248,8 @@ def test_solve_writes_snapshots_and_metadata(tmp_path, capsys):
     assert snaps[2]["level"] == meta["derived"]["N"]
     assert meta["derived"]["stencil_size"] == 2
     assert meta["derived"]["nodes_per_axis"] == 21
-    assert meta["config"]["num_steps"] == meta["derived"]["N"]
+    # config holds the inputs as given; the plan chose tau, N and the 1D r
+    assert [meta["config"][k] for k in ("h", "r", "tau", "num_steps")] == [0.2, None, None, None]
 
     raw = (tmp_path / "snapshot_00.csv").read_bytes()
     lines = raw.split(b"\r\n")
@@ -243,18 +282,37 @@ def test_solve_metadata_round_trip_is_bit_identical(tmp_path, capsys):
     assert meta_a == meta_b
     for name in ("snapshot_00.csv", "snapshot_01.csv", "snapshot_02.csv"):
         assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False)
-    # the file gives tau and num_steps; an edited step count disagrees with
-    # tau and is refused (it used to be dropped, rerunning the old N), while
-    # a null tau lets it choose the step
+
+    def solve_into(out, *argv):
+        code, _, err = run_cli(["solve", *argv, f"--output_dir={out}"], capsys)
+        assert code == 0, err
+        return json.loads((out / "metadata.json").read_text())
+
+    def refeed(src, out, *extra):
+        return solve_into(out, f"--config={src / 'metadata.json'}", *extra)
+
+    # config holds no plan, so an edited input plans again: the step count,
+    # cfl.c, and in d = 2 the r to which the plan couples h
     dir_c = tmp_path / "c"
     dir_c.mkdir()
-    refeed = ["solve", f"--config={dir_a / 'metadata.json'}", f"--output_dir={dir_c}"]
-    code, _, err = run_cli([*refeed, "--num_steps=7"], capsys)
-    assert code == 2 and "does not reproduce T" in err
-    assert not (dir_c / "metadata.json").exists()
-    code, _, _ = run_cli([*refeed, "--num_steps=7", "--tau=null"], capsys)
-    assert code == 0
-    assert json.loads((dir_c / "metadata.json").read_text())["derived"]["N"] == 7
+    assert refeed(dir_a, dir_c, "--num_steps=7")["derived"]["N"] == 7
+    short = ["--p=3", "--T=0.01", "--snapshot_times=[0.01]"]
+    assert solve_into(dir_c, "--h=0.1", *short)["derived"]["N"] == 5
+    assert refeed(dir_c, dir_c, "--cfl.c=0.01")["derived"]["N"] == 100
+    meta = solve_into(dir_c, "--d=2", "--r=0.5", "--h=null", *short)
+    assert (meta["config"]["h"], meta["derived"]["nodes_per_axis"]) == (None, 113)
+    derived = refeed(dir_c, dir_c, "--r=0.3")["derived"]
+    assert (derived["nodes_per_axis"], derived["stencil_size"]) == (243, 1048)
+    # a file whose config holds the plan, as files written before config
+    # held the inputs as given do, still reproduces its run
+    dir_d = tmp_path / "d"
+    dir_d.mkdir()
+    old = json.loads((dir_a / "metadata.json").read_text())
+    old["config"].update(h=0.2, r=0.2, tau=old["derived"]["tau"], num_steps=old["derived"]["N"])
+    (dir_d / "metadata.json").write_text(json.dumps(old))
+    assert refeed(dir_d, dir_d)["derived"] == old["derived"]
+    for name in ("snapshot_00.csv", "snapshot_01.csv", "snapshot_02.csv"):
+        assert filecmp.cmp(dir_a / name, dir_d / name, shallow=False)
 
 
 def test_constant_data_follows_its_line(tmp_path, capsys):

@@ -87,6 +87,13 @@ def test_eval_rejects_vanished_profile():
     sol = barenblatt_solution(1, 3.0, t_shift=0.0)
     with pytest.raises(ValueError):
         barenblatt_eval(sol, 0.0, 0.0)
+    with pytest.raises(ValueError, match="t \\+ t_shift must be positive"):
+        sol.support_radius(0.0)
+    # in d >= 2 a point's last axis holds its d coordinates
+    sol2 = barenblatt_solution(2, 3.0)
+    for x in (0.0, np.zeros(3), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match="last axis of length 2"):
+            barenblatt_eval(sol2, x, 0.0)
 
 
 def test_self_similarity_scaling():

@@ -98,6 +98,15 @@ def test_dpd_constant_matches_sphere_average(d, p):
 def test_dpd_constant_exact_references():
     assert dpd_constant(1, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert dpd_constant(2, 2.0) == pytest.approx(1.0 / 8.0, rel=1e-12)
+    # from (d + p) / 2 = 170 on, the ratio goes through lgamma; at d = 2,
+    # p = 338 both Gamma functions are still finite, so the plain formula
+    # checks that branch
+    d, p = 2, 338.0
+    plain = (
+        d / (4.0 * math.sqrt(math.pi)) * (p - 1.0) / (d + p)
+        * math.gamma(d / 2.0) * math.gamma((p - 1.0) / 2.0) / math.gamma((d + p) / 2.0)
+    )
+    assert dpd_constant(d, p) == pytest.approx(plain, rel=1e-12)
 
 
 def test_dpd_constant_validation():
@@ -194,6 +203,8 @@ def test_stencil_ball_weight_sum_bound():
         ([[-3, 0], [3, 0]], [1.0, 1.0], "outside the ball"),
         ([[-1, 0], [1, 0]], [5.0, 5.0], "exceeds M_bound"),
         ([], [], "no offsets"),
+        ([[-1, 0], [1, 0]], [1.0, -1.0], "finite and nonnegative"),
+        ([[-1, 0], [1, 0]], [float("nan"), 1.0], "finite and nonnegative"),
     ],
 )
 def test_stencil_rejects_malformed_offsets(offsets, weights, match):
@@ -218,6 +229,14 @@ def test_grid_field_validation():
         GridField(d=1, h=1.0, half_width=2.0, values=np.zeros(5), extension="mirror")
     with pytest.raises(ConfigurationError):
         GridField(d=1, h=-1.0, half_width=2.0, values=np.zeros(5))
+    with pytest.raises(ConfigurationError, match="half_width must be at least h"):
+        GridField(d=1, h=1.0, half_width=0.5, values=np.zeros(1))
+    # node indices: inside the grid, one per axis
+    f = GridField(d=1, h=1.0, half_width=2.0, values=np.zeros(5))
+    with pytest.raises(ValueError, match="outside grid of radius 2"):
+        f.value_at(3)
+    with pytest.raises(ValueError, match="does not have dimension 1"):
+        f.value_at((0, 0))
     # grid construction refuses what it cannot divide by or count: h = 0
     # divided by zero and half_width = inf overflowed in int()
     for h, half_width in ((0.0, 2.0), (math.inf, 2.0), (math.nan, 2.0), (0.1, math.inf)):

@@ -337,6 +337,13 @@ def test_explicit_step_geometry_mismatch():
     f_other = GridField(d=1, h=0.25, half_width=2.0, values=np.zeros(17))
     with pytest.raises(ConfigurationError):
         explicit_step(field, stencil_1d(0.5, 3.0), f_other, 0.01)
+    # a source of another dimension, or of another half_width
+    for f_other in (
+        GridField(d=2, h=0.5, half_width=2.0, values=np.zeros((9, 9))),
+        GridField(d=1, h=0.5, half_width=1.0, values=np.zeros(5)),
+    ):
+        with pytest.raises(ConfigurationError, match="source term sampled on a different grid"):
+            explicit_step(field, stencil_1d(0.5, 3.0), f_other, 0.01)
     with pytest.raises(ConfigurationError):
         explicit_step(field, stencil_1d(0.5, 3.0), field.with_values(np.zeros(9)), -0.1)
 
