@@ -26,7 +26,7 @@ from .exact import (
     barenblatt_solution,
     plap_quadratic_oracle,
 )
-from .operators import _positive, apply_dp_grid, grid_points, sample_on_grid
+from .operators import _integer, _positive, apply_dp_grid, grid_points, sample_on_grid
 from .stepping import (
     HolderData,
     SchemeConfig,
@@ -306,9 +306,7 @@ def run_property_suite(
     exception, also on blow-up (the data's run reported under ``stability``,
     its downscaled copy's under ``continuous_dependence``).
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1 (got {samples})")
+    samples = _integer("samples", samples)
     rng = np.random.default_rng(seed)
     summary = _config_summary(config)
     kt, _, _, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)

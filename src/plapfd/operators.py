@@ -204,7 +204,7 @@ def grid_points(d: int, h, half_width) -> np.ndarray:
 _EXTENSIONS = ("zero", "boundary")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridField:
     """Node values on the uniform grid ``h * Z^d`` inside ``[-L, L]^d``.
 
@@ -341,7 +341,7 @@ def sample_on_grid(fn, d: int, h, half_width, extension="zero") -> GridField:
     return GridField(d=d, h=h, half_width=half_width, values=vals, extension=extension)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stencil:
     """Offsets and weights of a discrete p-Laplace operator.
 
@@ -513,27 +513,32 @@ def _aligned_empty(n: int) -> np.ndarray:
 
 class _Workspace:
     """The kernel of apply_dp_grid, for one stencil on one grid shape under
-    one extension rule: its scratch arrays, its offset plan, and ``apply``,
-    which runs the plan.
+    one extension rule: its scratch arrays, its pass list, and ``apply``,
+    which runs the passes.
 
     The padded copy is zero-filled once, here: under the zero extension
     ``_fill_padded`` then copies the field into its fixed interior view
     only, so the margins stay +0 for the workspace's life. The weights are
     0-d float64 arrays, which numpy multiplies by faster than Python
-    floats, with the same bits. Every view of the padded copy and of the
-    edge arrays is fixed here, once. The result is not among the scratch
-    arrays: every call returns a new array.
+    floats, with the same bits. Every view is fixed here, once. The result
+    is not among the scratch arrays: every call returns a new array.
 
-    In d >= 2 the padded copy is read as one flat span from the first
+    In every d the padded copy is read as one flat span from the first
     interior node to the last, ``(size-1) * sum(strides) + 1`` slots
     (strides in elements). The nodes' own values ``base`` and each
-    offset's shifted values ``shift`` are fixed 1D views of it: offset
-    ``beta`` starts ``beta . strides`` slots from the base, inside the
-    padded copy as ``|beta_k| <= reach``. Each pass writes one of
-    ``diff``, ``term`` and ``acc``, span-long buffers that each start on
-    a 64-byte line, so it is one aligned ufunc call. The slots between
-    interior rows hold nothing meaningful; the result copies the
-    interior, ``acc_interior``.
+    offset's shifted values are fixed 1D views of it: offset ``beta``
+    starts ``beta . strides`` slots from the base, inside the padded copy
+    as ``|beta_k| <= reach``. Each pass writes ``diff`` and ``term`` and
+    adds into ``acc``: buffers that each start on a 64-byte line, so every
+    pass is a few aligned ufunc calls. The slots between interior rows
+    hold nothing meaningful; the result copies the interior,
+    ``acc_interior``.
+
+    The middle pair ``-beta_1, +beta_1`` is one edge pass (see
+    apply_dp_grid) over ``span + s_1`` slots, ``s_1 = beta_1 . strides >
+    0``: its terms ``E`` are formed once, ``-beta_1`` subtracts
+    ``E[:span]`` and ``+beta_1`` adds ``E[s_1:]``. The two-point stencil
+    is this one pass.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -545,59 +550,44 @@ class _Workspace:
         size = shape[0]
         self.padded = padded = np.zeros((size + 2 * m,) * len(shape))
         self.interior = padded[(slice(m, m + size),) * len(shape)]
-        if len(shape) == 1:
-            # the stencil order is every -k, then every +k: offset -k forms
-            # the edge terms P_k and subtracts their head, +k adds their tail
-            diff = np.empty(size + m)
-            edges = {}
-            self.heads, self.tails = [], []
-            for (b,), w in zip(stencil.offsets.tolist(), weights):
-                if b < 0:
-                    k = -b
-                    edges[k] = edge = np.empty(size + k)
-                    hi, lo = padded[m : m + size + k], padded[m - k : m + size]
-                    self.heads.append((hi, lo, diff[: size + k], edge, w, edge[:size]))
-                else:
-                    self.tails.append(edges[b][b:])
-        else:
-            strides = [s // padded.itemsize for s in padded.strides]
-            start, span = m * sum(strides), (size - 1) * sum(strides) + 1
-            flat = padded.reshape(-1)
-            self.base = flat[start : start + span]
-            self.terms = []
-            for beta, w in zip(stencil.offsets.tolist(), weights):
-                at = start + sum(b * s for b, s in zip(beta, strides))
-                self.terms.append((flat[at : at + span], w))
-            self.diff, self.term = _aligned_empty(span), _aligned_empty(span)
-            # size padded rows: the span, laid out as the padded copy's rows
-            rows = _aligned_empty(size * strides[0])
-            self.acc = rows[:span]
-            self.acc_interior = rows.reshape((size,) + padded.shape[1:])[
-                (slice(0, size),) * len(shape)
-            ]
+        strides = [s // padded.itemsize for s in padded.strides]
+        start, span = m * sum(strides), (size - 1) * sum(strides) + 1
+        shifts = [sum(b * s for b, s in zip(beta, strides)) for beta in stencil.offsets.tolist()]
+        middle = len(shifts) // 2
+        s1 = shifts[middle]
+        flat = padded.reshape(-1)
+        base = flat[start : start + span]
+        self.diff, self.term = _aligned_empty(span + s1), _aligned_empty(span + s1)
+        # one view of each span-long buffer, shared by every offset's pass
+        diff, term = self.diff[:span], self.term[:span]
+        # each pass: (hi, lo, diff, term, weight, subtracted, added)
+        self.passes = [
+            (flat[start + s : start + s + span], base, diff, term, w, None, term)
+            for s, w in zip(shifts, weights)
+        ]
+        self.passes[middle - 1 : middle + 1] = [
+            (flat[start : start + span + s1], flat[start - s1 : start + span],
+             self.diff, self.term, weights[middle], term, self.term[s1 : s1 + span])
+        ]
+        # size padded rows: the span, laid out as the padded copy's rows
+        rows = _aligned_empty(size * strides[0])
+        self.acc = rows[:span]
+        self.acc_interior = rows.reshape((size,) + padded.shape[1:])[
+            (slice(0, size),) * len(shape)
+        ]
 
     def apply(self, field: GridField) -> np.ndarray:
         """``D U`` for a field that fits this workspace, as a new array,
         under the caller's errstate."""
         field._fill_padded(self.reach, self.padded, self.interior)
-        p = self.stencil.p
-        if field.d == 1:
-            acc = np.empty(self.shape)
-            lhs = 0.0
-            for hi, lo, diff, edge, w, head in self.heads:
-                np.subtract(hi, lo, out=diff)
-                np.multiply(_signed_power(diff, p, edge), w, out=edge)
-                np.subtract(lhs, head, out=acc)
-                lhs = acc
-            for tail in self.tails:
-                np.add(acc, tail, out=acc)
-            return acc
-        base, diff, term, acc = self.base, self.diff, self.term, self.acc
+        p, acc = self.stencil.p, self.acc
         acc.fill(0.0)
-        for shift, w in self.terms:
-            np.subtract(shift, base, out=diff)
+        for hi, lo, diff, term, w, subtracted, added in self.passes:
+            np.subtract(hi, lo, out=diff)
             np.multiply(_signed_power(diff, p, term), w, out=term)
-            np.add(acc, term, out=acc)
+            if subtracted is not None:
+                np.subtract(acc, subtracted, out=acc)
+            np.add(acc, added, out=acc)
         return self.acc_interior.copy()
 
 
@@ -611,24 +601,24 @@ def apply_dp_grid(
     accumulator that starts at +0. The field is padded once by the
     stencil's reach, and each offset reads a view of it.
 
-    In d = 1 the terms are formed per edge. For each offset ``k > 0``,
-    ``P_k = w_k * jp(U(x + k h) - U(x))`` is evaluated once over the
-    edges; offset ``+k`` adds ``P_k`` at ``x`` and offset ``-k`` subtracts
-    it at ``x - k h``, so each edge costs one signed power instead of two.
-    This is bit for bit the per-offset sum: ``a - b`` rounds to exactly
-    ``-(b - a)`` (both are +0 when ``a = b``), jp and the weight product
-    are odd, ``acc - P`` is ``acc + (-P)``, and an accumulator that starts
-    at +0 never becomes -0, so adding +0 or -0 to it gives the same bits.
-    The first offset writes ``+0 - P`` straight into the result instead
-    of subtracting from a zeroed accumulator. In d >= 2 every offset
-    forms its own term; there the edge form was measured slower, because
-    all edge arrays must be live before the first positive offset is
-    added. ``_Workspace`` runs the offsets over one flat span of the
-    padded copy, so each pass is a single ufunc call; every node still
-    sees the same operations in the same order.
+    The middle pair of offsets, ``-beta_1`` and ``+beta_1``, is formed per
+    edge: ``P = w * jp(U(x + h*beta_1) - U(x))`` is evaluated once over the
+    edges; ``+beta_1`` adds ``P`` at ``x`` and ``-beta_1`` subtracts it at
+    ``x - h*beta_1``, so each edge costs one signed power instead of two.
+    Negation reverses the lexicographic order, so the two offsets are
+    adjacent in the sum, and this is bit for bit the per-offset sum:
+    ``a - b`` rounds to exactly ``-(b - a)`` (both are +0 when ``a = b``),
+    jp and the weight product are odd, ``acc - P`` is ``acc + (-P)``, and
+    an accumulator that starts at +0 never becomes -0, so adding +0 or -0
+    to it gives the same bits. Every other offset forms its own term; an
+    edge form for all pairs was measured slower in d >= 2, because all
+    edge arrays must be live before the first positive offset is added.
+    ``_Workspace`` runs the passes over one flat span of the padded copy,
+    so each is a few ufunc calls; every node still sees the same
+    operations in the same order.
 
-    The scratch arrays (padded copy, differences, edges or terms, and in
-    d >= 2 the accumulator) come from ``_work``, which
+    The scratch arrays (padded copy, differences, terms and the
+    accumulator) come from ``_work``, which
     :func:`plapfd.stepping.iter_levels` allocates once per run for its
     stencil, grid and extension; without it, each call allocates its own.
     A caller who passes ``_work`` also owns the ``np.errstate``: overflow

@@ -508,7 +508,7 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
         yield from levels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """All time levels of one run: ``levels[j]`` holds ``U^j`` at time
     ``times[j] = j * tau``."""

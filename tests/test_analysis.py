@@ -256,8 +256,10 @@ def test_property_suite_reports_a_blow_up_of_the_downscaled_run():
 def test_property_suite_validation():
     data = constant_data(1.0, 0.0)
     cfg = _theoretical_config(2.0, data, 0.5, 0.125, extension="boundary")
-    with pytest.raises(ValueError):
-        run_property_suite(cfg, data, samples=0)
+    # fractions, NaN and numeric strings are refused, not truncated or parsed
+    for samples in (0, 2.7, 0.5, float("nan"), "3"):
+        with pytest.raises(ConfigurationError, match="samples must be an integer"):
+            run_property_suite(cfg, data, samples=samples)
     cfg4 = SchemeConfig(p=3.0, d=4, T=0.1, r=0.5, h=0.25, tau=0.05, N=2, half_width=1.0)
     with pytest.raises(ConfigurationError, match="mollifier"):
         run_property_suite(cfg4, data, samples=10)

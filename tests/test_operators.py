@@ -27,7 +27,7 @@ from plapfd import (
     stencil_for,
     unit_ball_volume,
 )
-from plapfd.operators import _Workspace, _signed_power, weight_sum_bound
+from plapfd.operators import _Workspace, _aligned_empty, _signed_power, weight_sum_bound
 
 
 def test_jp_reference_values():
@@ -246,6 +246,17 @@ def test_grid_field_validation():
             grid_axis(h, half_width)
 
 
+def test_array_containers_compare_by_identity():
+    # fields and stencils hold arrays, whose == is elementwise; they compare
+    # and hash by identity, so == never raises and both fit in one set
+    f = GridField(d=1, h=0.5, half_width=0.5, values=[1.0, 2.0, 3.0])
+    s = stencil_1d(0.1, 3.0)
+    for a, b in ((f, f.with_values(f.values.copy())), (s, stencil_1d(0.1, 3.0))):
+        assert a == a and b == b
+        assert a != b
+        assert len({a, b}) == 2
+
+
 def test_grid_field_extensions():
     f = GridField(d=1, h=1.0, half_width=2.0, values=[1.0, 2.0, 3.0, 4.0, 5.0])
     assert f.read_index(2) == 5.0
@@ -336,6 +347,77 @@ def _apply_dp_grid_row_view_reference(stencil, field):
     return acc
 
 
+class _PreviousWorkspace:
+    # the workspace kernel before its two layouts became one: in d = 1 an
+    # edge pass for every pair (offset -k subtracts the head of its edge
+    # terms, +k adds their tail, the first head written as +0 - P), in
+    # d >= 2 one pass per offset over the flat span
+
+    def __init__(self, stencil, shape, extension):
+        self.stencil = stencil
+        self.shape = shape
+        self.extension = extension
+        self.reach = m = int(np.max(np.abs(stencil.offsets)))
+        weights = [np.array(w) for w in stencil.weights.tolist()]
+        size = shape[0]
+        self.padded = padded = np.zeros((size + 2 * m,) * len(shape))
+        self.interior = padded[(slice(m, m + size),) * len(shape)]
+        if len(shape) == 1:
+            diff = np.empty(size + m)
+            edges = {}
+            self.heads, self.tails = [], []
+            for (b,), w in zip(stencil.offsets.tolist(), weights):
+                if b < 0:
+                    k = -b
+                    edges[k] = edge = np.empty(size + k)
+                    hi, lo = padded[m : m + size + k], padded[m - k : m + size]
+                    self.heads.append((hi, lo, diff[: size + k], edge, w, edge[:size]))
+                else:
+                    self.tails.append(edges[b][b:])
+        else:
+            strides = [s // padded.itemsize for s in padded.strides]
+            start, span = m * sum(strides), (size - 1) * sum(strides) + 1
+            flat = padded.reshape(-1)
+            self.base = flat[start : start + span]
+            self.terms = []
+            for beta, w in zip(stencil.offsets.tolist(), weights):
+                at = start + sum(b * s for b, s in zip(beta, strides))
+                self.terms.append((flat[at : at + span], w))
+            self.diff, self.term = _aligned_empty(span), _aligned_empty(span)
+            rows = _aligned_empty(size * strides[0])
+            self.acc = rows[:span]
+            self.acc_interior = rows.reshape((size,) + padded.shape[1:])[
+                (slice(0, size),) * len(shape)
+            ]
+
+    def apply(self, field):
+        field._fill_padded(self.reach, self.padded, self.interior)
+        p = self.stencil.p
+        if field.d == 1:
+            acc = np.empty(self.shape)
+            lhs = 0.0
+            for hi, lo, diff, edge, w, head in self.heads:
+                np.subtract(hi, lo, out=diff)
+                np.multiply(_signed_power(diff, p, edge), w, out=edge)
+                np.subtract(lhs, head, out=acc)
+                lhs = acc
+            for tail in self.tails:
+                np.add(acc, tail, out=acc)
+            return acc
+        base, diff, term, acc = self.base, self.diff, self.term, self.acc
+        acc.fill(0.0)
+        for shift, w in self.terms:
+            np.subtract(shift, base, out=diff)
+            np.multiply(_signed_power(diff, p, term), w, out=term)
+            np.add(acc, term, out=acc)
+        return self.acc_interior.copy()
+
+
+def _apply_dp_grid_previous_workspace(stencil, field):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _PreviousWorkspace(stencil, field.values.shape, field.extension).apply(field)
+
+
 # zeros of both signs, the smallest subnormals, and magnitudes whose
 # differences overflow inside the power (1e300) or in the subtraction (1e308)
 _EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e308, -1e308])
@@ -356,8 +438,9 @@ def test_signed_power_matches_pow_bitwise(p):
 
 @st.composite
 def _stencil_and_field(draw):
-    # d = 1 runs the edge form, d >= 2 the offset loop; weigh the draws
-    # towards d = 1, which has the fewest distinct stencils per draw
+    # every d runs one pass per offset with the middle pair in edge form,
+    # which in d = 1 may reach past +-1; weigh the draws towards d = 1,
+    # which has the fewest distinct stencils per draw
     d = draw(st.sampled_from([1, 1, 2, 3]))
     reach = draw(st.integers(1, (6, 4, 3)[d - 1]))
     n = draw(st.integers(1, 3 if d < 3 else 2))
@@ -404,9 +487,10 @@ def _stencil_and_field(draw):
 def test_apply_dp_grid_matches_shifted_kernel(case):
     # random symmetric stencils on boxes as narrow as 3 nodes, so offsets
     # often reach past the far edge; the result must be bit for bit the same
-    # as both earlier array kernels, overflow to inf and nan included
+    # as the earlier array kernels, overflow to inf and nan included
     stencil, field = case
     got = apply_dp_grid(stencil, field).tobytes()
+    assert got == _apply_dp_grid_previous_workspace(stencil, field).tobytes()
     assert got == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
     assert got == _apply_dp_grid_padded_reference(stencil, field).tobytes()
     assert got == _apply_dp_grid_shifted_reference(stencil, field).tobytes()
@@ -616,20 +700,32 @@ def test_levels_match_row_view_kernel_in_3d(extension, p):
     _assert_levels_match_row_view_kernel(cfg, _wavy_3d_data())
 
 
+def _two_pair_stencil_1d(h, p):
+    # the pairs +-2 and +-3 without +-1, so the middle pair's edge pass
+    # reaches s_1 = 2 slots past the span
+    w = 0.25 * (3.0 * h) ** -p
+    return Stencil(d=1, h=h, r=3.0 * h, p=p, offsets=[[-3], [-2], [2], [3]], weights=[w] * 4)
+
+
 @pytest.mark.parametrize(
-    "d, n, r, h", [(2, 1, 0.3, 0.1), (2, 4, 0.3, 0.1), (2, 10, 0.3, 0.1), (2, 87, 0.3, 0.0164),
+    "d, n, r, h", [(1, 1, 0.1, 0.1), (1, 200, 0.1, 0.1), (1, 1, 0.3, 0.1), (1, 200, 0.3, 0.1),
+                   (2, 1, 0.3, 0.1), (2, 4, 0.3, 0.1), (2, 10, 0.3, 0.1), (2, 87, 0.3, 0.0164),
                    (3, 2, 0.3, 0.1), (3, 5, 0.3, 0.1), (3, 8, 0.25, 0.1)],
 )
 @pytest.mark.parametrize("extension", ["zero", "boundary"])
 @pytest.mark.parametrize("p", [3.0, 3.5])
 def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, extension, p):
-    # the d >= 2 kernel writes diff, term and acc over the flat span, by
-    # cheap passes at p = 3 and np.power at p = 3.5; numpy writes about 2x
-    # slower into an output that starts off a 64-byte line, so each must
-    # start on one.
+    # the kernel writes diff, term and acc over the flat span in every d,
+    # by cheap passes at p = 3 and np.power at p = 3.5; numpy writes about
+    # 2x slower into an output that starts off a 64-byte line, so each must
+    # start on one. In d = 1, r = h is the two-point stencil, a single edge
+    # pass, and r = 3h the hand-built pairs +-2, +-3.
     # The result must be a new C-contiguous array, since explicit_step
     # updates it in place
-    stencil = stencil_ball(r, h, p, d)
+    if d == 1:
+        stencil = stencil_1d(h, p) if r == h else _two_pair_stencil_1d(h, p)
+    else:
+        stencil = stencil_ball(r, h, p, d)
     rng = np.random.default_rng(n)
     field = GridField(d=d, h=h, half_width=n * h, values=rng.standard_normal((2 * n + 1,) * d),
                       extension=extension)
@@ -643,3 +739,4 @@ def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, exten
     for buf in written + (work.padded, field.values):
         assert not np.shares_memory(out, buf)
     assert out.tobytes() == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
+    assert out.tobytes() == _apply_dp_grid_previous_workspace(stencil, field).tobytes()

@@ -547,9 +547,9 @@ def test_source_is_skipped_only_when_every_bit_is_clear(monkeypatch, f_value):
 def test_kept_levels_are_distinct_arrays():
     # a level must not share memory with any other, so keeping the whole
     # list cannot see later steps overwrite earlier ones; the run's scratch
-    # arrays (padded copy, edges or terms) must never be handed out. One
-    # test over both kernels (d = 1 edge form, d = 2 offset loop) and both
-    # extensions.
+    # arrays (padded copy, differences, terms, accumulator) must never be
+    # handed out. One test over d = 1 (the two-point stencil's single edge
+    # pass) and d = 2 (passes per offset), and both extensions.
     data = _wavy_data()
     for d in (1, 2):
         for extension in ("zero", "boundary"):
@@ -570,6 +570,16 @@ def test_solve_zero_data_stays_zero():
         Trajectory(levels=traj.levels[:-1], config=cfg)
     for lev in traj.levels:
         assert np.all(lev.values == 0.0)
+
+
+def test_trajectory_compares_by_identity():
+    # levels hold arrays, so a trajectory compares and hashes by identity
+    cfg = plan_config(3.0, 1, 0.5, 1.0, zero_data(), h=0.25, num_steps=2)
+    traj = solve(cfg, zero_data())
+    twin = Trajectory(levels=traj.levels, config=cfg)
+    assert traj == traj and twin == twin
+    assert traj != twin
+    assert len({traj, twin}) == 2
 
 
 def test_solve_affine_in_time_is_exact():
