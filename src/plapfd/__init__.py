@@ -58,12 +58,9 @@ from .stepping import (
     HolderData,
     SchemeConfig,
     Trajectory,
-    cfl_report,
-    cfl_tau_max,
     constant_data,
     explicit_step,
     iter_levels,
-    ktilde,
     oscillatory_data,
     plan_config,
     solve,
@@ -99,8 +96,6 @@ __all__ = [
     "barenblatt_eval",
     "barenblatt_lipschitz",
     "barenblatt_solution",
-    "cfl_report",
-    "cfl_tau_max",
     "check_jp_taylor_bound",
     "consistency_table",
     "constant_data",
@@ -111,7 +106,6 @@ __all__ = [
     "grid_axis",
     "iter_levels",
     "jp",
-    "ktilde",
     "mollifier_constants",
     "observed_order",
     "oscillatory_data",

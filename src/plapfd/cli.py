@@ -38,13 +38,15 @@ from .operators import _check_p, _one_of, grid_points, grid_radius
 from .stepping import (
     HolderData,
     _zero,
-    cfl_report,
     constant_data,
     iter_levels,
     plan_config,
+    stencil_for,
+    theoretical_step_bound,
 )
 
 _NUMBER = (int, float)
+_NUMBERS = (list,)  # a list of _NUMBER elements, each checked
 _NO_DEFAULT = object()  # an optional key that DEFAULTS leaves out
 
 # key -> (default, accepted types, nullable); nested dicts hold their own
@@ -78,9 +80,9 @@ _SCHEMA = {
         "sup_f": (_NO_DEFAULT, _NUMBER, False),
         "support_radius": (_NO_DEFAULT, _NUMBER, True),
     },
-    "snapshot_times": ([1.0], (list,), False),
-    "levels": ([0.04, 0.02, 0.01, 0.005], (list,), False),
-    "r_levels": ([0.4, 0.2, 0.1, 0.05], (list,), False),
+    "snapshot_times": ([1.0], _NUMBERS, False),
+    "levels": ([0.04, 0.02, 0.01, 0.005], _NUMBERS, False),
+    "r_levels": ([0.4, 0.2, 0.1, 0.05], _NUMBERS, False),
     "window": (0.15, _NUMBER, False),
     "samples": (1000, (int,), False),
     "seed": (20260817, (int,), False),
@@ -117,11 +119,19 @@ def _validate(cfg: dict, schema=_SCHEMA, path="") -> None:
             if not nullable:
                 raise ConfigurationError(f"{where} must not be null")
             continue
-        if isinstance(val, bool) or not isinstance(val, types):
-            raise ConfigurationError(
-                f"{where} has type {type(val).__name__}, expected "
-                + " or ".join(t.__name__ for t in types)
-            )
+        _check_type(where, val, types)
+        if types is _NUMBERS:
+            for i, x in enumerate(val):
+                _check_type(f"{where}[{i}]", x, _NUMBER)
+
+
+def _check_type(where: str, val, types: tuple) -> None:
+    """Refuse ``val`` unless it is one of ``types``; a bool is never a number."""
+    if isinstance(val, bool) or not isinstance(val, types):
+        raise ConfigurationError(
+            f"{where} has type {type(val).__name__}, expected "
+            + " or ".join(t.__name__ for t in types)
+        )
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -252,12 +262,6 @@ def _require_dir(path: str) -> None:
         raise FileNotFoundError(f"output directory does not exist: {path}")
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
-
-
 def _write_table(path: str, header: str, table, delimiter=",", newline="\r\n") -> None:
     """Write one header line, then the rows of ``table`` with every value as
     ``%.17g``, which round-trips each double."""
@@ -305,7 +309,11 @@ def cmd_solve(cfg: dict) -> int:
                     "level": j,
                     "t": j * config.tau,
                 }
-    report = cfl_report(config, data)
+    try:
+        kt, C, tau_max, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
+    except ConfigurationError:  # d outside the mollifier table, or outside float range
+        kt = C = tau_max = None
+    stencil = stencil_for(config)
     metadata = {
         "config": cfg,  # the inputs as given: a re-fed file plans the run again
         "derived": {
@@ -313,11 +321,11 @@ def cmd_solve(cfg: dict) -> int:
             "tau": config.tau,
             "nodes_per_axis": 2 * grid_radius(config.h, config.half_width) + 1,
             "cfl_mode": config.cfl_mode,
-            "Ktilde": _json_safe(report["Ktilde"]),
-            "C": _json_safe(report["C"]),
-            "tau_max_theoretical": _json_safe(report["tau_max_theoretical"]),
-            "M_bound": report["M_bound"],
-            "stencil_size": report["stencil_size"],
+            "Ktilde": kt,
+            "C": C,
+            "tau_max_theoretical": tau_max,
+            "M_bound": stencil.M_bound,
+            "stencil_size": len(stencil),
             "seed": cfg["seed"],
         },
         "outputs": {"snapshots": outputs},

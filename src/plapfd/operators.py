@@ -169,7 +169,12 @@ def couple_h_to_r(r, p, d: int, c=0.1):
         gamma = p / (p - 1.0)
     else:
         gamma = 1.5
-    return min(c * r**gamma, r / math.sqrt(d))
+    try:
+        return min(c * r**gamma, r / math.sqrt(d))
+    except OverflowError:
+        raise ConfigurationError(
+            f"the coupled mesh size c * r^{gamma} is outside float range (r = {r}, c = {c})"
+        ) from None
 
 
 def grid_radius(h, half_width) -> int:
@@ -389,8 +394,9 @@ class Stencil:
             for row, weight in table.items():
                 if table.get(tuple(-b for b in row)) != weight:
                     raise ConfigurationError(f"weights not symmetric at offset {row}")
-        reach2 = (self.h**2) * np.sum(off.astype(float) ** 2, axis=1)
-        if np.any(reach2 > self.r**2 * (1.0 + _REL_SLACK) ** 2):
+        # |h*beta| <= r compared unsquared: h**2 overflows past h = 1.3e154
+        reach = self.h * np.sqrt(np.sum(off.astype(float) ** 2, axis=1))
+        if np.any(reach > self.r * (1.0 + _REL_SLACK)):
             raise ConfigurationError("an offset reaches outside the ball of radius r")
         bound = self.M_bound * self.r ** (-self.p)
         if float(np.sum(w)) > bound * (1.0 + _REL_SLACK):
@@ -421,13 +427,27 @@ def weight_sum_bound(d: int, p) -> float:
     return 2.0 if d == 1 else 2.0**d / dpd_constant(d, p)
 
 
+def _common_weight(weight, what: str) -> float:
+    """``weight()``, a stencil's common weight, refused unless finite and
+    positive, with a message naming ``what``: past float range a float
+    ``**`` raises OverflowError, a quotient by a power that underflowed to
+    0 raises ZeroDivisionError, and a result can round to inf or to 0."""
+    try:
+        w = weight()
+    except (OverflowError, ZeroDivisionError):
+        w = math.nan
+    if not 0.0 < w < math.inf:
+        raise ConfigurationError(f"the stencil weight {what} is outside float range")
+    return w
+
+
 def stencil_1d(h, p) -> Stencil:
     """Two-point stencil in one dimension: weights ``1/h^p`` at offsets
     -1 and +1, radius ``r = h``, weight-sum constant ``M_bound = 2``.
     """
     h = _positive("h", h)
     p = _check_p(p)
-    w = h ** (-p)
+    w = _common_weight(lambda: h ** (-p), f"h^-p (h = {h}, p = {p})")
     return Stencil(
         d=1,
         h=h,
@@ -454,12 +474,15 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
         raise ConfigurationError(
             f"h must satisfy h <= r/sqrt(d) = {r / math.sqrt(d):.6g} (got h={h})"
         )
+    w = _common_weight(
+        lambda: h**d / (dpd_constant(d, p) * unit_ball_volume(d) * r ** (p + d)),
+        f"h^d / (dpd_constant * omega_d * r^(p+d)) (h = {h}, r = {r}, p = {p})",
+    )
     m = int(math.floor(r / h + 1e-9))
     # C order of the cube [-m, m]^d is lexicographic, so no sort is needed
     cube = np.indices((2 * m + 1,) * d, dtype=np.int64).reshape(d, -1).T - m
     inside = (h * h * np.sum(cube * cube, axis=1) < r * r) & np.any(cube != 0, axis=1)
     offsets = cube[inside]
-    w = h**d / (dpd_constant(d, p) * unit_ball_volume(d) * r ** (p + d))
     weights = np.full(len(offsets), w)
     return Stencil(
         d=d,

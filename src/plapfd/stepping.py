@@ -91,75 +91,46 @@ class HolderData:
             object.__setattr__(self, "support_radius", sr)
 
 
-def ktilde(a, p, L_u0, K1, K2, M) -> float:
-    """Growth constant of the discrete solution in time.
-
-        Ktilde = 4^((1+(1-a)(p-1)) / (2+(1-a)(p-2))) * L_u0^(p / (2+(1-a)(p-2)))
-                 * ((p-1) * K1^(p-2) * K2 * M)^(a / (2+(1-a)(p-2))).
-
-    ``K1`` and ``K2`` are mollifier constants, ``M`` the weight-sum constant
-    of the stencil in use. Zero Lipschitz data gives Ktilde = 0.
-    """
-    p = _check_p(p)
-    a = _check_a(a)
-    L_u0, K1, K2, M = (
-        _nonnegative(name, val) for name, val in (("L_u0", L_u0), ("K1", K1), ("K2", K2), ("M", M))
-    )
-    denom = _cfl_exponent(a, p)
-    if L_u0 == 0.0:
-        return 0.0
-    return (
-        4.0 ** ((1.0 + (1.0 - a) * (p - 1.0)) / denom)
-        * L_u0 ** (p / denom)
-        * ((p - 1.0) * K1 ** (p - 2.0) * K2 * M) ** (a / denom)
-    )
-
-
-def cfl_tau_max(r, a, p, L_u0, L_f, T, Ktilde, M) -> float:
-    """Largest admissible time step, ``C * r^(2+(1-a)(p-2))`` with
-
-        C = min(1, 1 / (M * (p-1) * (L_u0 + T*L_f + 3*Ktilde + 1)^(p-2))).
-
-    At ``p = 2`` the exponent is 2 and ``C = 1/M`` regardless of the data;
-    at ``a = 1`` the exponent is 2 for every p.
-    """
-    p = _check_p(p)
-    a = _check_a(a)
-    r = _positive("r", r)
-    C = cfl_constant(a, p, L_u0, L_f, T, Ktilde, M)
-    return C * r ** _cfl_exponent(a, p)
-
-
-def cfl_constant(a, p, L_u0, L_f, T, Ktilde, M) -> float:
-    L_u0, L_f, T, Ktilde, M = (
-        _nonnegative(name, val)
-        for name, val in (("L_u0", L_u0), ("L_f", L_f), ("T", T), ("Ktilde", Ktilde), ("M", M))
-    )
-    p = float(p)
-    grad = L_u0 + T * L_f + 3.0 * Ktilde + 1.0
-    return min(1.0, 1.0 / (M * (p - 1.0) * grad ** (p - 2.0)))
-
-
 def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
     """The theoretical step rule for dimension ``d``, radius ``r`` and
-    horizon ``T``: ``(Ktilde, C, tau_max, M_bound)``.
+    horizon ``T``: ``(Ktilde, C, tau_max, M_bound)``, with ``e = 2 +
+    (1-a)(p-2)`` and
 
-    ``K1``/``K2`` come from :func:`plapfd.mollifier.mollifier_constants` and
-    ``M_bound`` from :func:`plapfd.operators.weight_sum_bound`; a ``d``
-    outside the mollifier table raises its ConfigurationError. So does a
-    bound outside float range: at large ``p`` the powers in Ktilde and C
-    overflow (a float ``**`` raises OverflowError, a product becomes inf),
-    and ``C`` or ``tau_max`` underflows to 0.
+        Ktilde = 4^((1+(1-a)(p-1)) / e) * L_u0^(p / e)
+                 * ((p-1) * K1^(p-2) * K2 * M_bound)^(a / e),
+        C = min(1, 1 / (M_bound * (p-1) * (L_u0 + T*L_f + 3*Ktilde + 1)^(p-2))),
+        tau_max = C * r^e.
+
+    Zero ``L_u0`` gives Ktilde = 0; at ``p = 2`` the exponent is 2 and ``C =
+    1/M_bound`` regardless of the data, and at ``a = 1`` the exponent is 2
+    for every p. ``K1``/``K2`` come from
+    :func:`plapfd.mollifier.mollifier_constants` and ``M_bound`` from
+    :func:`plapfd.operators.weight_sum_bound`; a ``d`` outside the mollifier
+    table raises its ConfigurationError. So does a bound outside float
+    range: at large ``p`` the powers in Ktilde and C overflow (a float
+    ``**`` raises OverflowError, a product becomes inf), and ``C`` or
+    ``tau_max`` underflows to 0. Every value returned is finite, ``C`` lies
+    in (0, 1] and ``tau_max`` is positive.
     """
     r = _positive("r", r)
+    p = _check_p(p)
+    T = _nonnegative("T", T)
     mc = mollifier_constants(d)
     M_bound = weight_sum_bound(d, p)
+    a, L_u0 = data.a, data.L_u0
+    e = _cfl_exponent(a, p)
     kt = C = tau_max = 0.0  # what an overflow leaves
     try:
-        kt = ktilde(data.a, p, data.L_u0, mc.K1, mc.K2, M_bound)
+        if L_u0 != 0.0:
+            kt = (
+                4.0 ** ((1.0 + (1.0 - a) * (p - 1.0)) / e)
+                * L_u0 ** (p / e)
+                * ((p - 1.0) * mc.K1 ** (p - 2.0) * mc.K2 * M_bound) ** (a / e)
+            )
         if kt < math.inf:
-            C = cfl_constant(data.a, p, data.L_u0, data.L_f, T, kt, M_bound)
-            tau_max = C * r ** _cfl_exponent(data.a, p)
+            grad = L_u0 + T * data.L_f + 3.0 * kt + 1.0
+            C = min(1.0, 1.0 / (M_bound * (p - 1.0) * grad ** (p - 2.0)))
+            tau_max = C * r**e
     except OverflowError:
         pass
     if not tau_max > 0.0:
@@ -262,17 +233,19 @@ def stencil_for(config: SchemeConfig) -> Stencil:
     """The stencil a config resolves to: two-point in 1D, ball otherwise.
 
     It is built on first use and kept on the config, which is immutable,
-    so a run and its :func:`cfl_report` share one enumeration of the ball.
+    so a run and its metadata share one enumeration of the ball.
     """
     return config._stencil
 
 
 def _step_ratio(T: float, step: float, name: str) -> float:
-    """``T / step``, refused unless it is finite: a step that underflowed to
-    0 or is subnormal raises ConfigurationError naming ``name``."""
-    if step > 0.0 and T / step < math.inf:
+    """``T / step``, refused unless the step and the ratio are finite: a
+    step that overflowed to inf, or one that underflowed to 0 or is
+    subnormal, raises ConfigurationError naming ``name``."""
+    if 0.0 < step < math.inf and T / step < math.inf:
         return T / step
-    raise ConfigurationError(f"{name} gives a time step too small for float range (T = {T})")
+    size = "large" if step == math.inf else "small"
+    raise ConfigurationError(f"{name} gives a time step too {size} for float range (T = {T})")
 
 
 def plan_config(
@@ -309,7 +282,10 @@ def plan_config(
     elif tau is not None:
         N = max(1, int(round(_step_ratio(T, _positive("tau", tau), "tau"))))
     elif _one_of("cfl_mode", cfl_mode, _CFL_MODES) == "practical":
-        target = _positive("c_practical", c_practical) * r ** _cfl_exponent(data.a, p)
+        try:
+            target = _positive("c_practical", c_practical) * r ** _cfl_exponent(data.a, p)
+        except OverflowError:  # r ** e past float range
+            target = math.inf
         N = max(1, int(math.ceil(_step_ratio(T, target, "c_practical") - 1e-9)))
     else:
         _, _, target, _ = theoretical_step_bound(p, d, r, T, data)
@@ -326,31 +302,6 @@ def plan_config(
         cfl_mode=cfl_mode,
         extension=extension,
     )
-
-
-def cfl_report(config: SchemeConfig, data: HolderData) -> dict:
-    """Constants behind the theoretical step bound, for logs and metadata.
-
-    ``Ktilde``, ``C`` and ``tau_max_theoretical`` are NaN where the bound is
-    unavailable: for a ``d`` the mollifier table lacks, or where it is
-    outside float range (see :func:`theoretical_step_bound`). Those are the
-    only ConfigurationErrors the bound can raise here: every other check
-    inside it sees values that SchemeConfig and HolderData have already
-    validated, the tabulated mollifier constants, or a Ktilde checked to be
-    finite.
-    """
-    stencil = stencil_for(config)
-    try:
-        kt, C, tau_max, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
-    except ConfigurationError:
-        kt = tau_max = C = float("nan")
-    return {
-        "Ktilde": kt,
-        "C": C,
-        "tau_max_theoretical": tau_max,
-        "M_bound": stencil.M_bound,
-        "stencil_size": len(stencil),
-    }
 
 
 def explicit_step(

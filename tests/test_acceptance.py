@@ -19,9 +19,7 @@ from plapfd import (
     consistency_table,
     constant_data,
     convergence_study,
-    cfl_tau_max,
     dpd_constant,
-    ktilde,
     mollifier_constants,
     observed_order,
     oscillatory_data,
@@ -32,6 +30,7 @@ from plapfd import (
     solve,
     sqrt_cusp_data,
     tent_data,
+    theoretical_step_bound,
 )
 
 
@@ -158,9 +157,7 @@ def test_criterion_4_proposition_suite(capsys):
     # bound (for p > 2 the constant is conservative enough that 1000x can
     # still be stable)
     data = oscillatory_data(0.1)
-    mc = mollifier_constants(1)
-    kt = ktilde(1.0, 2.0, data.L_u0, mc.K1, mc.K2, 2.0)
-    tau_max = cfl_tau_max(0.1, 1.0, 2.0, data.L_u0, data.L_f, 1.0, kt, 2.0)
+    tau_max = theoretical_step_bound(2.0, 1, 0.1, 1.0, data)[2]
     tau = 1000.0 * tau_max
     cfg = plan_config(2.0, 1, 8 * tau, 1.0, data, h=0.1, tau=tau)
     violated = run_property_suite(cfg, data, samples=1000, seed=20260817)

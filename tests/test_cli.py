@@ -100,6 +100,28 @@ _P50_TENT = [
         ([*_P50_TENT, "--d=2"], 2, "tabulated data is one-dimensional"),
         (["convergence", "--d=2"], 2, "the convergence benchmark is one-dimensional"),
         (["convergence", "--cfl.mode=theoretical"], 2, "uses the practical step rule"),
+        (["solve", "--snapshot_times=[null]"], 2, "snapshot_times[0] has type NoneType"),
+        (["solve", "--snapshot_times=[[1]]"], 2, "snapshot_times[0] has type list"),
+        (["solve", '--snapshot_times=["a"]'], 2, "snapshot_times[0] has type str"),
+        (["consistency", "--r_levels=[null]"], 2, "r_levels[0] has type NoneType"),
+        (["convergence", "--levels=[null,0.1,0.2]"], 2, "levels[0] has type NoneType"),
+        (["convergence", "--levels=[0.5,true,0.25]"], 2, "levels[1] has type bool"),
+        (["solve", "--p=400", "--h=0.1"], 2, "weight h^-p (h = 0.1, p = 400.0) is outside float range"),
+        (["consistency", "--d=2", "--p=400", "--r_levels=[0.1]"], 2, "stencil weight h^d / ("),
+        (["consistency", "--d=2", "--r_levels=[1e200]"], 2, "stencil weight h^d / ("),
+        (["consistency", "--d=1", "--p=3", "--r_levels=[1e120]"], 2, "stencil weight h^-p"),
+        (["consistency", "--d=2", "--r_levels=[1e250]"], 2, "coupled mesh size c * r^1.5"),
+        (
+            ["solve", "--d=2", "--r=1e200", "--h=null", "--T=0.01", "--snapshot_times=[0.01]"],
+            2,
+            "c_practical gives a time step too large for float range",
+        ),
+        (
+            ["solve", "--d=4", "--r=0.5", "--h=0.25", "--half_width=1.0", "--T=0.1",
+             "--data.kind=constant", "--num_steps=2", "--snapshot_times=[0.1]"],
+            0,
+            None,
+        ),
     ],
     ids=[
         "cfl.c=0",
@@ -134,6 +156,19 @@ _P50_TENT = [
         "tabulated-in-2d",
         "convergence-2d",
         "convergence-theoretical",
+        "snapshot-null",
+        "snapshot-nested",
+        "snapshot-string",
+        "r_levels-null",
+        "levels-null",
+        "levels-bool",
+        "1d-weight-overflows",
+        "2d-weight-underflows",
+        "2d-weight-overflows",
+        "1d-weight-underflows",
+        "coupling-overflows",
+        "practical-target-overflows",
+        "d4-practical",
     ],
 )
 def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
@@ -145,7 +180,10 @@ def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     # as a step too small; num_steps given with tau was dropped; main must
     # return, never raise, and a failed run writes no metadata; TMP names
     # tmp_path, which holds a config file that is a list and a metadata
-    # file whose config block is not an object
+    # file whose config block is not an object; a null, nested or string
+    # element of a number list raised TypeError or named no key, and a
+    # bool ran as 1.0; a stencil weight or step past float range raised
+    # OverflowError or ZeroDivisionError, or ran on weights [0, 0]
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "meta.json").write_text('{"config": 3, "derived": {}}')
     argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]

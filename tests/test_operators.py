@@ -168,6 +168,26 @@ def test_stencil_ball_precondition():
         stencil_ball(1.0, 0.5, 2.0, 1)
 
 
+def test_stencil_weights_outside_float_range_are_refused():
+    # h^-p overflowed (OverflowError), r^(p+d) underflowed to 0
+    # (ZeroDivisionError), h^d overflowed, and h^-p underflowed to weights
+    # [0, 0], which gave NaN operator values
+    for build in (
+        lambda: stencil_1d(0.1, 400.0),
+        lambda: stencil_ball(0.1, 0.1**2.5, 400.0, 2),
+        lambda: stencil_ball(1e200, 1e200 / math.sqrt(2.0), 4.0, 2),
+        lambda: stencil_1d(1e120, 3.0),
+    ):
+        with pytest.raises(ConfigurationError, match="stencil weight .* outside float range"):
+            build()
+    # a subnormal weight is finite and positive; the reach check's h**2
+    # used to overflow on it
+    s = stencil_1d(1e155, 2.0)
+    assert s.weights[0] == 1e155 ** (-2.0) > 0.0
+    with pytest.raises(ConfigurationError, match="coupled mesh size .* outside float range"):
+        couple_h_to_r(1e250, 4.0, 2)
+
+
 def test_stencil_ball_weight_sum_bound():
     rng = np.random.default_rng(20260817)
     for _ in range(20):

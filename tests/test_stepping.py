@@ -17,13 +17,10 @@ from plapfd import (
     barenblatt_data,
     barenblatt_eval,
     barenblatt_solution,
-    cfl_report,
-    cfl_tau_max,
     constant_data,
     couple_h_to_r,
     explicit_step,
     iter_levels,
-    ktilde,
     oscillatory_data,
     plan_config,
     sample_on_grid,
@@ -35,7 +32,8 @@ from plapfd import (
     theoretical_step_bound,
     time_interpolate,
 )
-from plapfd import stepping
+from plapfd import mollifier_constants, stepping
+from plapfd.operators import _check_p, _nonnegative, _positive, weight_sum_bound
 from test_operators import _apply_dp_grid_padded_reference
 
 
@@ -63,47 +61,135 @@ def test_holder_data_validation():
             build()
 
 
-def test_ktilde_reference_values():
-    # at a = 1, p = 2 the exponents collapse: Ktilde = 2 L sqrt(K2 M)
-    assert ktilde(1.0, 2.0, 1.0, 123.456, 2.0, 2.0) == 4.0
-    assert ktilde(0.7, 5.0, 0.0, 1.0, 1.0, 1.0) == 0.0
-    val = ktilde(1.0, 4.0, 0.5, 1.657, 10.83, 2.0)
-    assert val == pytest.approx(
-        2.0 * 0.25 * math.sqrt(3.0 * 1.657**2 * 10.83 * 2.0), rel=1e-12
+def _holder(a, L_u0):
+    return HolderData(u0=abs, f=abs, a=a, L_u0=L_u0, L_f=0.0, sup_u0=1.0, sup_f=0.0)
+
+
+# The step rule as it was computed before theoretical_step_bound absorbed
+# it: ktilde and cfl_constant, and their composition, copied verbatim. The
+# bound must give the same four floats and the same refusals.
+def _ktilde_reference(a, p, L_u0, K1, K2, M):
+    p = _check_p(p)
+    a = stepping._check_a(a)
+    L_u0, K1, K2, M = (
+        _nonnegative(name, val) for name, val in (("L_u0", L_u0), ("K1", K1), ("K2", K2), ("M", M))
     )
-    assert val == pytest.approx(6.678552837628823, rel=1e-12)
+    denom = stepping._cfl_exponent(a, p)
+    if L_u0 == 0.0:
+        return 0.0
+    return (
+        4.0 ** ((1.0 + (1.0 - a) * (p - 1.0)) / denom)
+        * L_u0 ** (p / denom)
+        * ((p - 1.0) * K1 ** (p - 2.0) * K2 * M) ** (a / denom)
+    )
+
+
+def _cfl_constant_reference(a, p, L_u0, L_f, T, Ktilde, M):
+    L_u0, L_f, T, Ktilde, M = (
+        _nonnegative(name, val)
+        for name, val in (("L_u0", L_u0), ("L_f", L_f), ("T", T), ("Ktilde", Ktilde), ("M", M))
+    )
+    p = float(p)
+    grad = L_u0 + T * L_f + 3.0 * Ktilde + 1.0
+    return min(1.0, 1.0 / (M * (p - 1.0) * grad ** (p - 2.0)))
+
+
+def _step_bound_reference(p, d, r, T, data):
+    r = _positive("r", r)
+    mc = mollifier_constants(d)
+    M_bound = weight_sum_bound(d, p)
+    kt = C = tau_max = 0.0
+    try:
+        kt = _ktilde_reference(data.a, p, data.L_u0, mc.K1, mc.K2, M_bound)
+        if kt < math.inf:
+            C = _cfl_constant_reference(data.a, p, data.L_u0, data.L_f, T, kt, M_bound)
+            tau_max = C * r ** stepping._cfl_exponent(data.a, p)
+    except OverflowError:
+        pass
+    if not tau_max > 0.0:
+        raise ConfigurationError(
+            f"the theoretical step bound is outside float range "
+            f"(p = {p}, L_u0 = {data.L_u0}, L_f = {data.L_f}, T = {T})"
+        )
+    return kt, C, tau_max, M_bound
+
+
+def test_theoretical_step_bound_matches_its_reference():
+    refused = 0
+    for d, p, a, L_u0, L_f, T, r in itertools.product(
+        (1, 2, 3),
+        (2.0, 2.5, 3.0, 3.7, 4.0, 10.0, 50.0, 200.0),
+        (0.25, 0.5, 1.0),
+        (0.0, 0.08, 1.0, 1e3),
+        (0.0, 0.5),
+        (0.01, 1.0),
+        (0.02, 0.1, 0.5),
+    ):
+        data = HolderData(u0=abs, f=abs, a=a, L_u0=L_u0, L_f=L_f, sup_u0=1.0, sup_f=1.0)
+        try:
+            want = _step_bound_reference(p, d, r, T, data)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as got:
+                theoretical_step_bound(p, d, r, T, data)
+            assert str(got.value) == str(exc)
+            refused += 1
+        else:
+            got = theoretical_step_bound(p, d, r, T, data)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert 0 < refused < 3456
+
+
+def test_ktilde_reference_values():
+    # Ktilde, the bound's first output, from the tabulated K1 and K2
+    mc = mollifier_constants(1)
+    # at a = 1, p = 2 the exponents collapse: Ktilde = 2 L sqrt(K2 M)
+    kt, _, _, M = theoretical_step_bound(2.0, 1, 0.1, 1.0, _holder(1.0, 1.0))
+    assert M == 2.0
+    assert kt == pytest.approx(2.0 * math.sqrt(mc.K2 * 2.0), rel=1e-12)
+    assert theoretical_step_bound(5.0, 1, 0.1, 1.0, _holder(0.7, 0.0))[0] == 0.0
+    kt = theoretical_step_bound(4.0, 1, 0.1, 1.0, _holder(1.0, 0.5))[0]
+    assert kt == pytest.approx(
+        2.0 * 0.25 * math.sqrt(3.0 * mc.K1**2 * mc.K2 * 2.0), rel=1e-12
+    )
 
 
 def test_ktilde_validation():
-    with pytest.raises(ValueError):
-        ktilde(0.0, 3.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ktilde(0.5, 1.5, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ktilde(0.5, 3.0, -1.0, 1.0, 1.0, 1.0)
+    # a zero exponent and a negative seminorm never reach the bound:
+    # HolderData refuses them (test_holder_data_validation); p is checked here
+    for p in (1.5, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="p must be"):
+            theoretical_step_bound(p, 1, 0.1, 1.0, _holder(0.5, 1.0))
 
 
 def test_cfl_tau_max_p2_is_half_r_squared():
+    # at p = 2, C = 1/M_bound whatever the data
+    data = HolderData(u0=abs, f=abs, a=1.0, L_u0=7.0, L_f=3.0, sup_u0=1.0, sup_f=1.0)
     for r in (0.5, 0.1, 0.02):
-        assert cfl_tau_max(r, 1.0, 2.0, 7.0, 3.0, 10.0, 5.0, 2.0) == 0.5 * r**2
+        _, C, tau_max, _ = theoretical_step_bound(2.0, 1, r, 10.0, data)
+        assert C == 0.5
+        assert tau_max == 0.5 * r**2
 
 
 def test_cfl_tau_max_exponents():
-    # a = 1: quadratic in r for every p
-    t1 = cfl_tau_max(0.1, 1.0, 7.0, 1.0, 0.0, 1.0, 2.0, 2.0)
-    t2 = cfl_tau_max(0.2, 1.0, 7.0, 1.0, 0.0, 1.0, 2.0, 2.0)
-    assert t2 / t1 == pytest.approx(4.0, rel=1e-12)
-    # a = 1/2, p = 4: cubic in r
-    t1 = cfl_tau_max(0.1, 0.5, 4.0, 1.0, 0.0, 1.0, 2.0, 2.0)
-    t2 = cfl_tau_max(0.2, 0.5, 4.0, 1.0, 0.0, 1.0, 2.0, 2.0)
-    assert t2 / t1 == pytest.approx(8.0, rel=1e-12)
+    def ratio(p, a):
+        data = _holder(a, 1.0)
+        t1 = theoretical_step_bound(p, 1, 0.1, 1.0, data)[2]
+        t2 = theoretical_step_bound(p, 1, 0.2, 1.0, data)[2]
+        return t2 / t1
+
+    # a = 1: quadratic in r for every p; a = 1/2, p = 4: cubic in r
+    assert ratio(7.0, 1.0) == pytest.approx(4.0, rel=1e-12)
+    assert ratio(4.0, 0.5) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_cfl_tau_max_validation():
-    with pytest.raises(ValueError):
-        cfl_tau_max(-0.1, 1.0, 2.0, 1.0, 0.0, 1.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        cfl_tau_max(0.1, 1.0, 2.0, -1.0, 0.0, 1.0, 0.0, 2.0)
+    for r, T, named in (
+        (-0.1, 1.0, "r must be finite and positive"),
+        (0.1, -1.0, "T must be finite and >= 0"),
+        (0.1, math.inf, "T must be finite and >= 0"),
+    ):
+        with pytest.raises(ConfigurationError, match=named):
+            theoretical_step_bound(2.0, 1, r, T, _holder(1.0, 1.0))
 
 
 def test_scheme_config_step_count_consistency():
@@ -235,12 +321,12 @@ def test_plan_config_practical_step_target():
 def test_plan_config_theoretical_step_respects_bound():
     data = sqrt_cusp_data()
     cfg = plan_config(3.0, 1, 0.1, 2.0, data, h=0.1, cfl_mode="theoretical")
-    rep = cfl_report(cfg, data)
-    assert cfg.tau <= rep["tau_max_theoretical"] * (1.0 + 1e-12)
-    assert rep["M_bound"] == 2.0
-    assert rep["stencil_size"] == 2
-    assert math.isfinite(rep["Ktilde"]) and rep["Ktilde"] > 0.0
-    assert 0.0 < rep["C"] <= 1.0
+    kt, C, tau_max, M_bound = theoretical_step_bound(cfg.p, cfg.d, cfg.r, cfg.T, data)
+    assert cfg.tau <= tau_max * (1.0 + 1e-12)
+    assert M_bound == stencil_for(cfg).M_bound == 2.0
+    assert len(stencil_for(cfg)) == 2
+    assert math.isfinite(kt) and kt > 0.0
+    assert 0.0 < C <= 1.0
     # a subnormal bound (4.8e-319 here) made T / bound inf and math.ceil raise
     with pytest.raises(ConfigurationError, match="theoretical step bound gives a time step"):
         plan_config(3.0, 1, 0.01, 2.0, tent_data(), h=1e-158, cfl_mode="theoretical")
@@ -253,12 +339,12 @@ def test_directly_built_theoretical_config_uses_the_planned_bound():
         p=3.0, d=1, T=0.1, r=0.1, h=0.1, tau=planned.tau, N=planned.N, half_width=2.0,
         cfl_mode="theoretical",
     )
-    assert cfl_report(direct, data) == cfl_report(planned, data)
-    kt, C, tau_max, M_bound = theoretical_step_bound(3.0, 1, 0.1, 0.1, data)
-    assert cfl_report(direct, data) == {
-        "Ktilde": kt, "C": C, "tau_max_theoretical": tau_max, "M_bound": M_bound,
-        "stencil_size": 2,
-    }
+    def bound(cfg):
+        return theoretical_step_bound(cfg.p, cfg.d, cfg.r, cfg.T, data)
+
+    assert bound(direct) == bound(planned) == theoretical_step_bound(3.0, 1, 0.1, 0.1, data)
+    assert stencil_for(direct).weights.tolist() == stencil_for(planned).weights.tolist()
+    tau_max = bound(direct)[2]
 
     # L_f = 0, so the bound does not depend on T and four steps can sit on it
     def four_steps(tau):
@@ -276,16 +362,16 @@ def test_directly_built_theoretical_config_uses_the_planned_bound():
 def test_plan_config_theoretical_needs_tabulated_constants():
     with pytest.raises(ConfigurationError, match="mollifier constants are tabulated"):
         plan_config(3.0, 4, 1.0, 2.0, zero_data(), r=0.5, cfl_mode="theoretical")
-    # the report of a d = 4 practical run leaves the bound's constants NaN
-    cfg = SchemeConfig(p=3.0, d=4, T=0.1, r=0.5, h=0.25, tau=0.05, N=2, half_width=1.0)
-    rep = cfl_report(cfg, zero_data())
-    assert all(math.isnan(rep[k]) for k in ("Ktilde", "C", "tau_max_theoretical"))
+    # a d = 4 practical run plans without the bound, which refuses it alone
+    cfg = plan_config(3.0, 4, 0.1, 1.0, zero_data(), r=0.5, h=0.25, num_steps=2)
+    with pytest.raises(ConfigurationError, match="mollifier constants are tabulated"):
+        theoretical_step_bound(cfg.p, cfg.d, cfg.r, cfg.T, zero_data())
 
 
 def test_theoretical_step_bound_is_finite_or_outside_float_range():
     # On validated data the bound's constants are finite and positive, or the
     # bound is refused as outside float range: no other check inside it can
-    # fire, so cfl_report's NaN fallback covers that case and d > 3 only.
+    # fire, so the CLI's null fallback covers that case and d > 3 only.
     refused = 0
     for d, p, a, L in itertools.product(
         (1, 2, 3), (2.0, 3.0, 10.0, 50.0, 200.0), (0.25, 1.0), (0.0, 1.0, 1e3)
@@ -299,12 +385,14 @@ def test_theoretical_step_bound_is_finite_or_outside_float_range():
         else:
             assert 0.0 <= kt < math.inf and 0.0 < C <= 1.0 and 0.0 < tau_max < math.inf
     assert refused > 0
-    # p = 50 with L_u0 = 1: float ** raised OverflowError in ktilde/cfl_constant
+    # p = 50 with L_u0 = 1: a float ** raises OverflowError inside the bound;
+    # the practical rule still plans the run
     data = tent_data()
     with pytest.raises(ConfigurationError, match="outside float range"):
         plan_config(50.0, 1, 0.01, 2.0, data, h=0.1, cfl_mode="theoretical")
-    rep = cfl_report(plan_config(50.0, 1, 0.01, 2.0, data, h=0.1), data)
-    assert all(math.isnan(rep[k]) for k in ("Ktilde", "C", "tau_max_theoretical"))
+    cfg = plan_config(50.0, 1, 0.01, 2.0, data, h=0.1)
+    with pytest.raises(ConfigurationError, match="outside float range"):
+        theoretical_step_bound(cfg.p, cfg.d, cfg.r, cfg.T, data)
 
 
 def test_explicit_step_heat_by_hand():
