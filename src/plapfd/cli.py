@@ -199,6 +199,8 @@ def _interp_table(table, name):
         vs = np.array([float(row[1]) for row in table])
     except (TypeError, ValueError, IndexError):
         raise ConfigurationError(f"{name} must be a list of [x, value] pairs")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        raise ConfigurationError(f"{name} must hold finite numbers")
     if len(xs) < 2 or np.any(np.diff(xs) <= 0):
         raise ConfigurationError(f"{name} needs at least 2 rows with increasing x")
 

@@ -21,11 +21,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Above this exponent the signed power runs through exp/log to dodge
-# intermediate overflow; below it, plain powers keep small integer cases
-# (heat equation, cubic stencils on dyadic grids) exact in floating point.
-_LOG_SPACE_P = 32.0
-
 # multiplicative slack for validation of float identities
 _REL_SLACK = 1e-12
 
@@ -75,10 +70,11 @@ def _signed_power(xi, p, out):
     """Write ``|xi|^(p-2) * xi`` into ``out`` (same shape) and return it.
 
     The one evaluation of the signed power, shared by jp, apply_dp and
-    apply_dp_grid, and bit-identical to ``np.abs(xi) ** (p-2) * xi`` below
-    ``_LOG_SPACE_P``. ``xi`` is scratch: the log-space branch overwrites it.
-    No input validation, and no ``errstate``: callers silence overflow (to
-    inf, caught by the blow-up check) and ``log(0)``.
+    apply_dp_grid, and bit-identical to ``np.abs(xi) ** (p-2) * xi`` for
+    every ``p``. The power overflows only where the result does: for
+    ``|xi| >= 1``, ``|xi|^(p-2) <= |xi|^(p-1)``. No input validation, and
+    no ``errstate``: callers silence overflow (to inf, caught by the
+    blow-up check).
     """
     if p == 2.0:
         np.copyto(out, xi)
@@ -89,16 +85,10 @@ def _signed_power(xi, p, out):
         # x*x equals |x|**2; a third factor |x| at p = 5 would not match **3
         np.multiply(xi, xi, out=out)
         np.multiply(out, xi, out=out)
-    elif p <= _LOG_SPACE_P:
+    else:
         np.abs(xi, out=out)
         np.power(out, p - 2.0, out=out)
         np.multiply(out, xi, out=out)
-    else:
-        np.abs(xi, out=out)
-        np.log(out, out=out)
-        np.multiply(out, p - 1.0, out=out)
-        np.exp(out, out=out)
-        np.multiply(np.sign(xi, out=xi), out, out=out)
     return out
 
 
@@ -107,9 +97,7 @@ def jp(xi, p):
 
     Odd and nondecreasing in ``xi`` with ``jp(0) = 0``; the identity map at
     ``p = 2`` (a copy of the input, without arithmetic, so results are
-    bit-exact).
-    For large ``p`` the power is evaluated as ``sign(xi) * exp((p-1) *
-    log|xi|)``; magnitudes whose (p-1)-th power underflows come back as
+    bit-exact). Magnitudes whose (p-1)-th power underflows come back as
     signed zero, which is harmless inside the scheme.
 
     Accepts a scalar or an ndarray. Raises ``ValueError`` for ``p < 2`` or
@@ -119,7 +107,7 @@ def jp(xi, p):
     arr = np.array(xi, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("jp requires finite input")
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         out = _signed_power(arr, p, np.empty_like(arr))
     if np.isscalar(xi) or arr.ndim == 0:
         return float(out)
@@ -518,7 +506,7 @@ def apply_dp(stencil: Stencil, field: GridField, alpha) -> float:
             for beta in stencil.offsets.tolist()
         ]
     )
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         terms = _signed_power(diffs, stencil.p, np.empty_like(diffs))
     acc = 0.0
     for term, w in zip(terms.tolist(), stencil.weights.tolist()):
@@ -645,8 +633,8 @@ def apply_dp_grid(
     :func:`plapfd.stepping.iter_levels` allocates once per run for its
     stencil, grid and extension; without it, each call allocates its own.
     A caller who passes ``_work`` also owns the ``np.errstate``: overflow
-    to inf (caught by the caller's blow-up check), ``inf - inf`` and
-    ``log(0)`` must be silenced around the call, as
+    to inf (caught by the caller's blow-up check) and ``inf - inf`` must
+    be silenced around the call, as
     :func:`plapfd.stepping.iter_levels` does once per chunk of levels.
     Without ``_work`` the call silences them itself. The result is always
     a new C-contiguous array that shares no memory with the scratch.
@@ -654,7 +642,7 @@ def apply_dp_grid(
     _check_geometry(stencil, field)
     shape = field.values.shape
     if _work is None:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return _Workspace(stencil, shape, field.extension).apply(field)
     if _work.stencil is not stencil or _work.shape != shape or _work.extension != field.extension:
         raise ConfigurationError("workspace was built for another stencil, grid or extension")

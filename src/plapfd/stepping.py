@@ -321,8 +321,8 @@ def explicit_step(
     BlowUpError naming the first offending node in scan order (and the
     step index when given). The checked array is wrapped without
     validating it again. One ``np.errstate`` covers the operator call and
-    the update, so overflow, ``inf - inf`` and ``log(0)`` stay silent and
-    show up only as the non-finite values the check reports.
+    the update, so overflow and ``inf - inf`` stay silent and show up
+    only as the non-finite values the check reports.
 
     With ``_work``, the operator's scratch arrays owned by
     :func:`iter_levels`, the step leaves four things to that caller: the
@@ -341,7 +341,7 @@ def explicit_step(
         or f_values.values.shape != field.values.shape
     ):
         raise ConfigurationError("source term sampled on a different grid")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = _advance(field, stencil, f_values, tau, None)
     node = _nonfinite_node(out, field.n)
     if node is not None:
@@ -446,7 +446,7 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     yield u
     for first in range(1, config.N + 1, chunk):
         levels = []
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(min(chunk, config.N + 1 - first)):
                 u = explicit_step(u, stencil, source, tau, _work=work)
                 levels.append(u)

@@ -97,6 +97,14 @@ _P50_TENT = [
         (["solve", "--cfl=3", "--cfl.c=2"], 2, "conflicting overrides at 'cfl.c'"),
         ([*_P50_TENT, "--data.u0_table=[1]"], 2, "data.u0_table must be a list of [x, value] pairs"),
         ([*_P50_TENT, "--data.u0_table=[[0,1]]"], 2, "data.u0_table needs at least 2 rows"),
+        ([*_P50_TENT, "--data.u0_table=[[-Infinity,0],[0,1],[1,0]]"], 2,
+         "data.u0_table must hold finite numbers"),
+        ([*_P50_TENT, "--data.u0_table=[[NaN,0],[0,1],[1,0]]"], 2,
+         "data.u0_table must hold finite numbers"),
+        ([*_P50_TENT, "--data.f_table=[[-1,0],[1,Infinity]]"], 2,
+         "data.f_table must hold finite numbers"),
+        ([*_P50_TENT, "--data.f_table=[[-1,0],[1,NaN]]"], 2,
+         "data.f_table must hold finite numbers"),
         ([*_P50_TENT, "--d=2"], 2, "tabulated data is one-dimensional"),
         (["convergence", "--d=2"], 2, "the convergence benchmark is one-dimensional"),
         (["convergence", "--cfl.mode=theoretical"], 2, "uses the practical step rule"),
@@ -153,6 +161,10 @@ _P50_TENT = [
         "conflicting-overrides",
         "table-rows-not-pairs",
         "table-one-row",
+        "table-x-infinite",
+        "table-x-nan",
+        "f-table-value-infinite",
+        "f-table-value-nan",
         "tabulated-in-2d",
         "convergence-2d",
         "convergence-theoretical",
@@ -183,7 +195,9 @@ def test_out_of_range_numbers_exit_cleanly(tmp_path, capsys, argv, code, named):
     # file whose config block is not an object; a null, nested or string
     # element of a number list raised TypeError or named no key, and a
     # bool ran as 1.0; a stencil weight or step past float range raised
-    # OverflowError or ZeroDivisionError, or ran on weights [0, 0]
+    # OverflowError or ZeroDivisionError, or ran on weights [0, 0]; an
+    # infinite table abscissa ran on np.interp's edge value, and a NaN one
+    # was refused in a message naming no key
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "meta.json").write_text('{"config": 3, "derived": {}}')
     argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]

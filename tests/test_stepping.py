@@ -456,9 +456,10 @@ def test_blow_up_names_node_and_step():
 
 
 def test_blow_up_and_evaluation_past_the_support_are_silent():
-    # overflow, inf - inf and log(0) are silenced where they happen, so the
-    # blow-up surfaces only as BlowUpError and the exact profile warns not
-    # at all, also with every warning turned into an error
+    # overflow and inf - inf in the step, and log(0) in the exact profile,
+    # are silenced where they happen, so the blow-up surfaces only as
+    # BlowUpError and the exact profile warns not at all, also with every
+    # warning turned into an error
     data = oscillatory_data(0.1)
     cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
     sol = barenblatt_solution(1, 4.0)
