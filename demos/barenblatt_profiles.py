@@ -45,7 +45,7 @@ def main(argv=None):
     print(f"p={args.p:g}  h={cfg.h:g}  r={cfg.r:g}  tau={cfg.tau:.3e}  steps={cfg.N}")
 
     want = np.linspace(0.0, args.T, args.snapshots)
-    idx = sorted({int(round(t / cfg.tau)) for t in want})
+    idx = sorted({cfg.nearest_level(t) for t in want})
     keep = {}
     for j, level in enumerate(iter_levels(cfg, data)):
         if j in idx:
@@ -55,7 +55,7 @@ def main(argv=None):
     print(f"{'t':>8} {'support':>9} {'peak num':>10} {'peak exact':>11} {'max |dev|':>10}")
     curves = []
     for j in idx:
-        t = j * cfg.tau
+        t = float(cfg.times(j))
         exact = barenblatt_eval(sol, xs, t)
         num = keep[j].values
         dev = float(np.max(np.abs(num - exact)))

@@ -31,10 +31,9 @@ from .stepping import (
     HolderData,
     SchemeConfig,
     Trajectory,
-    _bracket,
     _cfl_exponent,
     _geometry,
-    _interpolate,
+    _interpolant,
     _levels_per_block,
     _node,
     _stencil_of,
@@ -58,10 +57,10 @@ class ErrorRow:
 
 
 def _level_errors(config: SchemeConfig, sol: BarenblattSolution, levels):
-    """Largest nodal error of each of ``levels`` (``U^0, U^1, ...`` at times
-    ``j * tau``) against ``sol``, as one array per block of levels, after
-    checking that the grid keeps a margin of ``r`` around its support at
-    the final time.
+    """Largest nodal error of each of ``levels`` (``U^0, U^1, ...`` at
+    ``config.times()``) against ``sol``, as one array per block of levels,
+    after checking that the grid keeps a margin of ``r`` around its support
+    at the final time.
 
     Levels are copied into a block of ``stepping._BLOCK_BYTES`` and
     compared one block at a time, with one barenblatt_eval call per block;
@@ -90,7 +89,7 @@ def _level_errors(config: SchemeConfig, sol: BarenblattSolution, levels):
             rows += 1
         if rows == 0:
             return
-        times = [j * config.tau for j in range(first, first + rows)]
+        times = config.times(np.arange(first, first + rows))
         if config.d == 1:
             half = barenblatt_eval(sol, pts[n:], times)
             exact = np.concatenate((half[:, :0:-1], half), axis=1)
@@ -422,9 +421,7 @@ def run_property_suite(
     gap = np.abs(t1 - t2)
 
     def interpolant(nodes, t):
-        j = _bracket(t, config.tau, config.N)
-        lo, hi = values[j, nodes], values[j + 1, nodes]
-        return _interpolate(lo, hi, times[j], times[j + 1], t, config.tau)
+        return _interpolant(config, lambda j: values[j, nodes], t)
 
     lhs = np.abs(interpolant(na, t1) - interpolant(ng, t2))
     rhs = (

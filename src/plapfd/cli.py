@@ -297,8 +297,7 @@ def cmd_solve(cfg: dict) -> int:
             raise ConfigurationError(f"snapshot_times: snapshot time {t} outside [0, {config.T}]")
     target = {}
     for k, t in enumerate(snap_times):
-        j = min(config.N, max(0, int(round(t / config.tau))))
-        target.setdefault(j, []).append(k)
+        target.setdefault(config.nearest_level(t), []).append(k)
     outputs = [None] * len(snap_times)
     for j, lvl in enumerate(iter_levels(config, data)):
         if j in target:
@@ -309,7 +308,7 @@ def cmd_solve(cfg: dict) -> int:
                     "file": name,
                     "requested_t": snap_times[k],
                     "level": j,
-                    "t": j * config.tau,
+                    "t": float(config.times(j)),
                 }
     try:
         kt, C, tau_max, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)

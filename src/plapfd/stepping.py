@@ -142,7 +142,7 @@ def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
 
 
 _CFL_MODES = ("theoretical", "practical")
-_MAX_STEPS = 2**53  # every j <= N is exact as a float, so j * tau is one rounding
+_MAX_STEPS = 2**53  # see SchemeConfig.times
 
 
 def _capped_steps(N: int) -> int:
@@ -221,8 +221,20 @@ class SchemeConfig:
         _one_of("cfl_mode", self.cfl_mode, _CFL_MODES)
         _one_of("extension", self.extension, _EXTENSIONS)
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.N + 1, dtype=float) * self.tau
+    def times(self, levels=None) -> np.ndarray:
+        """Times of ``levels`` (an int, a range or an index array; all by
+        default): level ``j`` sits at ``j * tau``, one rounding, as ``N <=
+        _MAX_STEPS = 2**53`` keeps every ``j`` exact as a float."""
+        j = np.arange(self.N + 1) if levels is None else levels
+        return np.asarray(j, dtype=float) * self.tau
+
+    def nearest_level(self, t) -> int:
+        """The level in ``[0, N]`` nearest time ``t``, the later at a tie: ``j =
+        floor(t/tau)``, plus 1 if ``t/tau - j >= 0.5`` (``floor(t/tau + 0.5)``
+        would misround 0.49999999999999994)."""
+        q = float(t) / self.tau
+        j = math.floor(q)
+        return min(self.N, max(0, j + int(q - j >= 0.5)))
 
     @cached_property
     def _stencil(self) -> Stencil:
@@ -462,7 +474,7 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """All time levels of one run: ``levels[j]`` holds ``U^j`` at time
-    ``times[j] = j * tau``."""
+    ``times[j]``, read from ``config.times()``."""
 
     levels: tuple
     config: SchemeConfig
@@ -484,18 +496,17 @@ def solve(config: SchemeConfig, data: HolderData) -> Trajectory:
     return Trajectory(levels=tuple(iter_levels(config, data)), config=config)
 
 
-def _bracket(t, tau, N):
-    """Index ``j`` of the level pair ``[t_j, t_{j+1}]`` holding ``t``:
-    ``min(floor(t / tau), N - 1)``, elementwise for an array ``t``."""
-    return np.minimum(np.floor(t / tau), N - 1).astype(np.intp)
-
-
-def _interpolate(lo, hi, tj, tj1, t, tau):
-    """The interpolant between ``lo`` at ``tj`` and ``hi`` at ``tj1``, for
-    scalars and arrays alike: ``lo`` where ``t == tj``, ``hi`` where ``t ==
-    tj1``, and ``((tj1 - t)/tau) * lo + ((t - tj)/tau) * hi`` elsewhere."""
-    mid = ((tj1 - t) / tau) * lo + ((t - tj) / tau) * hi
-    return np.where(t == tj, lo, np.where(t == tj1, hi, mid))
+def _interpolant(config: SchemeConfig, values, t):
+    """The interpolant at ``t`` (scalar or array), ``values(j)`` giving level
+    ``j``'s node values: ``((t_(j+1) - t)/tau) * U^j + ((t - t_j)/tau) *
+    U^(j+1)`` with ``j = min(floor(t / tau), N - 1)``, but ``U^(j+1)`` where
+    ``t >= t_(j+1)`` or ``t == T`` and ``U^j`` where ``t <= t_j``: it never
+    extrapolates, and returns every level exactly."""
+    j = np.minimum(np.floor(t / config.tau), config.N - 1).astype(np.intp)
+    tj, tj1 = config.times(j), config.times(j + 1)
+    lo, hi = values(j), values(j + 1)
+    mid = ((tj1 - t) / config.tau) * lo + ((t - tj) / config.tau) * hi
+    return np.where((t >= tj1) | (t == config.T), hi, np.where(t <= tj, lo, mid))
 
 
 def time_interpolate(traj: Trajectory, x_alpha, t) -> float:
@@ -503,19 +514,16 @@ def time_interpolate(traj: Trajectory, x_alpha, t) -> float:
 
         U(x, t) = ((t_{j+1} - t)/tau) U^j(x) + ((t - t_j)/tau) U^{j+1}(x)
 
-    for ``t`` between ``t_j`` and ``t_{j+1}``. Values at the level times
-    (including t = 0 and t = T) are returned exactly, not through the
-    weighted form. ``t`` outside [0, T] raises ValueError.
+    for ``t`` between ``t_j`` and ``t_{j+1}``. Level values (t = T gives U^N
+    even where N * tau rounds off T) are returned exactly, not through the
+    weighted form, by :func:`_interpolant`. ``t`` outside [0, T] raises ValueError.
     """
     cfg = traj.config
     t = float(t)
     if not 0.0 <= t <= cfg.T:
         raise ValueError(f"t = {t} outside [0, {cfg.T}]")
     slot = traj.levels[0]._slot(x_alpha)
-    j = int(_bracket(t, cfg.tau, cfg.N))
-    lo = traj.levels[j].values[slot]
-    hi = traj.levels[j + 1].values[slot]
-    return float(_interpolate(lo, hi, traj.times[j], traj.times[j + 1], t, cfg.tau))
+    return float(_interpolant(cfg, lambda j: traj.levels[j].values[slot], t))
 
 
 def constant_data(u0_value=0.0, f_value=0.0) -> HolderData:

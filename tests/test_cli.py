@@ -383,6 +383,20 @@ def test_constant_data_follows_its_line(tmp_path, capsys):
         np.testing.assert_allclose(u, 1.5 + snap["t"] * 0.5, rtol=0, atol=1e-12)
 
 
+def test_snapshot_at_a_half_step_takes_the_later_level(tmp_path, capsys):
+    # tau = 0.25: each time sits halfway between two levels, and the later
+    # one wins, so no two files hold the same level
+    code, _, err = run_cli(
+        ["solve", "--data.kind=constant", "--data.u0=1", "--data.f=1", "--T=1",
+         "--num_steps=4", "--snapshot_times=[0.125,0.375,0.625,0.875]",
+         f"--output_dir={tmp_path}"],
+        capsys,
+    )
+    assert code == 0, err
+    snaps = json.loads((tmp_path / "metadata.json").read_text())["outputs"]["snapshots"]
+    assert [(s["level"], s["t"]) for s in snaps] == [(1, 0.25), (2, 0.5), (3, 0.75), (4, 1.0)]
+
+
 @pytest.mark.parametrize(
     "d, extra", [(1, []), (2, ["--d=2", "--r=0.5", "--h=0.25", "--half_width=2.0"])]
 )

@@ -249,6 +249,21 @@ def test_step_counts_follow_the_integer_rule(count):
 def test_scheme_config_times():
     cfg = SchemeConfig(p=3.0, d=1, T=1.0, r=0.25, h=0.25, tau=0.25, N=4, half_width=1.0)
     np.testing.assert_array_equal(cfg.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    # halfway between two levels the later one wins; past the ends, the end
+    assert [cfg.nearest_level(t) for t in (0.125, 0.375, 0.625, 0.875)] == [1, 2, 3, 4]
+    assert cfg.nearest_level(0.49999999999999994 * 0.25) == 0
+    assert cfg.nearest_level(-0.1) == 0 and cfg.nearest_level(1.1) == 4
+    # the level nearest each level's own time is that level, and times of
+    # an int, a range and an index array are the bits of the whole grid's
+    for T, N in itertools.product((0.05, 0.25, 0.3, 0.7, 1.0), (3, 7, 49, 98, 103, 782, 3125)):
+        cfg = SchemeConfig(p=3.0, d=1, T=T, r=0.1, h=0.1, tau=T / N, N=N, half_width=1.0)
+        grid = np.arange(N + 1, dtype=float) * cfg.tau
+        assert cfg.times().tobytes() == grid.tobytes()
+        assert [cfg.nearest_level(float(cfg.times(j))) for j in range(N + 1)] == list(range(N + 1))
+        assert cfg.times(N // 2).tobytes() == grid[N // 2].tobytes()
+        assert cfg.times(range(1, N, 2)).tobytes() == grid[1:N:2].tobytes()
+        index = np.array([N, 0, N // 3, N - 1])
+        assert cfg.times(index).tobytes() == grid[index].tobytes()
 
 
 def test_stencil_for_dimension_rules():
@@ -759,6 +774,17 @@ def test_time_interpolate_domain_and_exactness():
         hi = traj.levels[j + 1].value_at((2,))
         assert value == ((tj1 - t) / cfg.tau) * lo + ((t - tj) / cfg.tau) * hi
     assert type(time_interpolate(traj, 0, traj.times[3])) is float
+
+
+@pytest.mark.parametrize("T, step", [(0.25, {"num_steps": 98}), (0.3, {"tau": 0.1})])
+def test_time_interpolate_at_T_is_the_last_level(T, step):
+    # N * tau rounds off T (to 0.24999999999999997 and 0.30000000000000004),
+    # and t = T still gives U^N bit for bit, not the weighted form
+    data = constant_data(1, 1)
+    cfg = plan_config(2.0, 1, T, 1.0, data, h=0.5, extension="boundary", **step)
+    assert cfg.N * cfg.tau != T
+    traj = solve(cfg, data)
+    assert time_interpolate(traj, 0, T) == traj.levels[-1].value_at(0)
 
 
 def test_time_interpolate_satisfies_slab_identity():
