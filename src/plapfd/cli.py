@@ -82,7 +82,7 @@ _SCHEMA = {
     },
     "snapshot_times": ([1.0], _NUMBERS, False),
     "levels": ([0.04, 0.02, 0.01, 0.005], _NUMBERS, False),
-    "r_levels": ([0.4, 0.2, 0.1, 0.05], _NUMBERS, False),
+    "r_levels": (None, _NUMBERS, True),
     "window": (0.15, _NUMBER, False),
     "samples": (1000, (int,), False),
     "seed": (20260817, (int,), False),
@@ -311,7 +311,7 @@ def cmd_solve(cfg: dict) -> int:
                     "t": float(config.times(j)),
                 }
     try:
-        kt, C, tau_max, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
+        kt, C, tau_max = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
     except ConfigurationError:  # d outside the mollifier table, or outside float range
         kt = C = tau_max = None
     stencil = stencil_for(config)
@@ -383,10 +383,13 @@ def cmd_convergence(cfg: dict) -> int:
 
 def cmd_consistency(cfg: dict) -> int:
     """Discrete operator against the exact p-Laplacian of |x|^2."""
+    r_levels = cfg["r_levels"]
+    if r_levels is None:  # in d = 3 each halving of r costs 16-20x
+        r_levels = [0.4, 0.2, 0.1, 0.05] if cfg["d"] <= 2 else [0.8, 0.6, 0.4]
     rows = consistency_table(
         cfg["p"],
         cfg["d"],
-        [float(r) for r in cfg["r_levels"]],
+        [float(r) for r in r_levels],
         window=cfg["window"],
         coupling_c=cfg["coupling_c"],
     )

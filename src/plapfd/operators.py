@@ -280,23 +280,18 @@ class GridField:
                 slot.append(min(max(i, 0), 2 * n))
         return float(self.values[tuple(slot)])
 
-    def padded(self, m: int) -> np.ndarray:
-        """Values on the box widened by ``m`` nodes per side, read with the
-        extension rule: slot ``i`` along each axis holds node ``i - n - m``."""
-        size = self.values.shape[0] + 2 * m
-        out = np.zeros((size,) * self.d)
-        return self._fill_padded(m, out, out[(slice(m, size - m),) * self.d])
-
-    def _fill_padded(self, m: int, out: np.ndarray, interior: np.ndarray) -> np.ndarray:
-        """Write ``padded(m)`` into ``out``, of that shape, and return it;
-        ``interior`` is the view of ``out`` that holds the box's own nodes.
+    def _fill_padded(self, m: int, out: np.ndarray, interior: np.ndarray) -> None:
+        """Write the values on the box widened by ``m`` nodes per side, read
+        with the extension rule, into ``out``: slot ``i`` along each axis
+        holds node ``i - n - m``, and ``interior`` is the view of ``out``
+        that holds the box's own nodes.
 
         The one home of the extension rule on arrays. Under the zero
         extension only the interior is written, in one copy: the margins
-        of ``out`` must already hold +0, as they do in a fresh ``np.zeros``
-        array and in an apply_dp_grid workspace, which nothing else writes
-        into. np.pad costs ~10x more than these copies on the small 1D
-        grids that are stepped thousands of times.
+        of ``out`` must already hold +0, as they do in an apply_dp_grid
+        workspace, which nothing else writes into. np.pad costs ~10x more
+        than these copies on the small 1D grids that are stepped thousands
+        of times.
         """
         interior[...] = self.values
         if self.extension == "boundary":
@@ -307,7 +302,6 @@ class GridField:
                 lead = (slice(None),) * axis
                 out[lead + (slice(0, m),)] = out[lead + (slice(m, m + 1),)]
                 out[lead + (slice(size - m, size),)] = out[lead + (slice(size - m - 1, size - m),)]
-        return out
 
 
 def _as_index(alpha, d: int) -> tuple:

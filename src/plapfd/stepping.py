@@ -93,8 +93,8 @@ class HolderData:
 
 def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
     """The theoretical step rule for dimension ``d``, radius ``r`` and
-    horizon ``T``: ``(Ktilde, C, tau_max, M_bound)``, with ``e = 2 +
-    (1-a)(p-2)`` and
+    horizon ``T``: ``(Ktilde, C, tau_max)``, with ``e = 2 + (1-a)(p-2)``
+    and
 
         Ktilde = 4^((1+(1-a)(p-1)) / e) * L_u0^(p / e)
                  * ((p-1) * K1^(p-2) * K2 * M_bound)^(a / e),
@@ -138,7 +138,7 @@ def theoretical_step_bound(p, d: int, r, T, data: HolderData) -> tuple:
             f"the theoretical step bound is outside float range "
             f"(p = {p}, L_u0 = {data.L_u0}, L_f = {data.L_f}, T = {T})"
         )
-    return kt, C, tau_max, M_bound
+    return kt, C, tau_max
 
 
 _CFL_MODES = ("theoretical", "practical")
@@ -300,7 +300,7 @@ def plan_config(
             target = math.inf
         N = max(1, int(math.ceil(_step_ratio(T, target, "c_practical") - 1e-9)))
     else:
-        _, _, target, _ = theoretical_step_bound(p, d, r, T, data)
+        _, _, target = theoretical_step_bound(p, d, r, T, data)
         N = max(1, int(math.ceil(_step_ratio(T, target, "the theoretical step bound"))))
     return SchemeConfig(
         p=p,
@@ -404,7 +404,7 @@ def check_margin(config: SchemeConfig, support_radius) -> None:
 
 def _validate_run(config: SchemeConfig, data: HolderData) -> None:
     if config.cfl_mode == "theoretical":
-        _, _, tau_max, _ = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
+        _, _, tau_max = theoretical_step_bound(config.p, config.d, config.r, config.T, data)
         if config.tau > tau_max * (1.0 + _REL_SLACK):
             raise ConfigurationError(
                 f"tau = {config.tau} exceeds the theoretical bound {tau_max}"

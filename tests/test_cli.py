@@ -238,13 +238,33 @@ def test_defaults_tree_is_pinned():
         "data": {"kind": "barenblatt", "t_shift": 1.0},
         "snapshot_times": [1.0],
         "levels": [0.04, 0.02, 0.01, 0.005],
-        "r_levels": [0.4, 0.2, 0.1, 0.05],
+        "r_levels": None,
         "window": 0.15,
         "samples": 1000,
         "seed": 20260817,
         "output_dir": ".",
     }
     assert json.dumps(cli.DEFAULTS) == json.dumps(want)
+
+
+@pytest.mark.parametrize(
+    "d, want",
+    [(1, [0.4, 0.2, 0.1, 0.05]), (2, [0.4, 0.2, 0.1, 0.05]), (3, [0.8, 0.6, 0.4])],
+)
+def test_consistency_default_radii_per_dimension(monkeypatch, capsys, d, want):
+    # a null r_levels resolves per dimension: the d <= 2 radii would not
+    # finish in d = 3; a given list wins in every d
+    seen = []
+
+    def table(p, d, r_levels, window, coupling_c):
+        seen.append(r_levels)
+        return []
+
+    monkeypatch.setattr(cli, "consistency_table", table)
+    assert run_cli(["consistency", f"--d={d}"], capsys)[0] == 0
+    assert run_cli(["consistency", f"--d={d}", "--r_levels=null"], capsys)[0] == 0
+    assert run_cli(["consistency", f"--d={d}", "--r_levels=[0.5]"], capsys)[0] == 0
+    assert seen == [want, want, [0.5]]
 
 
 def test_unknown_key_rejected(capsys):

@@ -17,7 +17,7 @@ from plapfd import (
     solve,
     sup_error,
 )
-from plapfd.analysis import _level_errors
+from plapfd.analysis import _worst_error
 from plapfd.operators import grid_points
 from plapfd.stepping import _BLOCK_BYTES
 
@@ -293,9 +293,11 @@ def _worst_error_per_level(config, sol, levels):
 @pytest.mark.parametrize("nodes", [101, 201, 401])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.0, 40.0])
 def test_half_grid_errors_match_full_grid_per_level(p, nodes):
-    # in d = 1 the profile is evaluated on x >= 0 only and compared with
-    # both halves; each level's error must be the full grid's, byte for
-    # byte, also where noise puts the worst node on either side
+    # in d = 1 the sup error evaluates the profile on x >= 0 only, one
+    # call per block of level times, and mirrors it: at every level time
+    # the mirror must be the full grid's profile, byte for byte; then the
+    # worst error is the full grid's, also where noise puts the worst node
+    # on either side
     h = 4.0 / (nodes - 1)
     data = barenblatt_data(p, horizon=0.01)
     sol = barenblatt_solution(1, p)
@@ -305,12 +307,14 @@ def test_half_grid_errors_match_full_grid_per_level(p, nodes):
     levels += [lvl.with_values(lvl.values + rng.normal(0.0, 1e-3, nodes)) for lvl in levels]
     pts = grid_points(1, h, 2.0)
     assert pts.shape == (nodes,)
-    want = [
-        np.max(np.abs(lvl.values - barenblatt_eval(sol, pts, j * cfg.tau)))
-        for j, lvl in enumerate(levels)
-    ]
-    got = np.concatenate(list(_level_errors(cfg, sol, levels)))
-    assert got.tobytes() == np.array(want).tobytes()
+    times = cfg.times(np.arange(len(levels)))
+    half = barenblatt_eval(sol, pts[nodes // 2 :], times)
+    errors = []
+    for t, row, lvl in zip(times.tolist(), half, levels):
+        full = barenblatt_eval(sol, pts, t)
+        assert np.concatenate((row[:0:-1], row)).tobytes() == full.tobytes()
+        errors.append(float(np.max(np.abs(lvl.values - full))))
+    assert repr(_worst_error(cfg, sol, levels)) == repr(max(errors))
 
 
 @pytest.mark.parametrize("d", [1, 2])

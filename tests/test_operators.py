@@ -303,11 +303,11 @@ def test_grid_field_extensions():
     )
     assert fb.read_index(3) == 5.0
     assert fb.read_index(-7) == 1.0
-    # U(. + h) is the padded array read one slot to the right
-    shifted = fb.padded(1)[2:]
-    np.testing.assert_array_equal(shifted, [2.0, 3.0, 4.0, 5.0, 5.0])
-    shifted0 = f.padded(1)[2:]
-    np.testing.assert_array_equal(shifted0, [2.0, 3.0, 4.0, 5.0, 0.0])
+    # U(. + h) is the kernel's padded copy read one slot to the right
+    for field, want in ((fb, [2.0, 3.0, 4.0, 5.0, 5.0]), (f, [2.0, 3.0, 4.0, 5.0, 0.0])):
+        work = _Workspace(stencil_1d(1.0, 3.0), (5,), field.extension)
+        work.apply(field)
+        np.testing.assert_array_equal(work.padded[2:], want)
 
 
 def _signed_power_reference(xi, p):
@@ -346,12 +346,18 @@ def _apply_dp_grid_shifted_reference(stencil, field):
     return acc
 
 
+def _np_padded(field, m):
+    # the field widened by m nodes per side under its extension rule,
+    # through np.pad rather than the kernel's own GridField._fill_padded
+    return np.pad(field.values, m, mode="constant" if field.extension == "zero" else "edge")
+
+
 def _apply_dp_grid_padded_reference(stencil, field):
     # the array kernel before in-place buffers: padded once, one full-grid
     # temporary per operation and offset
     acc = np.zeros_like(field.values)
     m = int(np.max(np.abs(stencil.offsets)))
-    padded = field.padded(m)
+    padded = _np_padded(field, m)
     size = field.values.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for k, beta in enumerate(stencil.offsets.tolist()):
@@ -365,7 +371,7 @@ def _apply_dp_grid_row_view_reference(stencil, field):
     # fixed d-dimensional view of the padded copy, made of rows that mostly
     # start off a cache line, into full-grid buffers
     m = int(np.max(np.abs(stencil.offsets)))
-    padded = field.padded(m)
+    padded = _np_padded(field, m)
     size = field.values.shape[0]
     acc = np.zeros(field.values.shape)
     diff = np.empty(field.values.shape)
@@ -521,13 +527,16 @@ def test_apply_dp_grid_matches_shifted_kernel(case):
     # often reach past the far edge; the result must be bit for bit the same
     # as the earlier array kernels, overflow to inf and nan included
     stencil, field = case
-    got = apply_dp_grid(stencil, field).tobytes()
+    work = _Workspace(stencil, field.values.shape, field.extension)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = apply_dp_grid(stencil, field, _work=work).tobytes()
     assert got == _apply_dp_grid_previous_workspace(stencil, field).tobytes()
     assert got == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
     assert got == _apply_dp_grid_padded_reference(stencil, field).tobytes()
     assert got == _apply_dp_grid_shifted_reference(stencil, field).tobytes()
-    m = int(np.max(np.abs(stencil.offsets)))
-    padded = field.padded(m)
+    # the padded copy the kernel read holds every slot's node value under
+    # the extension rule
+    m, padded = work.reach, work.padded
     assert padded.shape == (field.values.shape[0] + 2 * m,) * field.d
     for slot in itertools.product(range(padded.shape[0]), repeat=field.d):
         alpha = tuple(i - field.n - m for i in slot)
@@ -684,17 +693,26 @@ def test_zero_workspace_margins_stay_positive_zero(d):
     assert margins.tobytes() == bytes(margins.nbytes)
 
 
-def _assert_levels_match_row_view_kernel(cfg, data):
-    # every level of iter_levels against U + tau * (D U + f) stepped with
-    # the row-view kernel, byte for byte
+def _reference_levels(kernel, cfg, data, steps=None):
+    # U^0 .. U^steps of cfg's run (all N steps by default), stepped as
+    # U + tau * (D U + f) with the reference kernel(stencil, field) as D:
+    # explicit_step before the in-place update, with fresh temporaries and
+    # each level validated again by with_values
     stencil = stencil_for(cfg)
     args = (cfg.d, cfg.h, cfg.half_width, cfg.extension)
     f = sample_on_grid(data.f, *args).values
-    want = [sample_on_grid(data.u0, *args)]
-    for _ in range(cfg.N):
-        rate = _apply_dp_grid_row_view_reference(stencil, want[-1])
+    levels = [sample_on_grid(data.u0, *args)]
+    for _ in range(cfg.N if steps is None else steps):
+        rate = kernel(stencil, levels[-1])
         with np.errstate(over="ignore", invalid="ignore"):
-            want.append(want[-1].with_values(want[-1].values + cfg.tau * (rate + f)))
+            levels.append(levels[-1].with_values(levels[-1].values + cfg.tau * (rate + f)))
+    return levels
+
+
+def _assert_levels_match_row_view_kernel(cfg, data):
+    # every level of iter_levels against the levels stepped with the
+    # row-view kernel, byte for byte
+    want = _reference_levels(_apply_dp_grid_row_view_reference, cfg, data)
     assert not np.array_equal(want[-1].values, want[0].values)
     got = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
     assert got == [lev.values.tobytes() for lev in want]

@@ -34,7 +34,7 @@ from plapfd import (
 )
 from plapfd import mollifier_constants, stepping
 from plapfd.operators import _check_p, _nonnegative, _positive, weight_sum_bound
-from test_operators import _apply_dp_grid_padded_reference
+from test_operators import _apply_dp_grid_padded_reference, _reference_levels
 
 
 def zero_data():
@@ -67,7 +67,7 @@ def _holder(a, L_u0):
 
 # The step rule as it was computed before theoretical_step_bound absorbed
 # it: ktilde and cfl_constant, and their composition, copied verbatim. The
-# bound must give the same four floats and the same refusals.
+# bound must give the same three floats and the same refusals.
 def _ktilde_reference(a, p, L_u0, K1, K2, M):
     p = _check_p(p)
     a = stepping._check_a(a)
@@ -111,7 +111,7 @@ def _step_bound_reference(p, d, r, T, data):
             f"the theoretical step bound is outside float range "
             f"(p = {p}, L_u0 = {data.L_u0}, L_f = {data.L_f}, T = {T})"
         )
-    return kt, C, tau_max, M_bound
+    return kt, C, tau_max
 
 
 def test_theoretical_step_bound_matches_its_reference():
@@ -143,8 +143,8 @@ def test_ktilde_reference_values():
     # Ktilde, the bound's first output, from the tabulated K1 and K2
     mc = mollifier_constants(1)
     # at a = 1, p = 2 the exponents collapse: Ktilde = 2 L sqrt(K2 M)
-    kt, _, _, M = theoretical_step_bound(2.0, 1, 0.1, 1.0, _holder(1.0, 1.0))
-    assert M == 2.0
+    kt = theoretical_step_bound(2.0, 1, 0.1, 1.0, _holder(1.0, 1.0))[0]
+    assert weight_sum_bound(1, 2.0) == 2.0
     assert kt == pytest.approx(2.0 * math.sqrt(mc.K2 * 2.0), rel=1e-12)
     assert theoretical_step_bound(5.0, 1, 0.1, 1.0, _holder(0.7, 0.0))[0] == 0.0
     kt = theoretical_step_bound(4.0, 1, 0.1, 1.0, _holder(1.0, 0.5))[0]
@@ -165,7 +165,7 @@ def test_cfl_tau_max_p2_is_half_r_squared():
     # at p = 2, C = 1/M_bound whatever the data
     data = HolderData(u0=abs, f=abs, a=1.0, L_u0=7.0, L_f=3.0, sup_u0=1.0, sup_f=1.0)
     for r in (0.5, 0.1, 0.02):
-        _, C, tau_max, _ = theoretical_step_bound(2.0, 1, r, 10.0, data)
+        _, C, tau_max = theoretical_step_bound(2.0, 1, r, 10.0, data)
         assert C == 0.5
         assert tau_max == 0.5 * r**2
 
@@ -336,9 +336,9 @@ def test_plan_config_practical_step_target():
 def test_plan_config_theoretical_step_respects_bound():
     data = sqrt_cusp_data()
     cfg = plan_config(3.0, 1, 0.1, 2.0, data, h=0.1, cfl_mode="theoretical")
-    kt, C, tau_max, M_bound = theoretical_step_bound(cfg.p, cfg.d, cfg.r, cfg.T, data)
+    kt, C, tau_max = theoretical_step_bound(cfg.p, cfg.d, cfg.r, cfg.T, data)
     assert cfg.tau <= tau_max * (1.0 + 1e-12)
-    assert M_bound == stencil_for(cfg).M_bound == 2.0
+    assert weight_sum_bound(cfg.d, cfg.p) == stencil_for(cfg).M_bound == 2.0
     assert len(stencil_for(cfg)) == 2
     assert math.isfinite(kt) and kt > 0.0
     assert 0.0 < C <= 1.0
@@ -393,7 +393,7 @@ def test_theoretical_step_bound_is_finite_or_outside_float_range():
     ):
         data = HolderData(u0=abs, f=abs, a=a, L_u0=L, L_f=L, sup_u0=1.0, sup_f=1.0)
         try:
-            kt, C, tau_max, _ = theoretical_step_bound(p, d, 0.1, 1.0, data)
+            kt, C, tau_max = theoretical_step_bound(p, d, 0.1, 1.0, data)
         except ConfigurationError as exc:
             assert "outside float range" in str(exc)
             refused += 1
@@ -506,15 +506,6 @@ def _wavy_config(d, p, extension):
     )
 
 
-def _explicit_step_reference(field, stencil, f_values, tau):
-    # explicit_step before the in-place update: fresh temporaries, and the
-    # result validated again by with_values
-    rate = _apply_dp_grid_padded_reference(stencil, field)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = field.values + tau * (rate + f_values.values)
-    return field.with_values(out)
-
-
 @pytest.mark.parametrize("d", [1, 2])
 def test_stepped_levels_keep_the_grid_and_validation(d):
     data = _wavy_data()
@@ -535,11 +526,7 @@ def test_stepped_levels_keep_the_grid_and_validation(d):
 def test_levels_match_reference_step_bitwise(d, extension, p):
     data = _wavy_data()
     cfg = _wavy_config(d, p, extension)
-    stencil = stencil_for(cfg)
-    f = sample_on_grid(data.f, d, cfg.h, cfg.half_width, extension)
-    want = [sample_on_grid(data.u0, d, cfg.h, cfg.half_width, extension)]
-    for _ in range(cfg.N):
-        want.append(_explicit_step_reference(want[-1], stencil, f, cfg.tau))
+    want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
     assert not np.array_equal(want[-1].values, want[0].values)
     want = [lev.values.tobytes() for lev in want]
     assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
@@ -561,16 +548,6 @@ def _chunk_config(d, N, source):
     return cfg, data
 
 
-def _reference_levels(cfg, data):
-    stencil = stencil_for(cfg)
-    args = (cfg.d, cfg.h, cfg.half_width, cfg.extension)
-    f = sample_on_grid(data.f, *args)
-    want = [sample_on_grid(data.u0, *args)]
-    for _ in range(cfg.N):
-        want.append(_explicit_step_reference(want[-1], stencil, f, cfg.tau))
-    return [lev.values.tobytes() for lev in want]
-
-
 _CHUNK_1D = stepping._levels_per_block((21,))  # 390 levels of 21 nodes
 _CHUNK_2D = stepping._levels_per_block((21, 21))  # 18 levels of 21^2 nodes
 
@@ -585,7 +562,8 @@ def test_chunked_levels_match_reference_step_bitwise(d, N, source):
     # the chunk boundaries fall where they would in a long run; with a
     # zero source the add is skipped, with the wavy one it is not
     cfg, data = _chunk_config(d, N, source)
-    want = _reference_levels(cfg, data)
+    want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
+    want = [lev.values.tobytes() for lev in want]
     assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
 
 
@@ -612,11 +590,7 @@ def test_blow_up_in_mid_chunk_yields_the_healthy_levels():
     data = oscillatory_data(0.1)
     cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
     assert stepping._levels_per_block((21,)) > cfg.N
-    stencil = stencil_for(cfg)
-    f = sample_on_grid(data.f, 1, cfg.h, cfg.half_width)
-    want = [sample_on_grid(data.u0, 1, cfg.h, cfg.half_width)]
-    for _ in range(4):
-        want.append(_explicit_step_reference(want[-1], stencil, f, cfg.tau))
+    want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data, steps=4)
     got = []
     with pytest.raises(BlowUpError) as exc:
         for lev in iter_levels(cfg, data):
@@ -640,7 +614,8 @@ def test_source_is_skipped_only_when_every_bit_is_clear(monkeypatch, f_value):
 
     monkeypatch.setattr(stepping, "explicit_step", spy)
     got = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
-    assert got == _reference_levels(cfg, data)
+    want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
+    assert got == [lev.values.tobytes() for lev in want]
     skipped = f_value == 0.0 and math.copysign(1.0, f_value) > 0
     assert len(sources) == cfg.N
     assert all((s is None) == skipped for s in sources)
