@@ -15,6 +15,9 @@ operator is consistent with the p-Laplacian on smooth functions.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -460,11 +463,7 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
         lambda: h**d / (dpd_constant(d, p) * unit_ball_volume(d) * r ** (p + d)),
         f"h^d / (dpd_constant * omega_d * r^(p+d)) (h = {h}, r = {r}, p = {p})",
     )
-    m = int(math.floor(r / h + 1e-9))
-    # C order of the cube [-m, m]^d is lexicographic, so no sort is needed
-    cube = np.indices((2 * m + 1,) * d, dtype=np.int64).reshape(d, -1).T - m
-    inside = (h * h * np.sum(cube * cube, axis=1) < r * r) & np.any(cube != 0, axis=1)
-    offsets = cube[inside]
+    offsets = _ball_offsets(r, h, d)
     weights = np.full(len(offsets), w)
     return Stencil(
         d=d,
@@ -474,6 +473,29 @@ def stencil_ball(r, h, p, d: int) -> Stencil:
         offsets=offsets,
         weights=weights,
     )
+
+
+def _ball_offsets(r: float, h: float, d: int) -> np.ndarray:
+    """Every lattice offset ``beta`` with ``0 < h*h*|beta|^2 < r*r``, in
+    lexicographic order, as int64 rows.
+
+    Built from blocks of slabs of the cube ``[-m, m]^d``, ``m = floor(r/h)``,
+    one slab per leading coordinate and about ``2**16`` candidate rows per
+    block (one slab at least), so memory tracks the offsets kept, not the
+    cube. Within a block, C order of (leading coordinate, slab row) is
+    lexicographic, and so is the run of blocks, so no sort is needed.
+    """
+    m = int(math.floor(r / h + 1e-9))
+    rest = np.indices((2 * m + 1,) * (d - 1), dtype=np.int64).reshape(d - 1, -1).T - m
+    rest_sq = np.sum(rest * rest, axis=1)
+    per_block = max(1, (1 << 16) // len(rest))
+    blocks = []
+    for first in range(-m, m + 1, per_block):
+        lead = np.arange(first, min(first + per_block, m + 1), dtype=np.int64)
+        sq = (lead * lead)[:, None] + rest_sq
+        i, j = np.nonzero((h * h * sq < r * r) & (sq != 0))
+        blocks.append(np.column_stack([lead[i], rest[j]]))
+    return np.concatenate(blocks)
 
 
 def _check_geometry(stencil: Stencil, field: GridField) -> None:
@@ -516,6 +538,72 @@ def _aligned_empty(n: int) -> np.ndarray:
     return raw[skip : skip + n]
 
 
+# Slot·passes that each range of a split apply must carry. A fork costs
+# ~1 ms and a join ~2 ms on a 2-core x86 host, and a serial apply ~1.3 ns
+# per slot·pass; a one-shot apply split two ways was slower at 2**23.1
+# slot·passes and faster at 2**23.7, so the first split, at 2**24, gains
+# even for a single apply. A 1D two-point grid would need 2**24 nodes.
+_PARALLEL_WORK = 1 << 23
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where there is no fork or affinity mask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _pass_list(flat, start: int, shifts: list, weights: list, a: int, b: int):
+    """The passes ``(hi, lo, diff, term, weight, subtracted, added)`` over
+    slots ``[a, b)`` of the span, and the ``diff`` and ``term`` buffers
+    they write, allocated here. The middle pair's edge terms cover ``[a,
+    b + s_1)``: a halo of ``s_1`` slots past the range, which each range
+    forms itself from the padded copy."""
+    n, middle = b - a, len(shifts) // 2
+    s1 = shifts[middle]
+    edge_diff, edge_term = _aligned_empty(n + s1), _aligned_empty(n + s1)
+    # one view of each range-long buffer, shared by every offset's pass
+    diff, term = edge_diff[:n], edge_term[:n]
+    lo = flat[start + a : start + b]
+    passes = [
+        (flat[start + a + s : start + b + s], lo, diff, term, w, None, term)
+        for s, w in zip(shifts, weights)
+    ]
+    passes[middle - 1 : middle + 1] = [
+        (flat[start + a : start + b + s1], flat[start + a - s1 : start + b],
+         edge_diff, edge_term, weights[middle], term, edge_term[s1 : s1 + n])
+    ]
+    return passes, edge_diff, edge_term
+
+
+def _run(passes: list, p: float, acc: np.ndarray) -> None:
+    """Run a pass list into its range of the accumulator, under the
+    caller's errstate."""
+    acc.fill(0.0)
+    for hi, lo, diff, term, w, subtracted, added in passes:
+        np.subtract(hi, lo, out=diff)
+        np.multiply(_signed_power(diff, p, term), w, out=term)
+        if subtracted is not None:
+            np.subtract(acc, subtracted, out=acc)
+        np.add(acc, added, out=acc)
+
+
+def _reap(workers: list, owner: int) -> None:
+    """Close each worker's pipes, so that it reads EOF and exits, and wait
+    for it. Only the process that forked them may: a copy of this list in
+    any other process names no child of its own."""
+    if os.getpid() != owner:
+        return
+    while workers:
+        pid, go, done = workers.pop()
+        os.close(go)
+        os.close(done)
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped by someone else's waitpid(-1)
+            pass
+
+
 class _Workspace:
     """The kernel of apply_dp_grid, for one stencil on one grid shape under
     one extension rule: its scratch arrays, its pass list, and ``apply``,
@@ -544,6 +632,16 @@ class _Workspace:
     0``: its terms ``E`` are formed once, ``-beta_1`` subtracts
     ``E[:span]`` and ``+beta_1`` adds ``E[s_1:]``. The two-point stencil
     is this one pass.
+
+    A large apply (``_PARALLEL_WORK`` slot·passes per range, at most one
+    range per CPU) splits the span into slot ranges cut at multiples of 8
+    slots, so every slot keeps the SIMD lane, operations and order it has
+    in one pass: the bits are the serial ones. The padded copy and ``acc``
+    then live in one shared mapping; the first ``apply`` forks a worker
+    per range but the first, which allocates its own buffers, and one byte
+    each way over a pipe starts and ends an apply. ``close``, or a
+    ``weakref.finalize``, stops them; a worker also exits at EOF of its
+    pipe, and one that is gone makes ``apply`` raise RuntimeError.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -552,48 +650,100 @@ class _Workspace:
         self.extension = extension
         self.reach = m = int(np.max(np.abs(stencil.offsets)))
         weights = [np.array(w) for w in stencil.weights.tolist()]
-        size = shape[0]
-        self.padded = padded = np.zeros((size + 2 * m,) * len(shape))
-        self.interior = padded[(slice(m, m + size),) * len(shape)]
-        strides = [s // padded.itemsize for s in padded.strides]
+        size, d = shape[0], len(shape)
+        padded_shape = (size + 2 * m,) * d
+        strides = [(size + 2 * m) ** (d - 1 - i) for i in range(d)]
         start, span = m * sum(strides), (size - 1) * sum(strides) + 1
         shifts = [sum(b * s for b, s in zip(beta, strides)) for beta in stencil.offsets.tolist()]
-        middle = len(shifts) // 2
-        s1 = shifts[middle]
-        flat = padded.reshape(-1)
-        base = flat[start : start + span]
-        self.diff, self.term = _aligned_empty(span + s1), _aligned_empty(span + s1)
-        # one view of each span-long buffer, shared by every offset's pass
-        diff, term = self.diff[:span], self.term[:span]
-        # each pass: (hi, lo, diff, term, weight, subtracted, added)
-        self.passes = [
-            (flat[start + s : start + s + span], base, diff, term, w, None, term)
-            for s, w in zip(shifts, weights)
-        ]
-        self.passes[middle - 1 : middle + 1] = [
-            (flat[start : start + span + s1], flat[start - s1 : start + span],
-             self.diff, self.term, weights[middle], term, self.term[s1 : s1 + span])
-        ]
+        k = max(1, min(_cpu_count(), span * (len(shifts) - 1) // _PARALLEL_WORK, span // 8))
+        cuts = [8 * (span // 8 * i // k) for i in range(k)] + [span]
+        self.ranges = list(zip(cuts, cuts[1:]))
         # size padded rows: the span, laid out as the padded copy's rows
-        rows = _aligned_empty(size * strides[0])
+        nrows = size * strides[0]
+        if k == 1:
+            self.padded = np.zeros(padded_shape)
+        else:
+            cells = -(-math.prod(padded_shape) // 8) * 8
+            shared = np.frombuffer(mmap.mmap(-1, 8 * (cells + nrows), flags=mmap.MAP_SHARED))
+            self.padded = shared[: math.prod(padded_shape)].reshape(padded_shape)
+        self.interior = self.padded[(slice(m, m + size),) * d]
+        self._layout = (self.padded.reshape(-1), start, shifts, weights)
+        self.passes, self.diff, self.term = _pass_list(*self._layout, *self.ranges[0])
+        rows = _aligned_empty(nrows) if k == 1 else shared[cells:]
         self.acc = rows[:span]
-        self.acc_interior = rows.reshape((size,) + padded.shape[1:])[
-            (slice(0, size),) * len(shape)
-        ]
+        self._acc0 = self.acc[: self.ranges[0][1]]
+        self.acc_interior = rows.reshape((size,) + padded_shape[1:])[(slice(0, size),) * d]
+        # (pid, go pipe, done pipe) of each running worker: go's write end,
+        # done's read end
+        self._workers = []
+        if k > 1:
+            weakref.finalize(self, _reap, self._workers, os.getpid())
+
+    def _fork(self) -> None:
+        """Start a worker for every range but the first. Where the system
+        refuses a pipe or a fork, stop those started and run serially."""
+        p, owner = self.stencil.p, os.getpid()
+        for a, b in self.ranges[1:]:
+            fds = []
+            try:
+                fds += os.pipe()
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:
+                for fd in fds:
+                    os.close(fd)
+                _reap(self._workers, owner)
+                self.ranges = [(0, len(self.acc))]
+                self.passes, self.diff, self.term = _pass_list(*self._layout, *self.ranges[0])
+                self._acc0 = self.acc
+                return
+            go_r, go_w, done_r, done_w = fds
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in [go_w, done_r] + [fd for w in self._workers for fd in w[1:]]:
+                        os.close(fd)
+                    passes = _pass_list(*self._layout, a, b)[0]
+                    acc = self.acc[a:b]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        while os.read(go_r, 1):
+                            _run(passes, p, acc)
+                            os.write(done_w, b"\1")
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(go_r)
+            os.close(done_w)
+            self._workers.append((pid, go_w, done_r))
+
+    def close(self) -> None:
+        """Stop the workers, if any run; idempotent."""
+        _reap(self._workers, os.getpid())
 
     def apply(self, field: GridField) -> np.ndarray:
         """``D U`` for a field that fits this workspace, as a new array,
         under the caller's errstate."""
         field._fill_padded(self.reach, self.padded, self.interior)
-        p, acc = self.stencil.p, self.acc
-        acc.fill(0.0)
-        for hi, lo, diff, term, w, subtracted, added in self.passes:
-            np.subtract(hi, lo, out=diff)
-            np.multiply(_signed_power(diff, p, term), w, out=term)
-            if subtracted is not None:
-                np.subtract(acc, subtracted, out=acc)
-            np.add(acc, added, out=acc)
+        if len(self.ranges) == 1:
+            _run(self.passes, self.stencil.p, self.acc)
+        else:
+            self._apply_split()
         return self.acc_interior.copy()
+
+    def _apply_split(self) -> None:
+        """Run range 0 here and every other range in its worker, forked by
+        the first call, and wait for them all."""
+        if not self._workers:
+            self._fork()
+        try:
+            for _, go, _ in self._workers:
+                os.write(go, b"\1")
+            _run(self.passes, self.stencil.p, self._acc0)
+            finished = all(os.read(done, 1) for _, _, done in self._workers)
+        except BrokenPipeError:
+            finished = False
+        if not finished:
+            raise RuntimeError("an operator worker process exited during an apply")
 
 
 def apply_dp_grid(
@@ -625,19 +775,29 @@ def apply_dp_grid(
     The scratch arrays (padded copy, differences, terms and the
     accumulator) come from ``_work``, which
     :func:`plapfd.stepping.iter_levels` allocates once per run for its
-    stencil, grid and extension; without it, each call allocates its own.
-    A caller who passes ``_work`` also owns the ``np.errstate``: overflow
+    stencil, grid and extension, and closes when the run ends; without
+    it, each call allocates its own and closes it before returning. On
+    a large enough grid (``_PARALLEL_WORK`` slot·passes per CPU) the
+    workspace splits the flat span into slot ranges run by forked worker
+    processes, with the same bits as one process; no setting controls
+    this, and ``taskset -c 0`` runs it serially. A caller who passes
+    ``_work`` also owns the ``np.errstate``: overflow
     to inf (caught by the caller's blow-up check) and ``inf - inf`` must
     be silenced around the call, as
-    :func:`plapfd.stepping.iter_levels` does once per chunk of levels.
-    Without ``_work`` the call silences them itself. The result is always
-    a new C-contiguous array that shares no memory with the scratch.
+    :func:`plapfd.stepping.iter_levels` does once per chunk of levels;
+    workers silence them in their own processes. Without ``_work`` the
+    call silences them itself. The result is always a new C-contiguous
+    array that shares no memory with the scratch.
     """
     _check_geometry(stencil, field)
     shape = field.values.shape
     if _work is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _Workspace(stencil, shape, field.extension).apply(field)
+        work = _Workspace(stencil, shape, field.extension)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return work.apply(field)
+        finally:
+            work.close()
     if _work.stencil is not stencil or _work.shape != shape or _work.extension != field.extension:
         raise ConfigurationError("workspace was built for another stencil, grid or extension")
     return _work.apply(field)

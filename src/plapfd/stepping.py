@@ -435,7 +435,10 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     The run owns one set of operator scratch arrays, allocated here and
     passed down through explicit_step to apply_dp_grid; every yielded
     level is still a new array, so levels a caller keeps are never
-    overwritten by later steps.
+    overwritten by later steps. On grids large enough to split over
+    worker processes (see apply_dp_grid) the workers start at the first
+    step and are stopped when the generator ends: exhausted, by
+    BlowUpError, by ``close()``, or when the consumer drops it.
 
     Levels are stepped in chunks of ``_BLOCK_BYTES`` (one level per chunk
     on grids of 8k nodes or more), each under one ``np.errstate`` that is
@@ -455,20 +458,23 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     source = f if f.values.view(np.int64).any() else None  # +0.0 alone has no bit set
     tau = np.array(config.tau)  # numpy multiplies by a 0-d array faster, with the same bits
     chunk = _levels_per_block(u.values.shape)
-    yield u
-    for first in range(1, config.N + 1, chunk):
-        levels = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(min(chunk, config.N + 1 - first)):
-                u = explicit_step(u, stencil, source, tau, _work=work)
-                levels.append(u)
-        if _nonfinite_node(u.values, u.n) is not None:
-            for k, level in enumerate(levels):
-                node = _nonfinite_node(level.values, u.n)
-                if node is not None:
-                    yield from levels[:k]
-                    raise BlowUpError(node, first + k)
-        yield from levels
+    try:
+        yield u
+        for first in range(1, config.N + 1, chunk):
+            levels = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(min(chunk, config.N + 1 - first)):
+                    u = explicit_step(u, stencil, source, tau, _work=work)
+                    levels.append(u)
+            if _nonfinite_node(u.values, u.n) is not None:
+                for k, level in enumerate(levels):
+                    node = _nonfinite_node(level.values, u.n)
+                    if node is not None:
+                        yield from levels[:k]
+                        raise BlowUpError(node, first + k)
+            yield from levels
+    finally:
+        work.close()
 
 
 @dataclass(frozen=True, eq=False)

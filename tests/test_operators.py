@@ -1,6 +1,10 @@
 import decimal
 import itertools
 import math
+import mmap
+import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +32,14 @@ from plapfd import (
     stencil_for,
     unit_ball_volume,
 )
-from plapfd.operators import _Workspace, _aligned_empty, _signed_power, weight_sum_bound
+from plapfd import operators
+from plapfd.operators import (
+    _Workspace,
+    _aligned_empty,
+    _ball_offsets,
+    _signed_power,
+    weight_sum_bound,
+)
 
 
 def test_jp_reference_values():
@@ -183,6 +194,56 @@ def test_stencil_ball_precondition():
         stencil_ball(1.0, 0.9, 2.0, 2)
     with pytest.raises(ValueError):
         stencil_ball(1.0, 0.5, 2.0, 1)
+
+
+def _cube_ball_offsets(r, h, d):
+    # the enumeration that blocks of slabs replaced: the whole cube
+    # [-m, m]^d at once, in C order, then one mask
+    m = int(math.floor(r / h + 1e-9))
+    cube = np.indices((2 * m + 1,) * d, dtype=np.int64).reshape(d, -1).T - m
+    inside = (h * h * np.sum(cube * cube, axis=1) < r * r) & np.any(cube != 0, axis=1)
+    return cube[inside]
+
+
+@pytest.mark.parametrize("d, ratios", [(2, (1.5, 2, 2.5, 3, 4, 5, 5.5, 7, 10, 12.3, 20)),
+                                       (3, (2, 2.5, 3, 4, 5, 5.5, 7, 10)),
+                                       (4, (2, 3, 4, 5, 5.5))])
+@pytest.mark.parametrize("h", [1.0, 0.1, 0.01])
+def test_ball_offsets_match_the_cube_enumeration(d, ratios, h):
+    # the same int64 rows in the same lexicographic order as the cube,
+    # also where r/h puts a lattice shell exactly on the sphere (r/h = 2,
+    # 3, 4, 5, 7, 10, 20): the same float comparison decides those rows
+    for ratio in ratios:
+        r = ratio * h
+        want = _cube_ball_offsets(r, h, d)
+        got = _ball_offsets(r, h, d)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (d, ratio, h)
+        if h <= r / math.sqrt(d):
+            assert stencil_ball(r, h, 3.0, d).offsets.tobytes() == want.tobytes()
+
+
+def _traced_peak(build, *args):
+    tracemalloc.start()
+    try:
+        out = build(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ball_offsets_memory_tracks_the_offsets():
+    # d = 3, r/h = 40: 267,760 offsets in a cube of 531,441 rows. Blocks of
+    # slabs hold the kept rows, their concatenation and one block of about
+    # 2**16 candidates, 2.12x the offsets as measured; the cube with its
+    # squares held 4.63x
+    offsets, peak = _traced_peak(_ball_offsets, 0.4, 0.01, 3)
+    assert len(offsets) == 267_760
+    assert peak < 2.5 * offsets.nbytes
+    cube, cube_peak = _traced_peak(_cube_ball_offsets, 0.4, 0.01, 3)
+    assert cube_peak > 4.0 * offsets.nbytes
+    # 81 slabs of 6,561 rows, 9 per block: the block seams keep the order
+    assert offsets.tobytes() == cube.tobytes()
 
 
 def test_stencil_weights_outside_float_range_are_refused():
@@ -790,3 +851,162 @@ def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, exten
         assert not np.shares_memory(out, buf)
     assert out.tobytes() == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
     assert out.tobytes() == _apply_dp_grid_previous_workspace(stencil, field).tobytes()
+
+
+def _force_split(monkeypatch, k):
+    # every span of at least 8k slots splits into k ranges, whatever the
+    # host's CPU count
+    monkeypatch.setattr(operators, "_PARALLEL_WORK", 1)
+    monkeypatch.setattr(operators, "_cpu_count", lambda: k)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _exit_status(pid, timeout=10.0):
+    # waitpid(pid, 0) with a deadline, so a worker that does not exit
+    # fails the test instead of hanging it
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.01)
+    pytest.fail(f"worker {pid} did not exit within {timeout} s")
+
+
+def _axis_pair_stencil_2d(h, p):
+    # the pair +-(3, 0) alone: the middle pair's edge pass reaches three
+    # padded rows past each range
+    w = 0.25 * (3.0 * h) ** -p
+    return Stencil(d=2, h=h, r=3.0 * h, p=p, offsets=[[-3, 0], [3, 0]], weights=[w, w])
+
+
+def _far_pair_stencil_1d(h, p):
+    # the pairs +-20 and +-21: s_1 = 20 slots, longer than the 8- and
+    # 16-slot ranges of a 41-node grid split three ways
+    w = 0.25 * (21.0 * h) ** -p
+    return Stencil(d=1, h=h, r=21.0 * h, p=p, offsets=[[-21], [-20], [20], [21]],
+                   weights=[w] * 4)
+
+
+# (d, stencil maker, n): nodes per side 2n + 1
+_SPLIT_CASES = {
+    "1d-two-point": (1, lambda p: stencil_1d(0.1, p), 20),
+    "1d-far-pair": (1, lambda p: _far_pair_stencil_1d(0.1, p), 20),
+    "2d-ball": (2, lambda p: stencil_ball(0.3, 0.1, p, 2), 5),
+    "2d-axis-pair": (2, lambda p: _axis_pair_stencil_2d(0.1, p), 2),
+    "3d-ball": (3, lambda p: stencil_ball(0.25, 0.1, p, 3), 3),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 3.7, 4.0, 40.0])
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_split_kernel_matches_the_serial_kernel_bitwise(monkeypatch, case, extension, p, k):
+    # the span cut into k ranges at multiples of 8 slots, the others run
+    # by forked workers, gives the serial kernel's bytes: at every p
+    # (np.power at 2.5, 3.7 and 40), in d = 1, 2 and 3, under both
+    # extensions, and where a range's middle-pair halo crosses later cuts
+    d, make, n = _SPLIT_CASES[case]
+    stencil = make(p)
+    rng = np.random.default_rng(k * 100 + int(10 * p))
+    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=rng.standard_normal((2 * n + 1,) * d),
+                      extension=extension)
+    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
+    assert apply_dp_grid(stencil, field).tobytes() == want  # k = 1 on small grids
+    _force_split(monkeypatch, k)
+    work = _Workspace(stencil, field.values.shape, extension)
+    cuts = [a for a, _ in work.ranges]
+    assert len(work.ranges) == k and all(c % 8 == 0 for c in cuts)
+    assert work.ranges[-1][1] == len(work.acc)
+    if case in ("1d-far-pair", "2d-axis-pair") and k == 3:
+        s1 = work.diff.size - work.ranges[0][1]
+        assert work.ranges[0][1] + s1 > cuts[2]  # range 0's halo crosses cut 2
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):  # the first apply forks, the second reuses
+                assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+        assert len(work._workers) == k - 1
+    finally:
+        work.close()
+    _assert_no_children()
+    assert apply_dp_grid(stencil, field).tobytes() == want  # one-shot, split
+    _assert_no_children()
+
+
+def test_split_workspace_allocates_no_serial_buffers(monkeypatch):
+    # with k > 1 this process holds range 0's diff and term only, and the
+    # padded copy and acc sit in one shared mapping
+    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
+    _force_split(monkeypatch, 2)
+    work = _Workspace(stencil, (11, 11), "zero")
+    (_, b0), _ = work.ranges
+    s1 = work.diff.size - b0
+    assert work.diff.size == work.term.size == b0 + s1 < len(work.acc)
+    owners = []
+    for view in (work.padded, work.acc, work.diff):
+        while isinstance(view, np.ndarray):
+            view = view.base
+        owners.append(view.obj if isinstance(view, memoryview) else view)
+    assert isinstance(owners[0], mmap.mmap) and owners[1] is owners[0]
+    assert not isinstance(owners[2], mmap.mmap)
+
+
+def test_split_workers_exit_and_a_lost_worker_raises(monkeypatch):
+    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
+    rng = np.random.default_rng(1)
+    field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
+    _force_split(monkeypatch, 3)
+    work = _Workspace(stencil, (11, 11), "zero")
+    try:
+        # workers start at the first apply, not when the workspace is built
+        assert work._workers == []
+        _assert_no_children()
+        apply_dp_grid(stencil, field, _work=work)
+        # a worker whose pipe is closed exits, cleanly
+        pid, go, done = work._workers.pop()
+        os.close(go)
+        assert _exit_status(pid) == 0
+        os.close(done)
+        # one that is gone makes the next apply raise, not hang
+        pid = work._workers[0][0]
+        os.kill(pid, 9)
+        with pytest.raises(RuntimeError, match="worker"):
+            apply_dp_grid(stencil, field, _work=work)
+    finally:
+        work.close()
+    _assert_no_children()
+
+
+def test_split_workspace_is_reaped_when_dropped(monkeypatch):
+    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
+    field = GridField(d=2, h=0.1, half_width=0.5, values=np.ones((11, 11)))
+    _force_split(monkeypatch, 2)
+    work = _Workspace(stencil, (11, 11), "zero")
+    apply_dp_grid(stencil, field, _work=work)
+    assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a worker runs
+    del work
+    _assert_no_children()
+
+
+def test_split_falls_back_to_one_range_when_fork_fails(monkeypatch):
+    stencil = stencil_ball(0.3, 0.1, 3.7, 2)
+    rng = np.random.default_rng(2)
+    field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
+    want = apply_dp_grid(stencil, field).tobytes()
+    _force_split(monkeypatch, 2)
+
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(operators.os, "fork", refuse)
+    work = _Workspace(stencil, (11, 11), "zero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+    assert work.ranges == [(0, len(work.acc))] and work._workers == []
+    assert work.diff.size > len(work.acc)
+    _assert_no_children()

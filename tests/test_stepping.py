@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import re
 import warnings
 
@@ -34,7 +35,12 @@ from plapfd import (
 )
 from plapfd import mollifier_constants, stepping
 from plapfd.operators import _check_p, _nonnegative, _positive, weight_sum_bound
-from test_operators import _apply_dp_grid_padded_reference, _reference_levels
+from test_operators import (
+    _apply_dp_grid_padded_reference,
+    _assert_no_children,
+    _force_split,
+    _reference_levels,
+)
 
 
 def zero_data():
@@ -531,6 +537,75 @@ def test_levels_match_reference_step_bitwise(d, extension, p):
     want = [lev.values.tobytes() for lev in want]
     assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
     assert [lev.values.tobytes() for lev in solve(cfg, data).levels] == want
+
+
+def _split_config(d, p, extension):
+    # three or more steps of the wavy run on a grid the forced split cuts
+    if d == 3:
+        return plan_config(p, 3, 3e-3, 0.6, _wavy_data(), r=0.25, h=0.1, num_steps=3,
+                           extension=extension)
+    return _wavy_config(d, p, extension)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("d, p", [(1, 2.5), (2, 3.7), (2, 3.0), (3, 3.7)])
+def test_split_levels_match_serial_levels_bitwise(monkeypatch, d, p, extension, k):
+    # every level of a run whose operator span is split k ways, byte for
+    # byte against the serial run, and no worker left behind
+    cfg = _split_config(d, p, extension)
+    assert cfg.N >= 3
+    want = [lev.values.tobytes() for lev in iter_levels(cfg, _wavy_data())]
+    assert want[-1] != want[0]
+    _force_split(monkeypatch, k)
+    got = [lev.values.tobytes() for lev in iter_levels(cfg, _wavy_data())]
+    assert got == want
+    _assert_no_children()
+
+
+def test_split_run_leaves_no_worker_after_blow_up(monkeypatch):
+    # the pinned 1D blow-up at step 5, split two ways: the same healthy
+    # levels, the same error, and the workers are reaped
+    data = oscillatory_data(0.1)
+    cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
+    want = []
+    with pytest.raises(BlowUpError):
+        for lev in iter_levels(cfg, data):
+            want.append(lev.values.tobytes())
+    assert len(want) == 5
+    _force_split(monkeypatch, 2)
+    got = []
+    with pytest.raises(BlowUpError) as exc:
+        for lev in iter_levels(cfg, data):
+            got.append(lev.values.tobytes())
+            if len(got) == 2:
+                assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a worker runs
+    assert got == want and (exc.value.node, exc.value.step) == ((-10,), 5)
+    _assert_no_children()
+
+
+def test_split_run_leaves_no_worker_when_closed_or_abandoned(monkeypatch):
+    cfg = _split_config(2, 3.0, "zero")
+    _force_split(monkeypatch, 2)
+    # the generator closed after two levels
+    gen = iter_levels(cfg, _wavy_data())
+    next(gen), next(gen)
+    assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a worker runs
+    gen.close()
+    _assert_no_children()
+
+    # the consumer raises mid-run
+    class Stop(Exception):
+        pass
+
+    with pytest.raises(Stop):
+        for j, _ in enumerate(iter_levels(cfg, _wavy_data())):
+            if j == 2:
+                raise Stop
+    _assert_no_children()
+    # the whole run
+    assert len(solve(cfg, _wavy_data()).levels) == cfg.N + 1
+    _assert_no_children()
 
 
 def _chunk_config(d, N, source):
