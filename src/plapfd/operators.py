@@ -530,14 +530,6 @@ def apply_dp(stencil: Stencil, field: GridField, alpha) -> float:
     return acc
 
 
-def _aligned_empty(n: int) -> np.ndarray:
-    """``np.empty(n)`` starting on a 64-byte cache line: numpy's ufuncs
-    write about 2x slower into an output that starts off a line."""
-    raw = np.empty(n + 8)
-    skip = (-raw.ctypes.data % 64) // 8
-    return raw[skip : skip + n]
-
-
 # Slot·passes that each range of a split apply must carry. A fork costs
 # ~1 ms and a join ~2 ms on a 2-core x86 host, and a serial apply ~1.3 ns
 # per slot·pass; a one-shot apply split two ways was slower at 2**23.1
@@ -553,15 +545,15 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _pass_list(flat, start: int, shifts: list, weights: list, a: int, b: int):
+def _pass_list(flat, start: int, shifts: list, weights: list, a: int, b: int,
+               edge_diff: np.ndarray, edge_term: np.ndarray):
     """The passes ``(hi, lo, diff, term, weight, subtracted, added)`` over
-    slots ``[a, b)`` of the span, and the ``diff`` and ``term`` buffers
-    they write, allocated here. The middle pair's edge terms cover ``[a,
-    b + s_1)``: a halo of ``s_1`` slots past the range, which each range
-    forms itself from the padded copy."""
+    slots ``[a, b)`` of the span, into the range's own ``edge_diff`` and
+    ``edge_term`` buffers of ``b - a + s_1`` slots. The middle pair's edge
+    terms cover ``[a, b + s_1)``: a halo of ``s_1`` slots past the range,
+    which each range forms itself from the padded copy."""
     n, middle = b - a, len(shifts) // 2
     s1 = shifts[middle]
-    edge_diff, edge_term = _aligned_empty(n + s1), _aligned_empty(n + s1)
     # one view of each range-long buffer, shared by every offset's pass
     diff, term = edge_diff[:n], edge_term[:n]
     lo = flat[start + a : start + b]
@@ -573,7 +565,7 @@ def _pass_list(flat, start: int, shifts: list, weights: list, a: int, b: int):
         (flat[start + a : start + b + s1], flat[start + a - s1 : start + b],
          edge_diff, edge_term, weights[middle], term, edge_term[s1 : s1 + n])
     ]
-    return passes, edge_diff, edge_term
+    return passes
 
 
 def _run(passes: list, p: float, acc: np.ndarray) -> None:
@@ -606,26 +598,27 @@ def _reap(workers: list, owner: int) -> None:
 
 class _Workspace:
     """The kernel of apply_dp_grid, for one stencil on one grid shape under
-    one extension rule: its scratch arrays, its pass list, and ``apply``,
+    one extension rule: its scratch arrays, its pass lists, and ``apply``,
     which runs the passes.
 
-    The padded copy is zero-filled once, here: under the zero extension
-    ``_fill_padded`` then copies the field into its fixed interior view
-    only, so the margins stay +0 for the workspace's life. The weights are
-    0-d float64 arrays, which numpy multiplies by faster than Python
-    floats, with the same bits. Every view is fixed here, once. The result
-    is not among the scratch arrays: every call returns a new array.
+    All scratch is one anonymous mapping, made here for every number of
+    ranges: the padded copy, the accumulator ``acc`` and each slot range's
+    ``diff`` and ``term``, each from a 64-byte line (numpy's ufuncs write
+    about 2x slower into an output that starts off one). The system
+    zero-fills it, so under the zero extension ``_fill_padded`` copies the
+    field into the fixed interior view only, and the margins stay +0. The
+    weights are 0-d float64 arrays, which numpy multiplies by faster than
+    Python floats, with the same bits. Every view and every pass list is
+    fixed here, once; every call returns a new array.
 
     In every d the padded copy is read as one flat span from the first
     interior node to the last, ``(size-1) * sum(strides) + 1`` slots
-    (strides in elements). The nodes' own values ``base`` and each
-    offset's shifted values are fixed 1D views of it: offset ``beta``
-    starts ``beta . strides`` slots from the base, inside the padded copy
-    as ``|beta_k| <= reach``. Each pass writes ``diff`` and ``term`` and
-    adds into ``acc``: buffers that each start on a 64-byte line, so every
-    pass is a few aligned ufunc calls. The slots between interior rows
-    hold nothing meaningful; the result copies the interior,
-    ``acc_interior``.
+    (strides in elements). The nodes' own values and each offset's
+    shifted values are fixed 1D views of it: offset ``beta`` starts
+    ``beta . strides`` slots from the base, inside the padded copy as
+    ``|beta_k| <= reach``. Each pass writes ``diff`` and ``term`` and adds
+    into ``acc``. The slots between interior rows hold nothing
+    meaningful; the result copies the interior, ``acc_interior``.
 
     The middle pair ``-beta_1, +beta_1`` is one edge pass (see
     apply_dp_grid) over ``span + s_1`` slots, ``s_1 = beta_1 . strides >
@@ -636,12 +629,14 @@ class _Workspace:
     A large apply (``_PARALLEL_WORK`` slot·passes per range, at most one
     range per CPU) splits the span into slot ranges cut at multiples of 8
     slots, so every slot keeps the SIMD lane, operations and order it has
-    in one pass: the bits are the serial ones. The padded copy and ``acc``
-    then live in one shared mapping; the first ``apply`` forks a worker
-    per range but the first, which allocates its own buffers, and one byte
-    each way over a pipe starts and ends an apply. ``close``, or a
-    ``weakref.finalize``, stops them; a worker also exits at EOF of its
-    pipe, and one that is gone makes ``apply`` raise RuntimeError.
+    in one pass: the bits are the serial ones. Each range's ``diff`` and
+    ``term`` hold ``b - a + s_1`` slots, its halo included. The first
+    ``apply`` forks a worker per range but the first, which runs the pass
+    list it inherited; where the system refuses a pipe or a fork, this
+    process runs that range and every later one. One byte each way over a
+    pipe starts and ends an apply. ``close``, or a ``weakref.finalize``,
+    stops the workers; one also exits at EOF of its pipe, and one that is
+    gone makes ``apply`` raise RuntimeError.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -658,32 +653,35 @@ class _Workspace:
         k = max(1, min(_cpu_count(), span * (len(shifts) - 1) // _PARALLEL_WORK, span // 8))
         cuts = [8 * (span // 8 * i // k) for i in range(k)] + [span]
         self.ranges = list(zip(cuts, cuts[1:]))
-        # size padded rows: the span, laid out as the padded copy's rows
-        nrows = size * strides[0]
-        if k == 1:
-            self.padded = np.zeros(padded_shape)
-        else:
-            cells = -(-math.prod(padded_shape) // 8) * 8
-            shared = np.frombuffer(mmap.mmap(-1, 8 * (cells + nrows), flags=mmap.MAP_SHARED))
-            self.padded = shared[: math.prod(padded_shape)].reshape(padded_shape)
+        # the padded copy, size padded rows for acc (the span, laid out as
+        # the padded copy's rows), then each range's diff and term
+        s1 = shifts[len(shifts) // 2]
+        sizes = [math.prod(padded_shape), size * strides[0]]
+        sizes += [b - a + s1 for a, b in self.ranges for _ in range(2)]
+        at = np.cumsum([0] + [-(-n // 8) * 8 for n in sizes]).tolist()
+        shared = np.frombuffer(mmap.mmap(-1, 8 * at[-1]))
+        padded, rows, *edges = [shared[i : i + n] for i, n in zip(at, sizes)]
+        self.padded = padded.reshape(padded_shape)
         self.interior = self.padded[(slice(m, m + size),) * d]
-        self._layout = (self.padded.reshape(-1), start, shifts, weights)
-        self.passes, self.diff, self.term = _pass_list(*self._layout, *self.ranges[0])
-        rows = _aligned_empty(nrows) if k == 1 else shared[cells:]
         self.acc = rows[:span]
-        self._acc0 = self.acc[: self.ranges[0][1]]
         self.acc_interior = rows.reshape((size,) + padded_shape[1:])[(slice(0, size),) * d]
+        self.passes = [
+            _pass_list(padded, start, shifts, weights, a, b, diff, term)
+            for (a, b), diff, term in zip(self.ranges, edges[::2], edges[1::2])
+        ]
         # (pid, go pipe, done pipe) of each running worker: go's write end,
-        # done's read end
+        # done's read end; and the ranges this process runs, once forked
         self._workers = []
+        self._here = None
         if k > 1:
             weakref.finalize(self, _reap, self._workers, os.getpid())
 
-    def _fork(self) -> None:
-        """Start a worker for every range but the first. Where the system
-        refuses a pipe or a fork, stop those started and run serially."""
-        p, owner = self.stencil.p, os.getpid()
-        for a, b in self.ranges[1:]:
+    def _fork(self) -> list:
+        """Start a worker for every range but the first, and return the
+        ranges this process runs: the first, and where the system refuses
+        a pipe or a fork, that range and every later one."""
+        p = self.stencil.p
+        for i, (a, b) in enumerate(self.ranges[1:], 1):
             fds = []
             try:
                 fds += os.pipe()
@@ -692,19 +690,14 @@ class _Workspace:
             except OSError:
                 for fd in fds:
                     os.close(fd)
-                _reap(self._workers, owner)
-                self.ranges = [(0, len(self.acc))]
-                self.passes, self.diff, self.term = _pass_list(*self._layout, *self.ranges[0])
-                self._acc0 = self.acc
-                return
+                return [0, *range(i, len(self.ranges))]
             go_r, go_w, done_r, done_w = fds
             if pid == 0:
                 status = 1
                 try:
                     for fd in [go_w, done_r] + [fd for w in self._workers for fd in w[1:]]:
                         os.close(fd)
-                    passes = _pass_list(*self._layout, a, b)[0]
-                    acc = self.acc[a:b]
+                    passes, acc = self.passes[i], self.acc[a:b]
                     with np.errstate(over="ignore", invalid="ignore"):
                         while os.read(go_r, 1):
                             _run(passes, p, acc)
@@ -715,30 +708,34 @@ class _Workspace:
             os.close(go_r)
             os.close(done_w)
             self._workers.append((pid, go_w, done_r))
+        return [0]
 
     def close(self) -> None:
-        """Stop the workers, if any run; idempotent."""
+        """Stop the workers, if any run; idempotent. A later apply forks anew."""
         _reap(self._workers, os.getpid())
+        self._here = None
 
     def apply(self, field: GridField) -> np.ndarray:
         """``D U`` for a field that fits this workspace, as a new array,
         under the caller's errstate."""
         field._fill_padded(self.reach, self.padded, self.interior)
         if len(self.ranges) == 1:
-            _run(self.passes, self.stencil.p, self.acc)
+            _run(self.passes[0], self.stencil.p, self.acc)
         else:
             self._apply_split()
         return self.acc_interior.copy()
 
     def _apply_split(self) -> None:
-        """Run range 0 here and every other range in its worker, forked by
-        the first call, and wait for them all."""
-        if not self._workers:
-            self._fork()
+        """Run this process's ranges here and every other range in its
+        worker, forked by the first call, and wait for them all."""
+        if self._here is None:
+            self._here = self._fork()
         try:
             for _, go, _ in self._workers:
                 os.write(go, b"\1")
-            _run(self.passes, self.stencil.p, self._acc0)
+            for i in self._here:
+                a, b = self.ranges[i]
+                _run(self.passes[i], self.stencil.p, self.acc[a:b])
             finished = all(os.read(done, 1) for _, _, done in self._workers)
         except BrokenPipeError:
             finished = False
@@ -773,14 +770,15 @@ def apply_dp_grid(
     operations in the same order.
 
     The scratch arrays (padded copy, differences, terms and the
-    accumulator) come from ``_work``, which
+    accumulator, one mapping) come from ``_work``, which
     :func:`plapfd.stepping.iter_levels` allocates once per run for its
     stencil, grid and extension, and closes when the run ends; without
     it, each call allocates its own and closes it before returning. On
     a large enough grid (``_PARALLEL_WORK`` slot·passes per CPU) the
-    workspace splits the flat span into slot ranges run by forked worker
-    processes, with the same bits as one process; no setting controls
-    this, and ``taskset -c 0`` runs it serially. A caller who passes
+    workspace splits the flat span into slot ranges, each with its own
+    differences and terms, run by forked worker processes with the same
+    bits as one process; no setting controls this, and ``taskset -c 0``
+    runs it serially. A caller who passes
     ``_work`` also owns the ``np.errstate``: overflow
     to inf (caught by the caller's blow-up check) and ``inf - inf`` must
     be silenced around the call, as

@@ -35,7 +35,6 @@ from plapfd import (
 from plapfd import operators
 from plapfd.operators import (
     _Workspace,
-    _aligned_empty,
     _ball_offsets,
     _signed_power,
     weight_sum_bound,
@@ -446,6 +445,14 @@ def _apply_dp_grid_row_view_reference(stencil, field):
     return acc
 
 
+def _aligned_empty(n):
+    # np.empty(n) starting on a 64-byte line, as the earlier kernels
+    # allocated their scratch
+    raw = np.empty(n + 8)
+    skip = (-raw.ctypes.data % 64) // 8
+    return raw[skip : skip + n]
+
+
 class _PreviousWorkspace:
     # the workspace kernel before its two layouts became one: in d = 1 an
     # edge pass for every pair (offset -k subtracts the head of its edge
@@ -826,11 +833,12 @@ def _two_pair_stencil_1d(h, p):
 @pytest.mark.parametrize("extension", ["zero", "boundary"])
 @pytest.mark.parametrize("p", [3.0, 3.5])
 def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, extension, p):
-    # the kernel writes diff, term and acc over the flat span in every d,
-    # by cheap passes at p = 3 and np.power at p = 3.5; numpy writes about
-    # 2x slower into an output that starts off a 64-byte line, so each must
-    # start on one. In d = 1, r = h is the two-point stencil, a single edge
-    # pass, and r = 3h the hand-built pairs +-2, +-3.
+    # the kernel writes each range's diff and term, and acc, over the flat
+    # span in every d, by cheap passes at p = 3 and np.power at p = 3.5;
+    # numpy writes about 2x slower into an output that starts off a
+    # 64-byte line, so each must start on one. In d = 1, r = h is the
+    # two-point stencil, a single edge pass, and r = 3h the hand-built
+    # pairs +-2, +-3.
     # The result must be a new C-contiguous array, since explicit_step
     # updates it in place
     if d == 1:
@@ -841,7 +849,7 @@ def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, exten
     field = GridField(d=d, h=h, half_width=n * h, values=rng.standard_normal((2 * n + 1,) * d),
                       extension=extension)
     work = _Workspace(stencil, field.values.shape, extension)
-    written = (work.diff, work.term, work.acc)
+    written = sum(_edge_buffers(work), (work.acc,))
     with np.errstate(over="ignore", invalid="ignore"):
         out = apply_dp_grid(stencil, field, _work=work)
     for buf in written:
@@ -851,6 +859,15 @@ def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, exten
         assert not np.shares_memory(out, buf)
     assert out.tobytes() == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
     assert out.tobytes() == _apply_dp_grid_previous_workspace(stencil, field).tobytes()
+
+
+def _edge_buffers(work):
+    # each range's diff and term, b - a + s_1 slots with the halo: the
+    # buffers its middle pair's edge pass writes
+    return [
+        next((diff, term) for _, _, diff, term, _, subtracted, _ in passes if subtracted is not None)
+        for passes in work.passes
+    ]
 
 
 def _force_split(monkeypatch, k):
@@ -924,7 +941,7 @@ def test_split_kernel_matches_the_serial_kernel_bitwise(monkeypatch, case, exten
     assert len(work.ranges) == k and all(c % 8 == 0 for c in cuts)
     assert work.ranges[-1][1] == len(work.acc)
     if case in ("1d-far-pair", "2d-axis-pair") and k == 3:
-        s1 = work.diff.size - work.ranges[0][1]
+        s1 = _edge_buffers(work)[0][0].size - work.ranges[0][1]
         assert work.ranges[0][1] + s1 > cuts[2]  # range 0's halo crosses cut 2
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -938,22 +955,42 @@ def test_split_kernel_matches_the_serial_kernel_bitwise(monkeypatch, case, exten
     _assert_no_children()
 
 
-def test_split_workspace_allocates_no_serial_buffers(monkeypatch):
-    # with k > 1 this process holds range 0's diff and term only, and the
-    # padded copy and acc sit in one shared mapping
-    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
-    _force_split(monkeypatch, 2)
-    work = _Workspace(stencil, (11, 11), "zero")
-    (_, b0), _ = work.ranges
-    s1 = work.diff.size - b0
-    assert work.diff.size == work.term.size == b0 + s1 < len(work.acc)
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", ["1d-two-point", "2d-ball", "3d-ball"])
+def test_workspace_scratch_is_one_mapping(monkeypatch, case, k):
+    # for every k the padded copy, the acc rows and each range's diff and
+    # term (b - a + s_1 slots, halo included) are views of one mapping,
+    # each from a 64-byte line, and no two share memory; k = 1 forks nothing
+    d, make, n = _SPLIT_CASES[case]
+    stencil = make(3.0)
+    rng = np.random.default_rng(k)
+    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=rng.standard_normal((2 * n + 1,) * d))
+    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
+    _force_split(monkeypatch, k)
+    work = _Workspace(stencil, field.values.shape, "zero")
+    edges = _edge_buffers(work)
+    assert len(work.ranges) == len(edges) == k
+    halos = {buf.size - (b - a) for (a, b), pair in zip(work.ranges, edges) for buf in pair}
+    assert len(halos) == 1 and halos.pop() > 0
+    bufs = [work.padded, work.acc] + [buf for pair in edges for buf in pair]
     owners = []
-    for view in (work.padded, work.acc, work.diff):
+    for view in bufs:
+        assert view.ctypes.data % 64 == 0
         while isinstance(view, np.ndarray):
             view = view.base
         owners.append(view.obj if isinstance(view, memoryview) else view)
-    assert isinstance(owners[0], mmap.mmap) and owners[1] is owners[0]
-    assert not isinstance(owners[2], mmap.mmap)
+    assert isinstance(owners[0], mmap.mmap) and all(o is owners[0] for o in owners)
+    for x, y in itertools.combinations(bufs, 2):
+        assert not np.shares_memory(x, y)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+        assert len(work._workers) == k - 1
+        if k == 1:
+            _assert_no_children()
+    finally:
+        work.close()
+    _assert_no_children()
 
 
 def test_split_workers_exit_and_a_lost_worker_raises(monkeypatch):
@@ -993,20 +1030,34 @@ def test_split_workspace_is_reaped_when_dropped(monkeypatch):
     _assert_no_children()
 
 
-def test_split_falls_back_to_one_range_when_fork_fails(monkeypatch):
+@pytest.mark.parametrize("k, forks", [(2, 0), (3, 1)])
+def test_split_runs_refused_ranges_in_this_process(monkeypatch, k, forks):
+    # the system grants the first `forks` forks and refuses the next: this
+    # process runs range 0, the refused range and every later one on the
+    # pass lists built for them, the workers started keep theirs, and no
+    # later apply forks again
     stencil = stencil_ball(0.3, 0.1, 3.7, 2)
     rng = np.random.default_rng(2)
     field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
     want = apply_dp_grid(stencil, field).tobytes()
-    _force_split(monkeypatch, 2)
+    _force_split(monkeypatch, k)
+    fork, calls = os.fork, itertools.count()
 
-    def refuse():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
+    def fork_or_refuse():
+        if next(calls) == forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
 
-    monkeypatch.setattr(operators.os, "fork", refuse)
+    monkeypatch.setattr(operators.os, "fork", fork_or_refuse)
     work = _Workspace(stencil, (11, 11), "zero")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-    assert work.ranges == [(0, len(work.acc))] and work._workers == []
-    assert work.diff.size > len(work.acc)
+    ranges, passes = work.ranges, work.passes
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+        assert next(calls) == forks + 1
+        assert len(work._workers) == forks
+        assert work.ranges is ranges and work.passes is passes and len(ranges) == k
+    finally:
+        work.close()
     _assert_no_children()
