@@ -14,6 +14,7 @@ operator is consistent with the p-Laplacian on smooth functions.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -22,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _ckernel
 from .errors import ConfigurationError
 
 # multiplicative slack for validation of float identities
@@ -580,6 +582,15 @@ def _run(passes: list, p: float, acc: np.ndarray) -> None:
         np.add(acc, added, out=acc)
 
 
+def _mapping(sizes: list) -> list:
+    """Buffers of ``sizes`` float64 slots, in one anonymous mapping that
+    the system zero-fills, each starting on a 64-byte line. The mapping
+    is ``MAP_SHARED`` on POSIX, so forked workers write into it too."""
+    at = np.cumsum([0] + [-(-n // 8) * 8 for n in sizes]).tolist()
+    shared = np.frombuffer(mmap.mmap(-1, 8 * at[-1]))
+    return [shared[i : i + n] for i, n in zip(at, sizes)]
+
+
 def _reap(workers: list, owner: int) -> None:
     """Close each worker's pipes, so that it reads EOF and exits, and wait
     for it. Only the process that forked them may: a copy of this list in
@@ -598,45 +609,55 @@ def _reap(workers: list, owner: int) -> None:
 
 class _Workspace:
     """The kernel of apply_dp_grid, for one stencil on one grid shape under
-    one extension rule: its scratch arrays, its pass lists, and ``apply``,
-    which runs the passes.
+    one extension rule: its scratch arrays, its kernel, and ``apply``,
+    which fills the padded copy, runs the kernel and returns a copy of
+    the result as a new array.
 
-    All scratch is one anonymous mapping, made here for every number of
-    ranges: the padded copy, the accumulator ``acc`` and each slot range's
-    ``diff`` and ``term``, each from a 64-byte line (numpy's ufuncs write
-    about 2x slower into an output that starts off one). The system
-    zero-fills it, so under the zero extension ``_fill_padded`` copies the
-    field into the fixed interior view only, and the margins stay +0. The
-    weights are 0-d float64 arrays, which numpy multiplies by faster than
-    Python floats, with the same bits. Every view and every pass list is
-    fixed here, once; every call returns a new array.
+    All scratch is one anonymous mapping, made here: the padded copy
+    first, then the kernel's buffers, each from a 64-byte line (numpy's
+    ufuncs write about 2x slower into an output that starts off one). The
+    system zero-fills it, so under the zero extension ``_fill_padded``
+    copies the field into the fixed interior view only, and the margins
+    stay +0. Every view, pointer and pass list is fixed here, once.
 
-    In every d the padded copy is read as one flat span from the first
-    interior node to the last, ``(size-1) * sum(strides) + 1`` slots
-    (strides in elements). The nodes' own values and each offset's
-    shifted values are fixed 1D views of it: offset ``beta`` starts
-    ``beta . strides`` slots from the base, inside the padded copy as
-    ``|beta_k| <= reach``. Each pass writes ``diff`` and ``term`` and adds
-    into ``acc``. The slots between interior rows hold nothing
-    meaningful; the result copies the interior, ``acc_interior``.
+    In every d the nodes and their shifted values are read from the
+    padded copy at fixed flat shifts: offset ``beta`` lies ``beta .
+    strides`` slots (strides in elements) from a node, inside the padded
+    copy as ``|beta_k| <= reach``. The middle pair ``-beta_1, +beta_1``,
+    ``s_1 = beta_1 . strides > 0``, is one edge pass (see apply_dp_grid);
+    the two-point stencil is this one pass.
 
-    The middle pair ``-beta_1, +beta_1`` is one edge pass (see
-    apply_dp_grid) over ``span + s_1`` slots, ``s_1 = beta_1 . strides >
-    0``: its terms ``E`` are formed once, ``-beta_1`` subtracts
-    ``E[:span]`` and ``+beta_1`` adds ``E[s_1:]``. The two-point stencil
-    is this one pass.
+    **Compiled kernel** (``compiled``; p = 2, 3 and 4 where
+    :mod:`plapfd._ckernel` builds). One serial C call walks the interior
+    rows: each row's accumulator ``acc`` (one row long) gets every pass
+    in the numpy kernel's order, with the same bits, and is copied into
+    ``result``, the interior, contiguous. The call's pointers and sizes
+    are bound here. It never splits and never forks.
 
-    A large apply (``_PARALLEL_WORK`` slot·passes per range, at most one
-    range per CPU) splits the span into slot ranges cut at multiples of 8
-    slots, so every slot keeps the SIMD lane, operations and order it has
-    in one pass: the bits are the serial ones. Each range's ``diff`` and
-    ``term`` hold ``b - a + s_1`` slots, its halo included. The first
-    ``apply`` forks a worker per range but the first, which runs the pass
-    list it inherited; where the system refuses a pipe or a fork, this
-    process runs that range and every later one. One byte each way over a
-    pipe starts and ends an apply. ``close``, or a ``weakref.finalize``,
-    stops the workers; one also exits at EOF of its pipe, and one that is
-    gone makes ``apply`` raise RuntimeError.
+    **numpy kernel** (every other p, and wherever no compiler, build or
+    load succeeds). The padded copy is read as one flat span from the
+    first interior node to the last, ``(size-1) * sum(strides) + 1``
+    slots, and each pass is a few ufunc calls over it: it writes
+    ``diff`` and ``term`` and adds into ``acc`` (the span, laid out as
+    the padded copy's rows, so ``result`` is a view of it; the slots
+    between interior rows hold nothing meaningful). The middle pair's
+    terms ``E`` are formed once over ``span + s_1`` slots: ``-beta_1``
+    subtracts ``E[:span]`` and ``+beta_1`` adds ``E[s_1:]``. The weights
+    are 0-d float64 arrays, which numpy multiplies by faster than Python
+    floats, with the same bits.
+
+    A large numpy apply (``_PARALLEL_WORK`` slot·passes per range, at
+    most one range per CPU) splits the span into slot ranges cut at
+    multiples of 8 slots, so every slot keeps the SIMD lane, operations
+    and order it has in one pass: the bits are the serial ones. Each
+    range's ``diff`` and ``term`` hold ``b - a + s_1`` slots, its halo
+    included. The first ``apply`` forks a worker per range but the
+    first, which runs the pass list it inherited; where the system
+    refuses a pipe or a fork, this process runs that range and every
+    later one. One byte each way over a pipe starts and ends an apply.
+    ``close``, or a ``weakref.finalize``, stops the workers; one also
+    exits at EOF of its pipe, and one that is gone makes ``apply`` raise
+    RuntimeError.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -644,12 +665,38 @@ class _Workspace:
         self.shape = shape
         self.extension = extension
         self.reach = m = int(np.max(np.abs(stencil.offsets)))
-        weights = [np.array(w) for w in stencil.weights.tolist()]
         size, d = shape[0], len(shape)
         padded_shape = (size + 2 * m,) * d
         strides = [(size + 2 * m) ** (d - 1 - i) for i in range(d)]
-        start, span = m * sum(strides), (size - 1) * sum(strides) + 1
+        start = m * sum(strides)
         shifts = [sum(b * s for b, s in zip(beta, strides)) for beta in stencil.offsets.tolist()]
+        # (pid, go pipe, done pipe) of each running worker: go's write end,
+        # done's read end; and the ranges this process runs, once forked
+        self._workers = []
+        self._here = None
+        fn = _ckernel.kernel(stencil.p)
+        self.compiled = fn is not None
+        if self.compiled:
+            padded, result, self.acc = _mapping([math.prod(padded_shape), size**d, size])
+            self.result = result.reshape(shape)
+            # where each interior row starts in the padded copy, in C order
+            rows = np.array([start], dtype=np.int64)
+            for stride in strides[:-1]:
+                rows = (rows[:, None] + stride * np.arange(size)).ravel()
+            # kept here: the bound call reads them by address
+            self._bound = (rows, np.array(shifts, dtype=np.int64), np.array(stencil.weights))
+            self._serial = _ckernel.bind(fn, padded, *self._bound, self.acc, result)
+        else:
+            padded = self._plan_passes(padded_shape, strides, start, shifts)
+        self.padded = padded.reshape(padded_shape)
+        self.interior = self.padded[(slice(m, m + size),) * d]
+
+    def _plan_passes(self, padded_shape, strides, start, shifts) -> np.ndarray:
+        """The numpy kernel's scratch, slot ranges and pass lists; returns
+        the padded copy, flat."""
+        size, d = self.shape[0], len(self.shape)
+        span = (size - 1) * sum(strides) + 1
+        weights = [np.array(w) for w in self.stencil.weights.tolist()]
         k = max(1, min(_cpu_count(), span * (len(shifts) - 1) // _PARALLEL_WORK, span // 8))
         cuts = [8 * (span // 8 * i // k) for i in range(k)] + [span]
         self.ranges = list(zip(cuts, cuts[1:]))
@@ -658,23 +705,19 @@ class _Workspace:
         s1 = shifts[len(shifts) // 2]
         sizes = [math.prod(padded_shape), size * strides[0]]
         sizes += [b - a + s1 for a, b in self.ranges for _ in range(2)]
-        at = np.cumsum([0] + [-(-n // 8) * 8 for n in sizes]).tolist()
-        shared = np.frombuffer(mmap.mmap(-1, 8 * at[-1]))
-        padded, rows, *edges = [shared[i : i + n] for i, n in zip(at, sizes)]
-        self.padded = padded.reshape(padded_shape)
-        self.interior = self.padded[(slice(m, m + size),) * d]
+        padded, rows, *edges = _mapping(sizes)
         self.acc = rows[:span]
-        self.acc_interior = rows.reshape((size,) + padded_shape[1:])[(slice(0, size),) * d]
+        self.result = rows.reshape((size,) + padded_shape[1:])[(slice(0, size),) * d]
         self.passes = [
             _pass_list(padded, start, shifts, weights, a, b, diff, term)
             for (a, b), diff, term in zip(self.ranges, edges[::2], edges[1::2])
         ]
-        # (pid, go pipe, done pipe) of each running worker: go's write end,
-        # done's read end; and the ranges this process runs, once forked
-        self._workers = []
-        self._here = None
         if k > 1:
+            self._serial = None
             weakref.finalize(self, _reap, self._workers, os.getpid())
+        else:
+            self._serial = functools.partial(_run, self.passes[0], self.stencil.p, self.acc)
+        return padded
 
     def _fork(self) -> list:
         """Start a worker for every range but the first, and return the
@@ -719,11 +762,11 @@ class _Workspace:
         """``D U`` for a field that fits this workspace, as a new array,
         under the caller's errstate."""
         field._fill_padded(self.reach, self.padded, self.interior)
-        if len(self.ranges) == 1:
-            _run(self.passes[0], self.stencil.p, self.acc)
-        else:
+        if self._serial is None:
             self._apply_split()
-        return self.acc_interior.copy()
+        else:
+            self._serial()
+        return self.result.copy()
 
     def _apply_split(self) -> None:
         """Run this process's ranges here and every other range in its
@@ -765,27 +808,32 @@ def apply_dp_grid(
     to it gives the same bits. Every other offset forms its own term; an
     edge form for all pairs was measured slower in d >= 2, because all
     edge arrays must be live before the first positive offset is added.
-    ``_Workspace`` runs the passes over one flat span of the padded copy,
-    so each is a few ufunc calls; every node still sees the same
-    operations in the same order.
+    At p = 2, 3 and 4 ``_Workspace`` runs every node's passes in one
+    compiled C call over the interior rows (:mod:`plapfd._ckernel`, built
+    at the first workspace that needs it and cached per user), with
+    numpy's bits: each term is then a chain of IEEE basic operations.
+    Every other p, and every p where no C compiler builds it (``CC=false``
+    forces this), runs the passes over one flat span of the padded copy,
+    each a few ufunc calls; every node still sees the same operations in
+    the same order.
 
-    The scratch arrays (padded copy, differences, terms and the
-    accumulator, one mapping) come from ``_work``, which
+    The scratch arrays (one mapping) come from ``_work``, which
     :func:`plapfd.stepping.iter_levels` allocates once per run for its
     stencil, grid and extension, and closes when the run ends; without
     it, each call allocates its own and closes it before returning. On
-    a large enough grid (``_PARALLEL_WORK`` slot·passes per CPU) the
-    workspace splits the flat span into slot ranges, each with its own
-    differences and terms, run by forked worker processes with the same
-    bits as one process; no setting controls this, and ``taskset -c 0``
-    runs it serially. A caller who passes
-    ``_work`` also owns the ``np.errstate``: overflow
-    to inf (caught by the caller's blow-up check) and ``inf - inf`` must
-    be silenced around the call, as
-    :func:`plapfd.stepping.iter_levels` does once per chunk of levels;
-    workers silence them in their own processes. Without ``_work`` the
-    call silences them itself. The result is always a new C-contiguous
-    array that shares no memory with the scratch.
+    the numpy kernel and a large enough grid (``_PARALLEL_WORK``
+    slot·passes per CPU) the workspace splits the flat span into slot
+    ranges, each with its own differences and terms, run by forked
+    worker processes with the same bits as one process; no setting
+    controls this, and ``taskset -c 0`` runs it serially. The compiled
+    kernel runs in this process at every size. A caller who passes
+    ``_work`` also owns the ``np.errstate``: overflow to inf (caught by
+    the caller's blow-up check) and ``inf - inf`` must be silenced around
+    the call, as :func:`plapfd.stepping.iter_levels` does once per chunk
+    of levels; workers silence them in their own processes, and the
+    compiled kernel raises no warning. Without ``_work`` the call
+    silences them itself. The result is always a new C-contiguous array
+    that shares no memory with the scratch.
     """
     _check_geometry(stencil, field)
     shape = field.values.shape

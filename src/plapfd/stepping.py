@@ -435,10 +435,11 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     The run owns one set of operator scratch arrays, allocated here and
     passed down through explicit_step to apply_dp_grid; every yielded
     level is still a new array, so levels a caller keeps are never
-    overwritten by later steps. On grids large enough to split over
-    worker processes (see apply_dp_grid) the workers start at the first
-    step and are stopped when the generator ends: exhausted, by
-    BlowUpError, by ``close()``, or when the consumer drops it.
+    overwritten by later steps. Where the numpy kernel runs a grid large
+    enough to split over worker processes (see apply_dp_grid; the
+    compiled kernel at p = 2, 3 and 4 never splits) the workers start at
+    the first step and are stopped when the generator ends: exhausted,
+    by BlowUpError, by ``close()``, or when the consumer drops it.
 
     Levels are stepped in chunks of ``_BLOCK_BYTES`` (one level per chunk
     on grids of 8k nodes or more), each under one ``np.errstate`` that is

@@ -1,0 +1,90 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from plapfd import GridField, apply_dp_grid, stencil_ball
+from plapfd import _ckernel
+from plapfd.operators import _Workspace
+from test_operators import _apply_dp_grid_previous_workspace
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    # a fresh cache directory and a fresh load() for this test, and a
+    # fresh load() again for the tests after it
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _ckernel.load.cache_clear()
+    yield tmp_path / "plapfd"
+    _ckernel.load.cache_clear()
+
+
+def _field():
+    rng = np.random.default_rng(5)
+    return GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)),
+                     extension="boundary")
+
+
+def _apply(field):
+    # p = 3 in a workspace of its own: whether it is compiled, and its bytes
+    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
+    work = _Workspace(stencil, field.values.shape, field.extension)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return work.compiled, apply_dp_grid(stencil, field, _work=work).tobytes()
+
+
+@pytest.mark.parametrize("how", ["CC=false", "no compiler", "a failed compile"])
+def test_no_library_falls_back_to_numpy_with_the_same_bytes(cache, monkeypatch, how):
+    if how == "CC=false":
+        monkeypatch.setenv("CC", "false")
+    elif how == "no compiler":
+        monkeypatch.setenv("CC", str(cache / "no-such-cc"))
+    else:
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setattr(_ckernel, "_SOURCE", "this is not C;")
+    field = _field()
+    want = _apply_dp_grid_previous_workspace(stencil_ball(0.3, 0.1, 3.0, 2), field).tobytes()
+    assert _ckernel.load() is None
+    assert _apply(field) == (False, want)
+    # no temporary file is left behind
+    assert not cache.exists() or os.listdir(cache) == []
+
+
+def test_a_build_leaves_one_library_and_a_warm_cache_runs_no_subprocess(cache, monkeypatch):
+    monkeypatch.delenv("CC", raising=False)
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    field = _field()
+    want = _apply_dp_grid_previous_workspace(stencil_ball(0.3, 0.1, 3.0, 2), field).tobytes()
+    assert _ckernel.load() is not None
+    (name,) = os.listdir(cache)
+    assert name.startswith("kernel-") and name.endswith(".so")
+    assert _apply(field) == (True, want)
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a warm cache ran a subprocess")
+
+    _ckernel.load.cache_clear()
+    monkeypatch.setattr(subprocess, "run", no_subprocess)
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    assert _ckernel.load() is not None
+    assert _apply(field) == (True, want)
+    assert os.listdir(cache) == [name]
+
+
+def test_two_processes_that_build_at_once_both_load(cache, monkeypatch):
+    monkeypatch.delenv("CC", raising=False)
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys; from plapfd import _ckernel; sys.exit(_ckernel.load() is None)"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    (name,) = os.listdir(cache)
+    assert name.startswith("kernel-") and name.endswith(".so")

@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import itertools
 import math
@@ -5,6 +6,7 @@ import mmap
 import os
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from plapfd import (
     stencil_for,
     unit_ball_volume,
 )
-from plapfd import operators
+from plapfd import _ckernel, operators
 from plapfd.operators import (
     _Workspace,
     _ball_offsets,
@@ -595,7 +597,8 @@ def test_apply_dp_grid_matches_shifted_kernel(case):
     # often reach past the far edge; the result must be bit for bit the same
     # as the earlier array kernels, overflow to inf and nan included
     stencil, field = case
-    work = _Workspace(stencil, field.values.shape, field.extension)
+    with _numpy_kernel():
+        work = _Workspace(stencil, field.values.shape, field.extension)
     with np.errstate(over="ignore", invalid="ignore"):
         got = apply_dp_grid(stencil, field, _work=work).tobytes()
     assert got == _apply_dp_grid_previous_workspace(stencil, field).tobytes()
@@ -609,6 +612,28 @@ def test_apply_dp_grid_matches_shifted_kernel(case):
     for slot in itertools.product(range(padded.shape[0]), repeat=field.d):
         alpha = tuple(i - field.n - m for i in slot)
         assert padded[slot] == field.read_index(alpha)
+    # and the compiled kernel, where it serves this p: the same bytes,
+    # NaN payloads aside
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = apply_dp_grid(stencil, field)
+    assert _nan_aside(out) == _nan_aside(np.frombuffer(got).reshape(out.shape))
+
+
+@contextlib.contextmanager
+def _numpy_kernel():
+    # workspaces built inside take the numpy kernel at every p, as
+    # without a C compiler
+    with mock.patch.object(_ckernel, "load", lambda: None):
+        yield
+
+
+def _nan_aside(values):
+    # the bytes with every NaN made one NaN: the compiled kernel promises
+    # numpy's bits on finite values and infinities, and NaN where numpy
+    # has NaN, but not numpy's NaN payloads
+    out = np.array(values)
+    out[np.isnan(out)] = np.nan
+    return out.tobytes()
 
 
 def test_apply_dp_constant_field_is_zero():
@@ -833,10 +858,11 @@ def _two_pair_stencil_1d(h, p):
 @pytest.mark.parametrize("extension", ["zero", "boundary"])
 @pytest.mark.parametrize("p", [3.0, 3.5])
 def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, extension, p):
-    # the kernel writes each range's diff and term, and acc, over the flat
-    # span in every d, by cheap passes at p = 3 and np.power at p = 3.5;
-    # numpy writes about 2x slower into an output that starts off a
-    # 64-byte line, so each must start on one. In d = 1, r = h is the
+    # the numpy kernel (np.power at p = 3.5) writes each range's diff and
+    # term, and acc, over the flat span in every d, and the compiled one
+    # (p = 3, where it builds) its acc row and the result; numpy writes
+    # about 2x slower into an output that starts off a 64-byte line, so
+    # each must start on one. In d = 1, r = h is the
     # two-point stencil, a single edge pass, and r = 3h the hand-built
     # pairs +-2, +-3.
     # The result must be a new C-contiguous array, since explicit_step
@@ -849,7 +875,7 @@ def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, exten
     field = GridField(d=d, h=h, half_width=n * h, values=rng.standard_normal((2 * n + 1,) * d),
                       extension=extension)
     work = _Workspace(stencil, field.values.shape, extension)
-    written = sum(_edge_buffers(work), (work.acc,))
+    written = sum(_edge_buffers(work), (work.acc, work.result))
     with np.errstate(over="ignore", invalid="ignore"):
         out = apply_dp_grid(stencil, field, _work=work)
     for buf in written:
@@ -863,18 +889,20 @@ def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, exten
 
 def _edge_buffers(work):
     # each range's diff and term, b - a + s_1 slots with the halo: the
-    # buffers its middle pair's edge pass writes
+    # buffers its middle pair's edge pass writes; none in a compiled
+    # workspace, which writes only acc and result
     return [
         next((diff, term) for _, _, diff, term, _, subtracted, _ in passes if subtracted is not None)
-        for passes in work.passes
+        for passes in getattr(work, "passes", [])
     ]
 
 
 def _force_split(monkeypatch, k):
     # every span of at least 8k slots splits into k ranges, whatever the
-    # host's CPU count
+    # host's CPU count, on the numpy kernel at every p
     monkeypatch.setattr(operators, "_PARALLEL_WORK", 1)
     monkeypatch.setattr(operators, "_cpu_count", lambda: k)
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
 
 
 def _assert_no_children():
@@ -1060,4 +1088,131 @@ def test_split_runs_refused_ranges_in_this_process(monkeypatch, k, forks):
         assert work.ranges is ranges and work.passes is passes and len(ranges) == k
     finally:
         work.close()
+    _assert_no_children()
+
+
+def _require_compiled():
+    if _ckernel.load() is None:
+        pytest.skip("the compiled kernel did not build here (no C compiler, or CC=false)")
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_compiled_kernel_matches_the_numpy_kernel_bitwise(case, extension, p):
+    # in d = 1, 2 and 3, under both extensions, and where the stencil's
+    # reach spans several rows (the far pairs): numpy's bytes, twice in
+    # the same workspace
+    _require_compiled()
+    d, make, n = _SPLIT_CASES[case]
+    stencil = make(p)
+    rng = np.random.default_rng(int(10 * p) + d)
+    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=rng.standard_normal((2 * n + 1,) * d),
+                      extension=extension)
+    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
+    work = _Workspace(stencil, field.values.shape, extension)
+    assert work.compiled
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+    assert apply_dp_grid(stencil, field).tobytes() == want  # one-shot
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compiled_kernel_adds_a_negative_zero_first_term(d, p):
+    # signed zeros and magnitudes whose (p-1)-th power underflows: the
+    # first offset's term is -0 at some node, every term is a zero, and
+    # numpy's accumulator, which starts at +0, ends at +0 everywhere;
+    # assigning the first term instead of adding it would give -0
+    _require_compiled()
+    stencil = stencil_1d(0.5, p) if d == 1 else stencil_ball(1.0, 0.5, p, d)
+    rng = np.random.default_rng(d)
+    tiny = [0.0, -0.0] if p == 2.0 else [0.0, -0.0, 1e-200, -1e-200]
+    field = GridField(d=d, h=0.5, half_width=1.5, values=rng.choice(tiny, (7,) * d))
+    beta = stencil.offsets[0]
+    first = [
+        field.read_index(np.add(alpha, beta)) - field.value_at(alpha)
+        for alpha in itertools.product(range(-3, 4), repeat=d)
+    ]
+    with np.errstate(under="ignore"):
+        terms = _signed_power(np.array(first), p, np.empty(len(first))) * stencil.weights[0]
+    assert np.any(np.signbit(terms)) and not np.any(terms)
+    want = _apply_dp_grid_previous_workspace(stencil, field)
+    assert not want.view(np.int64).any()
+    work = _Workspace(stencil, field.values.shape, "zero")
+    assert work.compiled
+    assert apply_dp_grid(stencil, field, _work=work).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("case", ["1d-two-point", "2d-ball", "3d-ball"])
+def test_compiled_kernel_flags_the_numpy_kernels_nonfinite_nodes(case, extension, p):
+    # differences that overflow in the subtraction or in the power: the
+    # same nodes are inf or NaN, the infinities and finite values keep
+    # numpy's bytes, and only NaN payloads may differ
+    _require_compiled()
+    d, make, n = _SPLIT_CASES[case]
+    stencil = make(p)
+    rng = np.random.default_rng(int(p) * 7 + d)
+    values = rng.standard_normal((2 * n + 1,) * d)
+    extreme = rng.uniform(size=values.shape) < 0.3
+    values[extreme] = rng.choice(_EXTREMES, int(np.sum(extreme)))
+    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=values, extension=extension)
+    want = _apply_dp_grid_previous_workspace(stencil, field)
+    assert not np.all(np.isfinite(want))
+    work = _Workspace(stencil, field.values.shape, extension)
+    assert work.compiled
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = apply_dp_grid(stencil, field, _work=work)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    assert _nan_aside(got) == _nan_aside(want)
+
+
+def test_compiled_workspace_maps_three_buffers():
+    # the padded copy, the interior's result (contiguous) and one row of
+    # acc, in one mapping, each on a 64-byte line; no diff, term or pass
+    # list
+    _require_compiled()
+    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
+    work = _Workspace(stencil, (11, 11), "zero")
+    assert work.compiled and not hasattr(work, "passes") and not hasattr(work, "ranges")
+    assert work.result.shape == (11, 11) and work.result.flags.c_contiguous
+    assert work.acc.shape == (11,)
+    bufs = [work.padded, work.result, work.acc]
+    owners = []
+    for view in bufs:
+        assert view.ctypes.data % 64 == 0
+        while isinstance(view, np.ndarray):
+            view = view.base
+        owners.append(view.obj if isinstance(view, memoryview) else view)
+    assert isinstance(owners[0], mmap.mmap) and all(o is owners[0] for o in owners)
+    assert len(owners[0]) == 8 * sum(-(-b.size // 8) * 8 for b in bufs)
+
+
+def test_compiled_workspace_on_a_split_sized_grid_starts_no_worker(monkeypatch):
+    # a grid the numpy kernel would split over two workers runs in this
+    # process: fork is never called
+    _require_compiled()
+    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
+    rng = np.random.default_rng(3)
+    field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
+    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
+    monkeypatch.setattr(operators, "_PARALLEL_WORK", 1)
+    monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
+
+    def no_fork():
+        raise AssertionError("the compiled kernel forked")
+
+    monkeypatch.setattr(operators.os, "fork", no_fork)
+    work = _Workspace(stencil, (11, 11), "zero")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+        assert work.compiled and work._workers == []
+    finally:
+        work.close()
+    assert apply_dp_grid(stencil, field).tobytes() == want
     _assert_no_children()

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -39,7 +40,9 @@ from test_operators import (
     _apply_dp_grid_padded_reference,
     _assert_no_children,
     _force_split,
+    _numpy_kernel,
     _reference_levels,
+    _require_compiled,
 )
 
 
@@ -582,6 +585,33 @@ def test_split_run_leaves_no_worker_after_blow_up(monkeypatch):
                 assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a worker runs
     assert got == want and (exc.value.node, exc.value.step) == ((-10,), 5)
     _assert_no_children()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_compiled_run_blows_up_where_the_numpy_run_does(d):
+    # the pinned 1D blow-up at step 5, and a 2D checkerboard that blows up
+    # at step 9: on the compiled kernel, the numpy run's healthy levels
+    # byte for byte, the same node and step, and no RuntimeWarning
+    _require_compiled()
+    if d == 1:
+        data = oscillatory_data(0.1)
+        cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
+    else:
+        data = HolderData(u0=lambda x, y: np.cos(np.pi * x / 0.1) * np.cos(np.pi * y / 0.1),
+                          f=lambda x, y: 0.0 * x, a=1.0, L_u0=40.0, L_f=0.0, sup_u0=1.0,
+                          sup_f=0.0)
+        cfg = plan_config(3.0, 2, 0.1, 1.0, data, r=0.3, h=0.1, num_steps=10)
+    runs = []
+    for kernel in (_numpy_kernel, contextlib.nullcontext):
+        levels = []
+        with kernel(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as exc:
+                for lev in iter_levels(cfg, data):
+                    levels.append(lev.values.tobytes())
+        runs.append((levels, exc.value.node, exc.value.step))
+    assert runs[0] == runs[1]
+    assert (len(runs[0][0]), runs[0][2]) == ((5, 5) if d == 1 else (9, 9))
 
 
 def test_split_run_leaves_no_worker_when_closed_or_abandoned(monkeypatch):
