@@ -18,7 +18,7 @@ import functools
 import math
 import mmap
 import os
-import weakref
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -532,19 +532,23 @@ def apply_dp(stencil: Stencil, field: GridField, alpha) -> float:
     return acc
 
 
-# Slot·passes that each range of a split apply must carry. A fork costs
-# ~1 ms and a join ~2 ms on a 2-core x86 host, and a serial apply ~1.3 ns
-# per slot·pass; a one-shot apply split two ways was slower at 2**23.1
-# slot·passes and faster at 2**23.7, so the first split, at 2**24, gains
-# even for a single apply. A 1D two-point grid would need 2**24 nodes.
+# Slot·passes that each range of a split apply must carry. Starting and
+# joining a thread costs ~0.12 ms on a 2-core x86 host, and a serial apply
+# ~1.3 ns per slot·pass, so a range of 2**23 slot·passes (~11 ms) costs
+# about a hundred times its thread. Whether two ranges overlap depends on
+# how long each ufunc call runs without the GIL: at p = 3.7 two ranges
+# of the 175^2 ball grid ran 1.6x faster than one, but at p = 3 without a
+# compiler (products instead of np.power) they ran 1.25x slower. A 1D
+# two-point grid would need 2**24 nodes.
 _PARALLEL_WORK = 1 << 23
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where there is no fork or affinity mask."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on: its affinity mask, or every CPU
+    where the system has no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pass_list(flat, start: int, shifts: list, weights: list, a: int, b: int,
@@ -584,27 +588,10 @@ def _run(passes: list, p: float, acc: np.ndarray) -> None:
 
 def _mapping(sizes: list) -> list:
     """Buffers of ``sizes`` float64 slots, in one anonymous mapping that
-    the system zero-fills, each starting on a 64-byte line. The mapping
-    is ``MAP_SHARED`` on POSIX, so forked workers write into it too."""
+    the system zero-fills, each starting on a 64-byte line."""
     at = np.cumsum([0] + [-(-n // 8) * 8 for n in sizes]).tolist()
     shared = np.frombuffer(mmap.mmap(-1, 8 * at[-1]))
     return [shared[i : i + n] for i, n in zip(at, sizes)]
-
-
-def _reap(workers: list, owner: int) -> None:
-    """Close each worker's pipes, so that it reads EOF and exits, and wait
-    for it. Only the process that forked them may: a copy of this list in
-    any other process names no child of its own."""
-    if os.getpid() != owner:
-        return
-    while workers:
-        pid, go, done = workers.pop()
-        os.close(go)
-        os.close(done)
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped by someone else's waitpid(-1)
-            pass
 
 
 class _Workspace:
@@ -632,7 +619,7 @@ class _Workspace:
     rows: each row's accumulator ``acc`` (one row long) gets every pass
     in the numpy kernel's order, with the same bits, and is copied into
     ``result``, the interior, contiguous. The call's pointers and sizes
-    are bound here. It never splits and never forks.
+    are bound here. It never splits.
 
     **numpy kernel** (every other p, and wherever no compiler, build or
     load succeeds). The padded copy is read as one flat span from the
@@ -651,13 +638,11 @@ class _Workspace:
     multiples of 8 slots, so every slot keeps the SIMD lane, operations
     and order it has in one pass: the bits are the serial ones. Each
     range's ``diff`` and ``term`` hold ``b - a + s_1`` slots, its halo
-    included. The first ``apply`` forks a worker per range but the
-    first, which runs the pass list it inherited; where the system
-    refuses a pipe or a fork, this process runs that range and every
-    later one. One byte each way over a pipe starts and ends an apply.
-    ``close``, or a ``weakref.finalize``, stops the workers; one also
-    exits at EOF of its pipe, and one that is gone makes ``apply`` raise
-    RuntimeError.
+    included. Each ``apply`` runs range 0 in the calling thread and every
+    other range on a thread that it starts and joins before it returns,
+    so no thread outlives an apply and the workspace holds nothing to
+    stop. numpy releases the GIL inside each ufunc, so the ranges run in
+    parallel.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -670,10 +655,6 @@ class _Workspace:
         strides = [(size + 2 * m) ** (d - 1 - i) for i in range(d)]
         start = m * sum(strides)
         shifts = [sum(b * s for b, s in zip(beta, strides)) for beta in stencil.offsets.tolist()]
-        # (pid, go pipe, done pipe) of each running worker: go's write end,
-        # done's read end; and the ranges this process runs, once forked
-        self._workers = []
-        self._here = None
         fn = _ckernel.kernel(stencil.p)
         self.compiled = fn is not None
         if self.compiled:
@@ -712,51 +693,10 @@ class _Workspace:
             _pass_list(padded, start, shifts, weights, a, b, diff, term)
             for (a, b), diff, term in zip(self.ranges, edges[::2], edges[1::2])
         ]
-        if k > 1:
-            self._serial = None
-            weakref.finalize(self, _reap, self._workers, os.getpid())
-        else:
+        self._serial = None
+        if k == 1:
             self._serial = functools.partial(_run, self.passes[0], self.stencil.p, self.acc)
         return padded
-
-    def _fork(self) -> list:
-        """Start a worker for every range but the first, and return the
-        ranges this process runs: the first, and where the system refuses
-        a pipe or a fork, that range and every later one."""
-        p = self.stencil.p
-        for i, (a, b) in enumerate(self.ranges[1:], 1):
-            fds = []
-            try:
-                fds += os.pipe()
-                fds += os.pipe()
-                pid = os.fork()
-            except OSError:
-                for fd in fds:
-                    os.close(fd)
-                return [0, *range(i, len(self.ranges))]
-            go_r, go_w, done_r, done_w = fds
-            if pid == 0:
-                status = 1
-                try:
-                    for fd in [go_w, done_r] + [fd for w in self._workers for fd in w[1:]]:
-                        os.close(fd)
-                    passes, acc = self.passes[i], self.acc[a:b]
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        while os.read(go_r, 1):
-                            _run(passes, p, acc)
-                            os.write(done_w, b"\1")
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(go_r)
-            os.close(done_w)
-            self._workers.append((pid, go_w, done_r))
-        return [0]
-
-    def close(self) -> None:
-        """Stop the workers, if any run; idempotent. A later apply forks anew."""
-        _reap(self._workers, os.getpid())
-        self._here = None
 
     def apply(self, field: GridField) -> np.ndarray:
         """``D U`` for a field that fits this workspace, as a new array,
@@ -769,21 +709,30 @@ class _Workspace:
         return self.result.copy()
 
     def _apply_split(self) -> None:
-        """Run this process's ranges here and every other range in its
-        worker, forked by the first call, and wait for them all."""
-        if self._here is None:
-            self._here = self._fork()
+        """Run range 0 under the caller's errstate and every other range
+        on a thread of its own, which silences overflow and ``inf - inf``
+        itself (a new thread starts from numpy's default errstate); join
+        them all, then raise range 0's error, or else the first a thread
+        raised."""
+        p, threads, errors = self.stencil.p, [], []
+
+        def run(passes, acc):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _run(passes, p, acc)
+            except Exception as exc:
+                errors.append(exc)
+
         try:
-            for _, go, _ in self._workers:
-                os.write(go, b"\1")
-            for i in self._here:
-                a, b = self.ranges[i]
-                _run(self.passes[i], self.stencil.p, self.acc[a:b])
-            finished = all(os.read(done, 1) for _, _, done in self._workers)
-        except BrokenPipeError:
-            finished = False
-        if not finished:
-            raise RuntimeError("an operator worker process exited during an apply")
+            for (a, b), passes in zip(self.ranges[1:], self.passes[1:]):
+                threads.append(threading.Thread(target=run, args=(passes, self.acc[a:b])))
+                threads[-1].start()
+            _run(self.passes[0], p, self.acc[: self.ranges[0][1]])
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
 
 
 def apply_dp_grid(
@@ -819,31 +768,27 @@ def apply_dp_grid(
 
     The scratch arrays (one mapping) come from ``_work``, which
     :func:`plapfd.stepping.iter_levels` allocates once per run for its
-    stencil, grid and extension, and closes when the run ends; without
-    it, each call allocates its own and closes it before returning. On
-    the numpy kernel and a large enough grid (``_PARALLEL_WORK``
+    stencil, grid and extension; without it, each call allocates its
+    own. On the numpy kernel and a large enough grid (``_PARALLEL_WORK``
     slot·passes per CPU) the workspace splits the flat span into slot
-    ranges, each with its own differences and terms, run by forked
-    worker processes with the same bits as one process; no setting
-    controls this, and ``taskset -c 0`` runs it serially. The compiled
-    kernel runs in this process at every size. A caller who passes
-    ``_work`` also owns the ``np.errstate``: overflow to inf (caught by
-    the caller's blow-up check) and ``inf - inf`` must be silenced around
-    the call, as :func:`plapfd.stepping.iter_levels` does once per chunk
-    of levels; workers silence them in their own processes, and the
-    compiled kernel raises no warning. Without ``_work`` the call
-    silences them itself. The result is always a new C-contiguous array
-    that shares no memory with the scratch.
+    ranges, each with its own differences and terms, and runs all but
+    the first on threads started and joined within the call, with the
+    same bits as one thread; no setting controls this, and ``taskset -c
+    0`` runs it serially. The compiled kernel runs in the calling thread
+    at every size. A caller who passes ``_work`` also owns the
+    ``np.errstate``: overflow to inf (caught by the caller's blow-up
+    check) and ``inf - inf`` must be silenced around the call, as
+    :func:`plapfd.stepping.iter_levels` does once per chunk of levels;
+    the range threads silence them themselves, and the compiled kernel
+    raises no warning. Without ``_work`` the call silences them itself.
+    The result is always a new C-contiguous array that shares no memory
+    with the scratch.
     """
     _check_geometry(stencil, field)
     shape = field.values.shape
     if _work is None:
-        work = _Workspace(stencil, shape, field.extension)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return work.apply(field)
-        finally:
-            work.close()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _Workspace(stencil, shape, field.extension).apply(field)
     if _work.stencil is not stencil or _work.shape != shape or _work.extension != field.extension:
         raise ConfigurationError("workspace was built for another stencil, grid or extension")
     return _work.apply(field)

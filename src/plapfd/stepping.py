@@ -436,10 +436,9 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     passed down through explicit_step to apply_dp_grid; every yielded
     level is still a new array, so levels a caller keeps are never
     overwritten by later steps. Where the numpy kernel runs a grid large
-    enough to split over worker processes (see apply_dp_grid; the
-    compiled kernel at p = 2, 3 and 4 never splits) the workers start at
-    the first step and are stopped when the generator ends: exhausted,
-    by BlowUpError, by ``close()``, or when the consumer drops it.
+    enough to split (see apply_dp_grid; the compiled kernel at p = 2, 3
+    and 4 never splits) each step starts and joins its range threads, so
+    none is left running between steps or after the generator ends.
 
     Levels are stepped in chunks of ``_BLOCK_BYTES`` (one level per chunk
     on grids of 8k nodes or more), each under one ``np.errstate`` that is
@@ -459,23 +458,20 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     source = f if f.values.view(np.int64).any() else None  # +0.0 alone has no bit set
     tau = np.array(config.tau)  # numpy multiplies by a 0-d array faster, with the same bits
     chunk = _levels_per_block(u.values.shape)
-    try:
-        yield u
-        for first in range(1, config.N + 1, chunk):
-            levels = []
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(min(chunk, config.N + 1 - first)):
-                    u = explicit_step(u, stencil, source, tau, _work=work)
-                    levels.append(u)
-            if _nonfinite_node(u.values, u.n) is not None:
-                for k, level in enumerate(levels):
-                    node = _nonfinite_node(level.values, u.n)
-                    if node is not None:
-                        yield from levels[:k]
-                        raise BlowUpError(node, first + k)
-            yield from levels
-    finally:
-        work.close()
+    yield u
+    for first in range(1, config.N + 1, chunk):
+        levels = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(min(chunk, config.N + 1 - first)):
+                u = explicit_step(u, stencil, source, tau, _work=work)
+                levels.append(u)
+        if _nonfinite_node(u.values, u.n) is not None:
+            for k, level in enumerate(levels):
+                node = _nonfinite_node(level.values, u.n)
+                if node is not None:
+                    yield from levels[:k]
+                    raise BlowUpError(node, first + k)
+        yield from levels
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,10 @@ import itertools
 import math
 import mmap
 import os
+import threading
 import time
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -899,27 +901,25 @@ def _edge_buffers(work):
 
 def _force_split(monkeypatch, k):
     # every span of at least 8k slots splits into k ranges, whatever the
-    # host's CPU count, on the numpy kernel at every p
+    # host's CPU count, on the numpy kernel at every p; nothing may fork,
+    # and the list returned collects each range thread as it starts
     monkeypatch.setattr(operators, "_PARALLEL_WORK", 1)
     monkeypatch.setattr(operators, "_cpu_count", lambda: k)
     monkeypatch.setattr(_ckernel, "load", lambda: None)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(operators, "threading", types.SimpleNamespace(Thread=Thread))
+    return started
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _exit_status(pid, timeout=10.0):
-    # waitpid(pid, 0) with a deadline, so a worker that does not exit
-    # fails the test instead of hanging it
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return status
-        time.sleep(0.01)
-    pytest.fail(f"worker {pid} did not exit within {timeout} s")
+def _refuse_fork():
+    raise AssertionError("the operator forked")
 
 
 def _axis_pair_stencil_2d(h, p):
@@ -952,10 +952,11 @@ _SPLIT_CASES = {
 @pytest.mark.parametrize("extension", ["zero", "boundary"])
 @pytest.mark.parametrize("case", list(_SPLIT_CASES))
 def test_split_kernel_matches_the_serial_kernel_bitwise(monkeypatch, case, extension, p, k):
-    # the span cut into k ranges at multiples of 8 slots, the others run
-    # by forked workers, gives the serial kernel's bytes: at every p
+    # the span cut into k ranges at multiples of 8 slots, all but the
+    # first run on threads, gives the serial kernel's bytes: at every p
     # (np.power at 2.5, 3.7 and 40), in d = 1, 2 and 3, under both
-    # extensions, and where a range's middle-pair halo crosses later cuts
+    # extensions, and where a range's middle-pair halo crosses later cuts;
+    # each apply joins its k - 1 threads before it returns
     d, make, n = _SPLIT_CASES[case]
     stencil = make(p)
     rng = np.random.default_rng(k * 100 + int(10 * p))
@@ -963,7 +964,8 @@ def test_split_kernel_matches_the_serial_kernel_bitwise(monkeypatch, case, exten
                       extension=extension)
     want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
     assert apply_dp_grid(stencil, field).tobytes() == want  # k = 1 on small grids
-    _force_split(monkeypatch, k)
+    started = _force_split(monkeypatch, k)
+    threads = threading.active_count()
     work = _Workspace(stencil, field.values.shape, extension)
     cuts = [a for a, _ in work.ranges]
     assert len(work.ranges) == k and all(c % 8 == 0 for c in cuts)
@@ -971,16 +973,12 @@ def test_split_kernel_matches_the_serial_kernel_bitwise(monkeypatch, case, exten
     if case in ("1d-far-pair", "2d-axis-pair") and k == 3:
         s1 = _edge_buffers(work)[0][0].size - work.ranges[0][1]
         assert work.ranges[0][1] + s1 > cuts[2]  # range 0's halo crosses cut 2
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(2):  # the first apply forks, the second reuses
-                assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-        assert len(work._workers) == k - 1
-    finally:
-        work.close()
-    _assert_no_children()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):  # the workspace serves every apply of a run
+            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+    assert len(started) == 2 * (k - 1) and threading.active_count() == threads
     assert apply_dp_grid(stencil, field).tobytes() == want  # one-shot, split
-    _assert_no_children()
+    assert len(started) == 3 * (k - 1) and threading.active_count() == threads
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -988,13 +986,15 @@ def test_split_kernel_matches_the_serial_kernel_bitwise(monkeypatch, case, exten
 def test_workspace_scratch_is_one_mapping(monkeypatch, case, k):
     # for every k the padded copy, the acc rows and each range's diff and
     # term (b - a + s_1 slots, halo included) are views of one mapping,
-    # each from a 64-byte line, and no two share memory; k = 1 forks nothing
+    # each from a 64-byte line, and no two share memory; k = 1 starts no
+    # thread
     d, make, n = _SPLIT_CASES[case]
     stencil = make(3.0)
     rng = np.random.default_rng(k)
     field = GridField(d=d, h=0.1, half_width=n * 0.1, values=rng.standard_normal((2 * n + 1,) * d))
     want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
-    _force_split(monkeypatch, k)
+    started = _force_split(monkeypatch, k)
+    threads = threading.active_count()
     work = _Workspace(stencil, field.values.shape, "zero")
     edges = _edge_buffers(work)
     assert len(work.ranges) == len(edges) == k
@@ -1010,85 +1010,39 @@ def test_workspace_scratch_is_one_mapping(monkeypatch, case, k):
     assert isinstance(owners[0], mmap.mmap) and all(o is owners[0] for o in owners)
     for x, y in itertools.combinations(bufs, 2):
         assert not np.shares_memory(x, y)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-        assert len(work._workers) == k - 1
-        if k == 1:
-            _assert_no_children()
-    finally:
-        work.close()
-    _assert_no_children()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+    assert len(started) == k - 1 and threading.active_count() == threads
 
 
-def test_split_workers_exit_and_a_lost_worker_raises(monkeypatch):
-    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
-    rng = np.random.default_rng(1)
-    field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
-    _force_split(monkeypatch, 3)
-    work = _Workspace(stencil, (11, 11), "zero")
-    try:
-        # workers start at the first apply, not when the workspace is built
-        assert work._workers == []
-        _assert_no_children()
-        apply_dp_grid(stencil, field, _work=work)
-        # a worker whose pipe is closed exits, cleanly
-        pid, go, done = work._workers.pop()
-        os.close(go)
-        assert _exit_status(pid) == 0
-        os.close(done)
-        # one that is gone makes the next apply raise, not hang
-        pid = work._workers[0][0]
-        os.kill(pid, 9)
-        with pytest.raises(RuntimeError, match="worker"):
-            apply_dp_grid(stencil, field, _work=work)
-    finally:
-        work.close()
-    _assert_no_children()
-
-
-def test_split_workspace_is_reaped_when_dropped(monkeypatch):
-    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
-    field = GridField(d=2, h=0.1, half_width=0.5, values=np.ones((11, 11)))
-    _force_split(monkeypatch, 2)
-    work = _Workspace(stencil, (11, 11), "zero")
-    apply_dp_grid(stencil, field, _work=work)
-    assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a worker runs
-    del work
-    _assert_no_children()
-
-
-@pytest.mark.parametrize("k, forks", [(2, 0), (3, 1)])
-def test_split_runs_refused_ranges_in_this_process(monkeypatch, k, forks):
-    # the system grants the first `forks` forks and refuses the next: this
-    # process runs range 0, the refused range and every later one on the
-    # pass lists built for them, the workers started keep theirs, and no
-    # later apply forks again
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_split_apply_raises_a_range_error_after_joining_every_thread(monkeypatch, failing):
+    # one range raises, in the calling thread (range 0) or on a thread of
+    # its own: apply lets every other range finish, joins every thread,
+    # then raises that very exception
+    started = _force_split(monkeypatch, 3)
     stencil = stencil_ball(0.3, 0.1, 3.7, 2)
     rng = np.random.default_rng(2)
     field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
-    want = apply_dp_grid(stencil, field).tobytes()
-    _force_split(monkeypatch, k)
-    fork, calls = os.fork, itertools.count()
-
-    def fork_or_refuse():
-        if next(calls) == forks:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(operators.os, "fork", fork_or_refuse)
     work = _Workspace(stencil, (11, 11), "zero")
-    ranges, passes = work.ranges, work.passes
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(2):
-                assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-        assert next(calls) == forks + 1
-        assert len(work._workers) == forks
-        assert work.ranges is ranges and work.passes is passes and len(ranges) == k
-    finally:
-        work.close()
-    _assert_no_children()
+    run, failure, finished = operators._run, ValueError("range failed"), []
+
+    def run_or_fail(passes, p, acc):
+        i = next(i for i, own in enumerate(work.passes) if own is passes)
+        if i == failing:
+            raise failure
+        time.sleep(0.05)  # still running when the failure is raised
+        run(passes, p, acc)
+        finished.append(i)
+
+    monkeypatch.setattr(operators, "_run", run_or_fail)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as exc, np.errstate(over="ignore", invalid="ignore"):
+        apply_dp_grid(stencil, field, _work=work)
+    assert exc.value is failure
+    assert sorted(finished) == sorted({0, 1, 2} - {failing})
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == threads
 
 
 def _require_compiled():
@@ -1192,8 +1146,8 @@ def test_compiled_workspace_maps_three_buffers():
 
 
 def test_compiled_workspace_on_a_split_sized_grid_starts_no_worker(monkeypatch):
-    # a grid the numpy kernel would split over two workers runs in this
-    # process: fork is never called
+    # a grid the numpy kernel would split over two threads runs in the
+    # calling thread: no thread starts and nothing forks
     _require_compiled()
     stencil = stencil_ball(0.3, 0.1, 3.0, 2)
     rng = np.random.default_rng(3)
@@ -1201,18 +1155,15 @@ def test_compiled_workspace_on_a_split_sized_grid_starts_no_worker(monkeypatch):
     want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
     monkeypatch.setattr(operators, "_PARALLEL_WORK", 1)
     monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
 
-    def no_fork():
-        raise AssertionError("the compiled kernel forked")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the compiled kernel started a thread")
 
-    monkeypatch.setattr(operators.os, "fork", no_fork)
+    monkeypatch.setattr(operators, "threading", types.SimpleNamespace(Thread=no_thread))
     work = _Workspace(stencil, (11, 11), "zero")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(2):
-                assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-        assert work.compiled and work._workers == []
-    finally:
-        work.close()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+    assert work.compiled
     assert apply_dp_grid(stencil, field).tobytes() == want
-    _assert_no_children()

@@ -1,8 +1,8 @@
 import contextlib
 import itertools
 import math
-import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +16,7 @@ from plapfd import (
     SchemeConfig,
     Trajectory,
     apply_dp,
+    apply_dp_grid,
     barenblatt_data,
     barenblatt_eval,
     barenblatt_solution,
@@ -38,7 +39,6 @@ from plapfd import mollifier_constants, stepping
 from plapfd.operators import _check_p, _nonnegative, _positive, weight_sum_bound
 from test_operators import (
     _apply_dp_grid_padded_reference,
-    _assert_no_children,
     _force_split,
     _numpy_kernel,
     _reference_levels,
@@ -555,20 +555,23 @@ def _split_config(d, p, extension):
 @pytest.mark.parametrize("d, p", [(1, 2.5), (2, 3.7), (2, 3.0), (3, 3.7)])
 def test_split_levels_match_serial_levels_bitwise(monkeypatch, d, p, extension, k):
     # every level of a run whose operator span is split k ways, byte for
-    # byte against the serial run, and no worker left behind
+    # byte against the serial run, and no thread left behind
     cfg = _split_config(d, p, extension)
     assert cfg.N >= 3
     want = [lev.values.tobytes() for lev in iter_levels(cfg, _wavy_data())]
     assert want[-1] != want[0]
-    _force_split(monkeypatch, k)
+    started = _force_split(monkeypatch, k)
+    threads = threading.active_count()
     got = [lev.values.tobytes() for lev in iter_levels(cfg, _wavy_data())]
     assert got == want
-    _assert_no_children()
+    # every step starts the same threads (fewer than k - 1 where the span is short)
+    assert started and len(started) % cfg.N == 0
+    assert threading.active_count() == threads
 
 
 def test_split_run_leaves_no_worker_after_blow_up(monkeypatch):
     # the pinned 1D blow-up at step 5, split two ways: the same healthy
-    # levels, the same error, and the workers are reaped
+    # levels, the same error, and no range thread outlives its step
     data = oscillatory_data(0.1)
     cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
     want = []
@@ -576,15 +579,38 @@ def test_split_run_leaves_no_worker_after_blow_up(monkeypatch):
         for lev in iter_levels(cfg, data):
             want.append(lev.values.tobytes())
     assert len(want) == 5
-    _force_split(monkeypatch, 2)
+    started = _force_split(monkeypatch, 2)
+    threads = threading.active_count()
     got = []
     with pytest.raises(BlowUpError) as exc:
         for lev in iter_levels(cfg, data):
             got.append(lev.values.tobytes())
             if len(got) == 2:
-                assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a worker runs
+                assert started and threading.active_count() == threads
     assert got == want and (exc.value.node, exc.value.step) == ((-10,), 5)
-    _assert_no_children()
+    assert threading.active_count() == threads
+
+
+def test_split_run_blows_up_where_the_serial_run_does(monkeypatch):
+    # a 2D checkerboard at p = 3.7 overflows in every range: split two and
+    # three ways, the serial run's healthy levels byte for byte, its node
+    # and step, and no RuntimeWarning from any range thread
+    data = HolderData(u0=lambda x, y: np.cos(np.pi * x / 0.1) * np.cos(np.pi * y / 0.1),
+                      f=lambda x, y: 0.0 * x, a=1.0, L_u0=40.0, L_f=0.0, sup_u0=1.0, sup_f=0.0)
+    cfg = plan_config(3.7, 2, 0.1, 1.0, data, r=0.3, h=0.1, num_steps=10)
+    runs = []
+    for k in (1, 2, 3):
+        started = _force_split(monkeypatch, k)
+        levels = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as exc:
+                for lev in iter_levels(cfg, data):
+                    levels.append(lev.values.tobytes())
+        assert bool(started) == (k > 1)
+        runs.append((levels, exc.value.node, exc.value.step))
+    assert runs[0] == runs[1] == runs[2]
+    assert 1 < runs[0][2] < 10
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -615,27 +641,41 @@ def test_compiled_run_blows_up_where_the_numpy_run_does(d):
 
 
 def test_split_run_leaves_no_worker_when_closed_or_abandoned(monkeypatch):
+    # a split run holds no thread between its steps, whether it is closed,
+    # abandoned by a consumer that raises, or exhausted, and neither does a
+    # one-shot apply
     cfg = _split_config(2, 3.0, "zero")
-    _force_split(monkeypatch, 2)
+    started = _force_split(monkeypatch, 2)
+    threads = threading.active_count()
+
+    def ran_threads_and_left_none(before):
+        return len(started) > before and threading.active_count() == threads
+
     # the generator closed after two levels
     gen = iter_levels(cfg, _wavy_data())
     next(gen), next(gen)
-    assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # a worker runs
+    assert ran_threads_and_left_none(0)
     gen.close()
-    _assert_no_children()
+    assert threading.active_count() == threads
 
     # the consumer raises mid-run
     class Stop(Exception):
         pass
 
+    before = len(started)
     with pytest.raises(Stop):
         for j, _ in enumerate(iter_levels(cfg, _wavy_data())):
             if j == 2:
                 raise Stop
-    _assert_no_children()
+    assert ran_threads_and_left_none(before)
     # the whole run
+    before = len(started)
     assert len(solve(cfg, _wavy_data()).levels) == cfg.N + 1
-    _assert_no_children()
+    assert ran_threads_and_left_none(before)
+    # one apply without a workspace
+    before = len(started)
+    apply_dp_grid(stencil_for(cfg), sample_on_grid(_wavy_data().u0, 2, cfg.h, cfg.half_width))
+    assert ran_threads_and_left_none(before)
 
 
 def _chunk_config(d, N, source):
