@@ -133,8 +133,10 @@ def bind(fn, padded, rows, shifts, weights, acc, result):
     """``fn`` with every argument bound as a value of its declared ctypes
     type (row length ``len(acc)``): a call on a 401-node row then costs
     about 1.2 µs, where taking the arrays' addresses on each call costs
-    10-18 µs. The arrays must outlive the returned callable, and never
-    move."""
-    ptr = [ctypes.c_void_p(a.ctypes.data) for a in (padded, rows, shifts, weights, acc, result)]
+    10-18 µs. Each pointer comes from ``ndarray.ctypes.data_as``, which
+    keeps its array alive, so the callable keeps alive every array it
+    reads or writes."""
+    arrays = (padded, rows, shifts, weights, acc, result)
+    ptr = [a.ctypes.data_as(ctypes.c_void_p) for a in arrays]
     size = [ctypes.c_int64(n) for n in (len(rows), len(acc), len(shifts))]
     return functools.partial(fn, ptr[0], ptr[1], *size[:2], ptr[2], ptr[3], size[2], *ptr[4:])

@@ -586,6 +586,32 @@ def _run(passes: list, p: float, acc: np.ndarray) -> None:
         np.add(acc, added, out=acc)
 
 
+def _run_ranges(calls: list) -> None:
+    """Call ``calls[0]`` under the caller's errstate and every other call
+    on a thread of its own, which silences overflow and ``inf - inf``
+    itself (a new thread starts from numpy's default errstate); join them
+    all, then raise call 0's error, or else the first a thread raised."""
+    threads, errors = [], []
+
+    def run(call):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                call()
+        except Exception as exc:
+            errors.append(exc)
+
+    try:
+        for call in calls[1:]:
+            threads.append(threading.Thread(target=run, args=(call,)))
+            threads[-1].start()
+        calls[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _mapping(sizes: list) -> list:
     """Buffers of ``sizes`` float64 slots, in one anonymous mapping that
     the system zero-fills, each starting on a 64-byte line."""
@@ -596,16 +622,17 @@ def _mapping(sizes: list) -> list:
 
 class _Workspace:
     """The kernel of apply_dp_grid, for one stencil on one grid shape under
-    one extension rule: its scratch arrays, its kernel, and ``apply``,
-    which fills the padded copy, runs the kernel and returns a copy of
-    the result as a new array.
+    one extension rule: its scratch arrays, its one kernel call, and
+    ``apply``, which fills the padded copy, makes the call and returns a
+    copy of the result as a new array. Every kernel goes through that one
+    path; what differs is only the call, bound here, once.
 
     All scratch is one anonymous mapping, made here: the padded copy
     first, then the kernel's buffers, each from a 64-byte line (numpy's
     ufuncs write about 2x slower into an output that starts off one). The
     system zero-fills it, so under the zero extension ``_fill_padded``
     copies the field into the fixed interior view only, and the margins
-    stay +0. Every view, pointer and pass list is fixed here, once.
+    stay +0. Every view, pointer, pass list and call is fixed here.
 
     In every d the nodes and their shifted values are read from the
     padded copy at fixed flat shifts: offset ``beta`` lies ``beta .
@@ -615,11 +642,11 @@ class _Workspace:
     the two-point stencil is this one pass.
 
     **Compiled kernel** (``compiled``; p = 2, 3 and 4 where
-    :mod:`plapfd._ckernel` builds). One serial C call walks the interior
-    rows: each row's accumulator ``acc`` (one row long) gets every pass
-    in the numpy kernel's order, with the same bits, and is copied into
-    ``result``, the interior, contiguous. The call's pointers and sizes
-    are bound here. It never splits.
+    :mod:`plapfd._ckernel` builds). The call is one serial C call over
+    the interior rows, its pointers and sizes bound by ``_ckernel.bind``:
+    each row's accumulator ``acc`` (one row long) gets every pass in the
+    numpy kernel's order, with the same bits, and is copied into
+    ``result``, the interior, contiguous.
 
     **numpy kernel** (every other p, and wherever no compiler, build or
     load succeeds). The padded copy is read as one flat span from the
@@ -633,16 +660,19 @@ class _Workspace:
     are 0-d float64 arrays, which numpy multiplies by faster than Python
     floats, with the same bits.
 
-    A large numpy apply (``_PARALLEL_WORK`` slot·passes per range, at
-    most one range per CPU) splits the span into slot ranges cut at
-    multiples of 8 slots, so every slot keeps the SIMD lane, operations
-    and order it has in one pass: the bits are the serial ones. Each
-    range's ``diff`` and ``term`` hold ``b - a + s_1`` slots, its halo
-    included. Each ``apply`` runs range 0 in the calling thread and every
-    other range on a thread that it starts and joins before it returns,
-    so no thread outlives an apply and the workspace holds nothing to
-    stop. numpy releases the GIL inside each ufunc, so the ranges run in
-    parallel.
+    The span is cut into slot ranges, one call ``_run(passes, p,
+    acc[a:b])`` each: one range, unless the apply is large
+    (``_PARALLEL_WORK`` slot·passes per range, at most one range per
+    CPU). Cuts fall on multiples of 8 slots, so every slot keeps the
+    SIMD lane, operations and order it has in one range: the bits are
+    the serial ones. Each range's ``diff`` and ``term`` hold ``b - a +
+    s_1`` slots, its halo included. One range's call is the workspace's
+    call; several are made by ``_run_ranges``, which runs call 0 in the
+    calling thread and every other call on a thread that it starts and
+    joins before it returns, so no thread outlives an apply and the
+    workspace holds nothing to stop. numpy releases the GIL inside each
+    ufunc, so the ranges run in parallel. Sending one call through
+    ``_run_ranges`` too would cost ~0.5 µs per 1D apply.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple, extension: str):
@@ -664,17 +694,17 @@ class _Workspace:
             rows = np.array([start], dtype=np.int64)
             for stride in strides[:-1]:
                 rows = (rows[:, None] + stride * np.arange(size)).ravel()
-            # kept here: the bound call reads them by address
-            self._bound = (rows, np.array(shifts, dtype=np.int64), np.array(stencil.weights))
-            self._serial = _ckernel.bind(fn, padded, *self._bound, self.acc, result)
+            self._call = _ckernel.bind(fn, padded, rows, np.array(shifts, dtype=np.int64),
+                                       np.array(stencil.weights), self.acc, result)
         else:
-            padded = self._plan_passes(padded_shape, strides, start, shifts)
+            padded, calls = self._plan_passes(padded_shape, strides, start, shifts)
+            self._call = calls[0] if len(calls) == 1 else functools.partial(_run_ranges, calls)
         self.padded = padded.reshape(padded_shape)
         self.interior = self.padded[(slice(m, m + size),) * d]
 
-    def _plan_passes(self, padded_shape, strides, start, shifts) -> np.ndarray:
+    def _plan_passes(self, padded_shape, strides, start, shifts) -> tuple:
         """The numpy kernel's scratch, slot ranges and pass lists; returns
-        the padded copy, flat."""
+        the padded copy, flat, and one call per range."""
         size, d = self.shape[0], len(self.shape)
         span = (size - 1) * sum(strides) + 1
         weights = [np.array(w) for w in self.stencil.weights.tolist()]
@@ -693,46 +723,18 @@ class _Workspace:
             _pass_list(padded, start, shifts, weights, a, b, diff, term)
             for (a, b), diff, term in zip(self.ranges, edges[::2], edges[1::2])
         ]
-        self._serial = None
-        if k == 1:
-            self._serial = functools.partial(_run, self.passes[0], self.stencil.p, self.acc)
-        return padded
+        p = self.stencil.p
+        return padded, [
+            functools.partial(_run, passes, p, self.acc[a:b])
+            for (a, b), passes in zip(self.ranges, self.passes)
+        ]
 
     def apply(self, field: GridField) -> np.ndarray:
         """``D U`` for a field that fits this workspace, as a new array,
         under the caller's errstate."""
         field._fill_padded(self.reach, self.padded, self.interior)
-        if self._serial is None:
-            self._apply_split()
-        else:
-            self._serial()
+        self._call()
         return self.result.copy()
-
-    def _apply_split(self) -> None:
-        """Run range 0 under the caller's errstate and every other range
-        on a thread of its own, which silences overflow and ``inf - inf``
-        itself (a new thread starts from numpy's default errstate); join
-        them all, then raise range 0's error, or else the first a thread
-        raised."""
-        p, threads, errors = self.stencil.p, [], []
-
-        def run(passes, acc):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    _run(passes, p, acc)
-            except Exception as exc:
-                errors.append(exc)
-
-        try:
-            for (a, b), passes in zip(self.ranges[1:], self.passes[1:]):
-                threads.append(threading.Thread(target=run, args=(passes, self.acc[a:b])))
-                threads[-1].start()
-            _run(self.passes[0], p, self.acc[: self.ranges[0][1]])
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
 
 
 def apply_dp_grid(
@@ -757,25 +759,15 @@ def apply_dp_grid(
     to it gives the same bits. Every other offset forms its own term; an
     edge form for all pairs was measured slower in d >= 2, because all
     edge arrays must be live before the first positive offset is added.
-    At p = 2, 3 and 4 ``_Workspace`` runs every node's passes in one
-    compiled C call over the interior rows (:mod:`plapfd._ckernel`, built
-    at the first workspace that needs it and cached per user), with
-    numpy's bits: each term is then a chain of IEEE basic operations.
-    Every other p, and every p where no C compiler builds it (``CC=false``
-    forces this), runs the passes over one flat span of the padded copy,
-    each a few ufunc calls; every node still sees the same operations in
-    the same order.
+    Which kernel computes this sum, and how a large apply splits into
+    ranges, some on threads started and joined within the call, is
+    described in ``_Workspace``: every kernel and every split gives these bits, and
+    no setting controls them (``taskset -c 0`` runs serially).
 
     The scratch arrays (one mapping) come from ``_work``, which
     :func:`plapfd.stepping.iter_levels` allocates once per run for its
     stencil, grid and extension; without it, each call allocates its
-    own. On the numpy kernel and a large enough grid (``_PARALLEL_WORK``
-    slot·passes per CPU) the workspace splits the flat span into slot
-    ranges, each with its own differences and terms, and runs all but
-    the first on threads started and joined within the call, with the
-    same bits as one thread; no setting controls this, and ``taskset -c
-    0`` runs it serially. The compiled kernel runs in the calling thread
-    at every size. A caller who passes ``_work`` also owns the
+    own. A caller who passes ``_work`` also owns the
     ``np.errstate``: overflow to inf (caught by the caller's blow-up
     check) and ``inf - inf`` must be silenced around the call, as
     :func:`plapfd.stepping.iter_levels` does once per chunk of levels;

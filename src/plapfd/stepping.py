@@ -435,10 +435,10 @@ def iter_levels(config: SchemeConfig, data: HolderData) -> Iterator[GridField]:
     The run owns one set of operator scratch arrays, allocated here and
     passed down through explicit_step to apply_dp_grid; every yielded
     level is still a new array, so levels a caller keeps are never
-    overwritten by later steps. Where the numpy kernel runs a grid large
-    enough to split (see apply_dp_grid; the compiled kernel at p = 2, 3
-    and 4 never splits) each step starts and joins its range threads, so
-    none is left running between steps or after the generator ends.
+    overwritten by later steps. Where an apply splits (see
+    ``operators._Workspace``) each step starts and joins its range
+    threads, so none is left running between steps or after the
+    generator ends.
 
     Levels are stepped in chunks of ``_BLOCK_BYTES`` (one level per chunk
     on grids of 8k nodes or more), each under one ``np.errstate`` that is

@@ -1,7 +1,9 @@
+import gc
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +90,25 @@ def test_two_processes_that_build_at_once_both_load(cache, monkeypatch):
     assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
     (name,) = os.listdir(cache)
     assert name.startswith("kernel-") and name.endswith(".so")
+
+
+def test_a_bound_call_keeps_its_arrays_alive():
+    # the call holds the only references to its six arrays: they live as
+    # long as it does, it still reads and writes them, and they die with it
+    fn = _ckernel.kernel(3.0)
+    if fn is None:
+        pytest.skip("the compiled kernel did not build here (no C compiler, or CC=false)")
+    padded = np.array([0.0, 1.0, 3.0, 2.0, 0.0])  # three nodes, one zero on each side
+    arrays = [padded, np.array([1]), np.array([-1, 1]), np.array([1.0, 1.0]),
+              np.empty(3), np.empty(3)]
+    call = _ckernel.bind(fn, *arrays)
+    refs = [weakref.ref(a) for a in arrays]
+    del padded, arrays
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    call()
+    # jp(U[x+1] - U[x]) - jp(U[x] - U[x-1]) at p = 3, U = 1, 3, 2
+    assert refs[-1]().tolist() == [4.0 - 1.0, -1.0 - 4.0, -4.0 + 1.0]
+    del call
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -1015,32 +1015,37 @@ def test_workspace_scratch_is_one_mapping(monkeypatch, case, k):
     assert len(started) == k - 1 and threading.active_count() == threads
 
 
-@pytest.mark.parametrize("failing", [0, 1, 2])
+@pytest.mark.parametrize("failing", [0, 1, 2, (0, 1)])
 def test_split_apply_raises_a_range_error_after_joining_every_thread(monkeypatch, failing):
     # one range raises, in the calling thread (range 0) or on a thread of
     # its own: apply lets every other range finish, joins every thread,
-    # then raises that very exception
+    # then raises that very exception; when range 0 and a thread both
+    # raise, range 0's exception is the one raised
+    failing = failing if isinstance(failing, tuple) else (failing,)
     started = _force_split(monkeypatch, 3)
     stencil = stencil_ball(0.3, 0.1, 3.7, 2)
     rng = np.random.default_rng(2)
     field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
-    work = _Workspace(stencil, (11, 11), "zero")
-    run, failure, finished = operators._run, ValueError("range failed"), []
+    run, finished = operators._run, []
+    failures = [ValueError(f"range {i} failed") for i in range(3)]
+    failure = failures[failing[0]]
 
     def run_or_fail(passes, p, acc):
         i = next(i for i, own in enumerate(work.passes) if own is passes)
-        if i == failing:
-            raise failure
+        if i in failing:
+            raise failures[i]
         time.sleep(0.05)  # still running when the failure is raised
         run(passes, p, acc)
         finished.append(i)
 
+    # each range's call binds _run when the workspace is built
     monkeypatch.setattr(operators, "_run", run_or_fail)
+    work = _Workspace(stencil, (11, 11), "zero")
     threads = threading.active_count()
     with pytest.raises(ValueError) as exc, np.errstate(over="ignore", invalid="ignore"):
         apply_dp_grid(stencil, field, _work=work)
     assert exc.value is failure
-    assert sorted(finished) == sorted({0, 1, 2} - {failing})
+    assert sorted(finished) == sorted({0, 1, 2} - set(failing))
     assert len(started) == 2 and not any(t.is_alive() for t in started)
     assert threading.active_count() == threads
 
