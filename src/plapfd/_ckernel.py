@@ -13,6 +13,19 @@ compiler from fusing a product and a sum into one rounding, and
 ``-ffast-math`` is never used. One function per power: a switch on p
 inside the loop stops it vectorising.
 
+Each function is built three times, as ``target_clones("arch=x86-64-v4",
+"avx2", "default")``: AVX-512 (8 doubles per vector), AVX2 (4) and
+baseline x86-64 (SSE2, 2). The loader picks the widest one this CPU runs
+(an ELF ifunc), so one cached file serves every x86-64 CPU, where a
+``-march=native`` build shared through a home directory could raise
+SIGILL on an older one. Every clone has the same bits: the loop
+vectorises across nodes, never across a node's sum; every step is still
+an exactly rounded ``-``, ``fabs``, ``*`` or ``+`` at any vector width;
+and ``-ffp-contract=off`` forbids FMA in the AVX-512 clone too. The
+clones are asked for only where they are known to build and load (gcc
+12 or later, x86-64, ELF, glibc); elsewhere ``CLONES`` is empty and each
+function is the one baseline build.
+
 The library is compiled with ``$CC`` (else ``cc``) into
 ``${XDG_CACHE_HOME:-~/.cache}/plapfd/``, under a name keyed by the
 sha256 of the source, the compiler command and the flags. It is written
@@ -34,10 +47,20 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
+/* one clone per SIMD width, chosen by the loader (an ELF ifunc, which
+   glibc resolves); gcc >= 12 knows every target named here */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
+    && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#else
+#define CLONES
+#endif
+
 /* u: the padded copy; rows[r]: where interior row r starts in u, each
    len nodes long; shifts[k], w[k]: offset k's flat shift and weight, in
    lexicographic order; acc: one row; out: the interior, row after row */
 #define KERNEL(name, jp)                                                     \
+CLONES                                                                       \
 void name(const double *u, const int64_t *rows, int64_t nrows, int64_t len,  \
           const int64_t *shifts, const double *w, int64_t npass,             \
           double *restrict acc, double *restrict out)                        \
