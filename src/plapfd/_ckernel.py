@@ -8,10 +8,13 @@ at +0; then, for each offset in the stencil's lexicographic order, ``acc
 = acc + jp(U[x+s] - U[x]) * w``, except that the middle pair is the numpy
 kernel's edge pass: ``acc = acc - jp(U[x] - U[x-s1]) * w``, then ``acc =
 acc + jp(U[x+s1] - U[x]) * w``. The first term is added, never assigned:
-``+0 + (-0)`` is +0, as in numpy. ``-ffp-contract=off`` keeps the
-compiler from fusing a product and a sum into one rounding, and
-``-ffast-math`` is never used. One function per power: a switch on p
-inside the loop stops it vectorising.
+``+0 + (-0)`` is +0, as in numpy. The row is then copied to its place in
+``out``, laid out as the padded copy's rows. ``-ffp-contract=off`` keeps
+the compiler from fusing a product and a sum into one rounding, and
+``-fno-fast-math``, after ``$CC``'s own flags, cancels a ``-ffast-math``
+there, which would reassociate the sums and (gcc) set flush-to-zero for
+the whole process at load. One function per power: a switch on p inside
+the loop stops it vectorising.
 
 Each function is built three times, as ``target_clones("arch=x86-64-v4",
 "avx2", "default")``: AVX-512 (8 doubles per vector), AVX2 (4) and
@@ -58,7 +61,7 @@ _SOURCE = r"""
 
 /* u: the padded copy; rows[r]: where interior row r starts in u, each
    len nodes long; shifts[k], w[k]: offset k's flat shift and weight, in
-   lexicographic order; acc: one row; out: the interior, row after row */
+   lexicographic order; acc: one row; out: u's rows from rows[0] on */
 #define KERNEL(name, jp)                                                     \
 CLONES                                                                       \
 void name(const double *u, const int64_t *rows, int64_t nrows, int64_t len,  \
@@ -88,7 +91,7 @@ void name(const double *u, const int64_t *rows, int64_t nrows, int64_t len,  \
                 acc[i] = acc[i] + jp(d) * wk;                                \
             }                                                                \
         }                                                                    \
-        memcpy(out + r * len, acc, len * sizeof(double));                    \
+        memcpy(out + (rows[r] - rows[0]), acc, len * sizeof(double));        \
     }                                                                        \
 }
 
@@ -100,7 +103,7 @@ KERNEL(plapfd_apply_p3, JP3)
 KERNEL(plapfd_apply_p4, JP4)
 """
 
-_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
 
 @functools.cache
@@ -152,14 +155,14 @@ def kernel(p: float):
     return None if lib is None else getattr(lib, f"plapfd_apply_p{int(p)}")
 
 
-def bind(fn, padded, rows, shifts, weights, acc, result):
+def bind(fn, padded, rows, shifts, weights, acc, out):
     """``fn`` with every argument bound as a value of its declared ctypes
     type (row length ``len(acc)``): a call on a 401-node row then costs
     about 1.2 µs, where taking the arrays' addresses on each call costs
     10-18 µs. Each pointer comes from ``ndarray.ctypes.data_as``, which
     keeps its array alive, so the callable keeps alive every array it
     reads or writes."""
-    arrays = (padded, rows, shifts, weights, acc, result)
+    arrays = (padded, rows, shifts, weights, acc, out)
     ptr = [a.ctypes.data_as(ctypes.c_void_p) for a in arrays]
     size = [ctypes.c_int64(n) for n in (len(rows), len(acc), len(shifts))]
     return functools.partial(fn, ptr[0], ptr[1], *size[:2], ptr[2], ptr[3], size[2], *ptr[4:])

@@ -366,24 +366,32 @@ class Stencil:
             raise ConfigurationError("weights must be finite and nonnegative")
         if np.any(np.all(off == 0, axis=1)):
             raise ConfigurationError("the zero offset is not allowed")
-        # rows ascend strictly iff the first nonzero entry of every
-        # consecutive difference is positive
-        step = np.diff(off, axis=0)
-        lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
-        if np.any(lead < 0):
+        # each check reads one column of offsets at a time, never a copy of
+        # them all. Rows ascend strictly iff, at the first column where two
+        # consecutive rows differ, the later one is greater
+        tied, falls = np.ones(len(off) - 1, dtype=bool), np.zeros(len(off) - 1, dtype=bool)
+        for a, b in zip(off[:-1].T, off[1:].T):
+            falls |= tied & (b < a)
+            tied &= a == b
+        falls, tied = np.any(falls), np.any(tied)
+        if falls:
             raise ConfigurationError("offsets must be lexicographically sorted")
-        if np.any(lead == 0):
+        if tied:
             raise ConfigurationError("duplicate offsets")
         # negation reverses the lexicographic order, so sorted unique rows
         # are symmetric iff row k mirrors row -1-k with the same weight
-        if not (np.array_equal(off, -off[::-1]) and np.array_equal(w, w[::-1])):
+        mirrored = all(np.array_equal(col, -col[::-1]) for col in off.T)
+        if not (mirrored and np.array_equal(w, w[::-1])):
             table = dict(zip(map(tuple, off.tolist()), w.tolist()))
             for row, weight in table.items():
                 if table.get(tuple(-b for b in row)) != weight:
                     raise ConfigurationError(f"weights not symmetric at offset {row}")
-        # |h*beta| <= r compared unsquared: h**2 overflows past h = 1.3e154
-        reach = self.h * np.sqrt(np.sum(off.astype(float) ** 2, axis=1))
-        if np.any(reach > self.r * (1.0 + _REL_SLACK)):
+        # |h*beta| <= r compared unsquared: h**2 overflows past h = 1.3e154;
+        # np.sum's order for d < 8, and exact in any order below 2**53
+        sq = np.zeros(len(off))
+        for col in off.T:
+            sq += np.square(col, dtype=float)
+        if np.any(self.h * np.sqrt(sq) > self.r * (1.0 + _REL_SLACK)):
             raise ConfigurationError("an offset reaches outside the ball of radius r")
         bound = self.M_bound * self.r ** (-self.p)
         if float(np.sum(w)) > bound * (1.0 + _REL_SLACK):
@@ -624,15 +632,18 @@ class _Workspace:
     """The kernel of apply_dp_grid, for one stencil on one grid shape under
     one extension rule: its scratch arrays, its one kernel call, and
     ``apply``, which fills the padded copy, makes the call and returns a
-    copy of the result as a new array. Every kernel goes through that one
-    path; what differs is only the call, bound here, once.
+    copy of the result as a new array. Every kernel shares that path and
+    one layout; only the call, bound here once, and its own buffers differ.
 
-    All scratch is one anonymous mapping, made here: the padded copy
-    first, then the kernel's buffers, each from a 64-byte line (numpy's
-    ufuncs write about 2x slower into an output that starts off one). The
-    system zero-fills it, so under the zero extension ``_fill_padded``
-    copies the field into the fixed interior view only, and the margins
-    stay +0. Every view, pointer, pass list and call is fixed here.
+    All scratch is one anonymous mapping that the system zero-fills: the
+    padded copy, ``acc``, then the kernel's own buffers, each from a
+    64-byte line (numpy's ufuncs write about 2x slower into an output
+    that starts off one). ``acc`` is the flat span from the first
+    interior node to the last, ``(size-1) * sum(strides) + 1`` slots, laid
+    out as the padded copy's rows; ``result`` is its view of the interior
+    (the slots between rows hold nothing meaningful). Under the zero
+    extension ``_fill_padded`` copies the field into the fixed interior
+    view only, and the margins stay +0. Every view and call is fixed here.
 
     In every d the nodes and their shifted values are read from the
     padded copy at fixed flat shifts: offset ``beta`` lies ``beta .
@@ -642,23 +653,18 @@ class _Workspace:
     the two-point stencil is this one pass.
 
     **Compiled kernel** (``compiled``; p = 2, 3 and 4 where
-    :mod:`plapfd._ckernel` builds). The call is one serial C call over
-    the interior rows, its pointers and sizes bound by ``_ckernel.bind``:
-    each row's accumulator ``acc`` (one row long) gets every pass in the
-    numpy kernel's order, with the same bits, and is copied into
-    ``result``, the interior, contiguous.
+    :mod:`plapfd._ckernel` builds). One serial C call over the interior
+    rows, bound by ``_ckernel.bind``, sums each row in its own
+    accumulator row, in the numpy kernel's order and with its bits, and
+    copies it into the row's slots of ``acc``.
 
     **numpy kernel** (every other p, and wherever no compiler, build or
-    load succeeds). The padded copy is read as one flat span from the
-    first interior node to the last, ``(size-1) * sum(strides) + 1``
-    slots, and each pass is a few ufunc calls over it: it writes
-    ``diff`` and ``term`` and adds into ``acc`` (the span, laid out as
-    the padded copy's rows, so ``result`` is a view of it; the slots
-    between interior rows hold nothing meaningful). The middle pair's
-    terms ``E`` are formed once over ``span + s_1`` slots: ``-beta_1``
-    subtracts ``E[:span]`` and ``+beta_1`` adds ``E[s_1:]``. The weights
-    are 0-d float64 arrays, which numpy multiplies by faster than Python
-    floats, with the same bits.
+    load succeeds). Each pass is a few ufunc calls over the span: it
+    writes the range's own ``diff`` and ``term`` and adds into ``acc``.
+    The middle pair's terms ``E`` are formed once over ``span + s_1``
+    slots: ``-beta_1`` subtracts ``E[:span]`` and ``+beta_1`` adds
+    ``E[s_1:]``. The weights are 0-d float64 arrays, which numpy
+    multiplies by faster than Python floats, with the same bits.
 
     The span is cut into slot ranges, one call ``_run(passes, p,
     acc[a:b])`` each: one range, unless the apply is large
@@ -684,50 +690,40 @@ class _Workspace:
         padded_shape = (size + 2 * m,) * d
         strides = [(size + 2 * m) ** (d - 1 - i) for i in range(d)]
         start = m * sum(strides)
+        span = (size - 1) * sum(strides) + 1
         shifts = [sum(b * s for b, s in zip(beta, strides)) for beta in stencil.offsets.tolist()]
         fn = _ckernel.kernel(stencil.p)
         self.compiled = fn is not None
+        # the padded copy, size padded rows for acc, then the kernel's own
+        # buffers: one accumulator row, or each range's diff and term
+        sizes = [math.prod(padded_shape), size * strides[0]]
         if self.compiled:
-            padded, result, self.acc = _mapping([math.prod(padded_shape), size**d, size])
-            self.result = result.reshape(shape)
-            # where each interior row starts in the padded copy, in C order
-            rows = np.array([start], dtype=np.int64)
-            for stride in strides[:-1]:
-                rows = (rows[:, None] + stride * np.arange(size)).ravel()
-            self._call = _ckernel.bind(fn, padded, rows, np.array(shifts, dtype=np.int64),
-                                       np.array(stencil.weights), self.acc, result)
+            sizes.append(size)
         else:
-            padded, calls = self._plan_passes(padded_shape, strides, start, shifts)
+            k = max(1, min(_cpu_count(), span * (len(shifts) - 1) // _PARALLEL_WORK, span // 8))
+            cuts = [8 * (span // 8 * i // k) for i in range(k)] + [span]
+            self.ranges = list(zip(cuts, cuts[1:]))
+            s1 = shifts[len(shifts) // 2]
+            sizes += [b - a + s1 for a, b in self.ranges for _ in range(2)]
+        padded, rows, *own = _mapping(sizes)
+        self.acc = rows[:span]
+        self.result = rows.reshape((size,) + padded_shape[1:])[(slice(0, size),) * d]
+        if self.compiled:
+            # where each interior row starts in the padded copy, in C order
+            starts = np.array([start], dtype=np.int64)
+            for stride in strides[:-1]:
+                starts = (starts[:, None] + stride * np.arange(size)).ravel()
+            self._call = _ckernel.bind(fn, padded, starts, np.array(shifts, dtype=np.int64),
+                                       np.array(stencil.weights), *own, self.acc)
+        else:
+            weights = [np.array(w) for w in stencil.weights.tolist()]
+            self.passes = [_pass_list(padded, start, shifts, weights, a, b, diff, term)
+                           for (a, b), diff, term in zip(self.ranges, own[::2], own[1::2])]
+            calls = [functools.partial(_run, passes, stencil.p, self.acc[a:b])
+                     for (a, b), passes in zip(self.ranges, self.passes)]
             self._call = calls[0] if len(calls) == 1 else functools.partial(_run_ranges, calls)
         self.padded = padded.reshape(padded_shape)
         self.interior = self.padded[(slice(m, m + size),) * d]
-
-    def _plan_passes(self, padded_shape, strides, start, shifts) -> tuple:
-        """The numpy kernel's scratch, slot ranges and pass lists; returns
-        the padded copy, flat, and one call per range."""
-        size, d = self.shape[0], len(self.shape)
-        span = (size - 1) * sum(strides) + 1
-        weights = [np.array(w) for w in self.stencil.weights.tolist()]
-        k = max(1, min(_cpu_count(), span * (len(shifts) - 1) // _PARALLEL_WORK, span // 8))
-        cuts = [8 * (span // 8 * i // k) for i in range(k)] + [span]
-        self.ranges = list(zip(cuts, cuts[1:]))
-        # the padded copy, size padded rows for acc (the span, laid out as
-        # the padded copy's rows), then each range's diff and term
-        s1 = shifts[len(shifts) // 2]
-        sizes = [math.prod(padded_shape), size * strides[0]]
-        sizes += [b - a + s1 for a, b in self.ranges for _ in range(2)]
-        padded, rows, *edges = _mapping(sizes)
-        self.acc = rows[:span]
-        self.result = rows.reshape((size,) + padded_shape[1:])[(slice(0, size),) * d]
-        self.passes = [
-            _pass_list(padded, start, shifts, weights, a, b, diff, term)
-            for (a, b), diff, term in zip(self.ranges, edges[::2], edges[1::2])
-        ]
-        p = self.stencil.p
-        return padded, [
-            functools.partial(_run, passes, p, self.acc[a:b])
-            for (a, b), passes in zip(self.ranges, self.passes)
-        ]
 
     def apply(self, field: GridField) -> np.ndarray:
         """``D U`` for a field that fits this workspace, as a new array,

@@ -95,6 +95,45 @@ def test_two_processes_that_build_at_once_both_load(cache, monkeypatch):
     assert name.startswith("kernel-") and name.endswith(".so")
 
 
+# builds and loads the library, then prints a subnormal quotient and the
+# compiled kernel's bytes on _field()'s values, read from standard input
+_FAST_MATH_CHILD = """
+import sys
+import numpy as np
+from plapfd import GridField, apply_dp_grid, stencil_ball
+from plapfd.operators import _Workspace
+
+values = np.frombuffer(sys.stdin.buffer.read()).reshape(11, 11)
+field = GridField(d=2, h=0.1, half_width=0.5, values=values, extension="boundary")
+stencil = stencil_ball(0.3, 0.1, 3.0, 2)
+work = _Workspace(stencil, values.shape, field.extension)
+assert work.compiled, "the library did not build"
+with np.errstate(over="ignore", invalid="ignore"):
+    got = apply_dp_grid(stencil, field, _work=work)
+print(repr(float(np.float64(2.2250738585072014e-308) / 4)), got.tobytes().hex())
+"""
+
+
+def test_a_fast_math_cc_keeps_subnormals_and_the_numpy_kernels_bytes(tmp_path):
+    # gcc -ffast-math would reassociate the kernel's sums and link a
+    # startup file that sets flush-to-zero for the whole process at load;
+    # the build's -fno-fast-math cancels both. The load runs in a child
+    # process, since flush-to-zero would last for the rest of this one
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, CC="gcc -ffast-math", XDG_CACHE_HOME=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    field = _field()
+    want = _apply_dp_grid_previous_workspace(stencil_ball(0.3, 0.1, 3.0, 2), field).tobytes()
+    child = subprocess.run([sys.executable, "-c", _FAST_MATH_CHILD], env=env, timeout=120,
+                           input=field.values.tobytes(), capture_output=True)
+    assert child.returncode == 0, child.stderr.decode()[-2000:]
+    tiny, got = child.stdout.decode().split()
+    assert float(tiny) == 2.2250738585072014e-308 / 4 != 0.0
+    assert bytes.fromhex(got) == want
+
+
 def test_a_bound_call_keeps_its_arrays_alive():
     # the call holds the only references to its six arrays: they live as
     # long as it does, it still reads and writes them, and they die with it

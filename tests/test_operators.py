@@ -247,6 +247,17 @@ def test_ball_offsets_memory_tracks_the_offsets():
     assert cube_peak > 4.0 * offsets.nbytes
     # 81 slabs of 6,561 rows, 9 per block: the block seams keep the order
     assert offsets.tobytes() == cube.tobytes()
+    # Stencil's checks read one column of offsets at a time: two rows of
+    # floats and a few of bools, 0.71x the offsets as measured, where
+    # their copies of the offsets took 2.67x. So stencil_ball peaks in
+    # _ball_offsets (4.0x when the checks set its peak), give or take the
+    # few hundred bytes of its own frame
+    weights = np.full(len(offsets), 1e-3)
+    _, check_peak = _traced_peak(Stencil, 3, 0.01, 0.4, 3.0, offsets, weights)
+    assert check_peak < 0.75 * offsets.nbytes
+    stencil, stencil_peak = _traced_peak(stencil_ball, 0.4, 0.01, 3.0, 3)
+    assert stencil.offsets.tobytes() == offsets.tobytes()
+    assert stencil_peak <= peak + 4096
 
 
 def test_stencil_weights_outside_float_range_are_refused():
@@ -312,6 +323,72 @@ def test_stencil_rejects_malformed_offsets(offsets, weights, match):
     # d = 2, p = 2, r = 2: reach at most 2 nodes, weights sum to at most 8
     with pytest.raises(ConfigurationError, match=match):
         Stencil(d=2, h=1.0, r=2.0, p=2.0, offsets=offsets, weights=weights)
+
+
+def _stencil_error_previous(off, w, h, r):
+    # Stencil's offset checks before they read one column at a time: the
+    # message of the first one that fails, or None
+    if np.any(np.all(off == 0, axis=1)):
+        return "the zero offset is not allowed"
+    step = np.diff(off, axis=0)
+    lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+    if np.any(lead < 0):
+        return "offsets must be lexicographically sorted"
+    if np.any(lead == 0):
+        return "duplicate offsets"
+    if not (np.array_equal(off, -off[::-1]) and np.array_equal(w, w[::-1])):
+        table = dict(zip(map(tuple, off.tolist()), w.tolist()))
+        for row, weight in table.items():
+            if table.get(tuple(-b for b in row)) != weight:
+                return f"weights not symmetric at offset {row}"
+    reach = h * np.sqrt(np.sum(off.astype(float) ** 2, axis=1))
+    if np.any(reach > r * (1.0 + 1e-12)):
+        return "an offset reaches outside the ball of radius r"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 9),
+    rows=st.lists(st.lists(st.integers(-(2**24), 2**24), min_size=9, max_size=9),
+                  min_size=1, max_size=12),
+    edit=st.sampled_from(["none", "swap", "duplicate", "drop", "weight", "zero"]),
+    at=st.integers(0, 30),
+    scale=st.sampled_from([1.0, 1.0 - 5e-13, 1.0 - 2e-12, 1.0 + 2e-12, 2.0]),
+)
+def test_stencil_checks_accept_and_reject_what_they_did(d, rows, edit, at, scale):
+    # symmetric sorted offsets, then one edit that may break a rule, and a
+    # radius at, just inside or just outside the reach of one row: the
+    # column-at-a-time checks give the earlier checks' verdict (the
+    # squared norms stay below 2**53, where every partial sum is exact)
+    half = {tuple(row[:d]) for row in rows} - {(0,) * d}
+    if not half:
+        return
+    off = np.array(sorted(half | {tuple(-b for b in row) for row in half}), dtype=np.int64)
+    w = np.full(len(off), 1e-300)
+    k = at % len(off)
+    if edit == "swap" and len(off) > 1:
+        off[[k, k - 1]] = off[[k - 1, k]]
+    elif edit == "duplicate":
+        off = np.insert(off, k, off[k], axis=0)
+        w = np.insert(w, k, w[k])
+    elif edit == "drop" and len(off) > 1:
+        off, w = np.delete(off, k, axis=0), np.delete(w, k)
+    elif edit == "weight":
+        w[k] = 2e-300
+    elif edit == "zero":
+        off[k] = 0
+    h = 1e-8
+    r = h * math.sqrt(sum(float(b) ** 2 for b in off[at % len(off)])) * scale
+    if not r > 0.0:
+        r = 1.0
+    want = _stencil_error_previous(off, w, h, r)
+    try:
+        Stencil(d=d, h=h, r=r, p=2.0, offsets=off, weights=w)
+        got = None
+    except ConfigurationError as exc:
+        got = str(exc)
+    assert got == want
 
 
 def test_grid_axis_is_robust_to_float_division():
@@ -852,23 +929,16 @@ def _two_pair_stencil_1d(h, p):
     return Stencil(d=1, h=h, r=3.0 * h, p=p, offsets=[[-3], [-2], [2], [3]], weights=[w] * 4)
 
 
-@pytest.mark.parametrize(
-    "d, n, r, h", [(1, 1, 0.1, 0.1), (1, 200, 0.1, 0.1), (1, 1, 0.3, 0.1), (1, 200, 0.3, 0.1),
-                   (2, 1, 0.3, 0.1), (2, 4, 0.3, 0.1), (2, 10, 0.3, 0.1), (2, 87, 0.3, 0.0164),
-                   (3, 2, 0.3, 0.1), (3, 5, 0.3, 0.1), (3, 8, 0.25, 0.1)],
-)
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("p", [3.0, 3.5])
-def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, extension, p):
-    # the numpy kernel (np.power at p = 3.5) writes each range's diff and
-    # term, and acc, over the flat span in every d, and the compiled one
-    # (p = 3, where it builds) its acc row and the result; numpy writes
-    # about 2x slower into an output that starts off a 64-byte line, so
-    # each must start on one. In d = 1, r = h is the
-    # two-point stencil, a single edge pass, and r = 3h the hand-built
-    # pairs +-2, +-3.
-    # The result must be a new C-contiguous array, since explicit_step
-    # updates it in place
+# (d, n, r, h): nodes per side 2n + 1. In d = 1, r = h is the two-point
+# stencil, a single edge pass, and r = 3h the hand-built pairs +-2, +-3
+_WORKSPACE_CASES = [
+    (1, 1, 0.1, 0.1), (1, 200, 0.1, 0.1), (1, 1, 0.3, 0.1), (1, 200, 0.3, 0.1),
+    (2, 1, 0.3, 0.1), (2, 4, 0.3, 0.1), (2, 10, 0.3, 0.1), (2, 87, 0.3, 0.0164),
+    (3, 2, 0.3, 0.1), (3, 5, 0.3, 0.1), (3, 8, 0.25, 0.1),
+]
+
+
+def _workspace_case(d, n, r, h, extension, p):
     if d == 1:
         stencil = stencil_1d(h, p) if r == h else _two_pair_stencil_1d(h, p)
     else:
@@ -876,6 +946,78 @@ def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, exten
     rng = np.random.default_rng(n)
     field = GridField(d=d, h=h, half_width=n * h, values=rng.standard_normal((2 * n + 1,) * d),
                       extension=extension)
+    return stencil, field
+
+
+def _first_and_last(view):
+    # the addresses of a view's first and last elements
+    last = sum((n - 1) * stride for n, stride in zip(view.shape, view.strides))
+    return view.ctypes.data, view.ctypes.data + last
+
+
+def _mapped_at(buf):
+    # the anonymous mapping under a workspace buffer, and the buffer's
+    # byte offset in it
+    whole = buf
+    while isinstance(whole.base, np.ndarray):
+        whole = whole.base
+    owner = whole.base.obj if isinstance(whole.base, memoryview) else whole.base
+    return owner, buf.ctypes.data - whole.ctypes.data
+
+
+@pytest.mark.parametrize("d, n, r, h", _WORKSPACE_CASES)
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("kernel", ["numpy", "compiled"])
+def test_workspace_has_one_layout_for_both_kernels(monkeypatch, d, n, r, h, extension, kernel):
+    # at p = 3 either kernel may run: the padded copy at the mapping's
+    # start, then acc, the span laid out as the padded copy's rows, of
+    # which result is a view; then the kernel's own buffers, the compiled
+    # kernel's accumulator row or each range's diff and term, and nothing
+    # else. Every buffer starts on a 64-byte line (numpy writes about 2x
+    # slower into an output that starts off one), and apply returns a new
+    # C-contiguous array, since explicit_step updates it in place
+    if kernel == "compiled":
+        _require_compiled()
+    else:
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
+    stencil, field = _workspace_case(d, n, r, h, extension, 3.0)
+    work = _Workspace(stencil, field.values.shape, extension)
+    assert work.compiled == (kernel == "compiled")
+    first, last = _first_and_last(work.acc)
+    assert first <= _first_and_last(work.result)[0] <= _first_and_last(work.result)[1] <= last
+    mapping, at = _mapped_at(work.padded)
+    assert isinstance(mapping, mmap.mmap) and at == 0
+    assert _mapped_at(work.acc) == (mapping, 8 * -(-work.padded.size // 8) * 8)
+    if work.compiled:
+        # the bound call writes its row into acc; no pass list
+        assert not hasattr(work, "passes") and not hasattr(work, "ranges")
+        row, out = work._call.args[-2:]
+        assert out.value == work.acc.ctypes.data
+        own = [(row.value, field.values.shape[0])]
+    else:
+        own = [(buf.ctypes.data, buf.size) for pair in _edge_buffers(work) for buf in pair]
+    rows = field.values.shape[0] * math.prod(work.padded.shape[1:])
+    sizes = [work.padded.size, rows] + [size for _, size in own]
+    assert len(mapping) == 8 * sum(-(-size // 8) * 8 for size in sizes)
+    for address in [work.padded.ctypes.data, work.acc.ctypes.data] + [a for a, _ in own]:
+        assert address % 64 == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = apply_dp_grid(stencil, field, _work=work)
+    assert out.flags.c_contiguous and out.flags.owndata
+    assert not np.shares_memory(out, np.frombuffer(mapping))
+    assert not np.shares_memory(out, field.values)
+    assert out.tobytes() == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
+    assert out.tobytes() == _apply_dp_grid_previous_workspace(stencil, field).tobytes()
+
+
+@pytest.mark.parametrize("d, n, r, h", _WORKSPACE_CASES)
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, extension):
+    # the numpy kernel's own path at p = 3.5 (np.power): each range's diff
+    # and term and acc over the flat span, each from a 64-byte line, and a
+    # result that shares no memory with them, in the row-view kernel's
+    # bytes
+    stencil, field = _workspace_case(d, n, r, h, extension, 3.5)
     work = _Workspace(stencil, field.values.shape, extension)
     written = sum(_edge_buffers(work), (work.acc, work.result))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -892,7 +1034,7 @@ def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, exten
 def _edge_buffers(work):
     # each range's diff and term, b - a + s_1 slots with the halo: the
     # buffers its middle pair's edge pass writes; none in a compiled
-    # workspace, which writes only acc and result
+    # workspace
     return [
         next((diff, term) for _, _, diff, term, _, subtracted, _ in passes if subtracted is not None)
         for passes in getattr(work, "passes", [])
@@ -1127,27 +1269,6 @@ def test_compiled_kernel_flags_the_numpy_kernels_nonfinite_nodes(case, extension
         got = apply_dp_grid(stencil, field, _work=work)
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     assert _nan_aside(got) == _nan_aside(want)
-
-
-def test_compiled_workspace_maps_three_buffers():
-    # the padded copy, the interior's result (contiguous) and one row of
-    # acc, in one mapping, each on a 64-byte line; no diff, term or pass
-    # list
-    _require_compiled()
-    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
-    work = _Workspace(stencil, (11, 11), "zero")
-    assert work.compiled and not hasattr(work, "passes") and not hasattr(work, "ranges")
-    assert work.result.shape == (11, 11) and work.result.flags.c_contiguous
-    assert work.acc.shape == (11,)
-    bufs = [work.padded, work.result, work.acc]
-    owners = []
-    for view in bufs:
-        assert view.ctypes.data % 64 == 0
-        while isinstance(view, np.ndarray):
-            view = view.base
-        owners.append(view.obj if isinstance(view, memoryview) else view)
-    assert isinstance(owners[0], mmap.mmap) and all(o is owners[0] for o in owners)
-    assert len(owners[0]) == 8 * sum(-(-b.size // 8) * 8 for b in bufs)
 
 
 def test_compiled_workspace_on_a_split_sized_grid_starts_no_worker(monkeypatch):
