@@ -1143,12 +1143,8 @@ def test_workspace_scratch_is_one_mapping(monkeypatch, case, k):
     halos = {buf.size - (b - a) for (a, b), pair in zip(work.ranges, edges) for buf in pair}
     assert len(halos) == 1 and halos.pop() > 0
     bufs = [work.padded, work.acc] + [buf for pair in edges for buf in pair]
-    owners = []
-    for view in bufs:
-        assert view.ctypes.data % 64 == 0
-        while isinstance(view, np.ndarray):
-            view = view.base
-        owners.append(view.obj if isinstance(view, memoryview) else view)
+    assert all(view.ctypes.data % 64 == 0 for view in bufs)
+    owners = [_mapped_at(view)[0] for view in bufs]
     assert isinstance(owners[0], mmap.mmap) and all(o is owners[0] for o in owners)
     for x, y in itertools.combinations(bufs, 2):
         assert not np.shares_memory(x, y)
