@@ -29,6 +29,10 @@ from .errors import ConfigurationError
 # multiplicative slack for validation of float identities
 _REL_SLACK = 1e-12
 
+# rows per block of Stencil's reach check: its floats then take about
+# 200 KiB, whatever the stencil's size
+_REACH_ROWS = 1 << 13
+
 
 # The parameter rules, one helper each (with _check_a in stepping). They
 # raise ConfigurationError, a ValueError, so the CLI maps them to exit 2.
@@ -387,12 +391,14 @@ class Stencil:
                 if table.get(tuple(-b for b in row)) != weight:
                     raise ConfigurationError(f"weights not symmetric at offset {row}")
         # |h*beta| <= r compared unsquared: h**2 overflows past h = 1.3e154;
-        # np.sum's order for d < 8, and exact in any order below 2**53
-        sq = np.zeros(len(off))
-        for col in off.T:
-            sq += np.square(col, dtype=float)
-        if np.any(self.h * np.sqrt(sq) > self.r * (1.0 + _REL_SLACK)):
-            raise ConfigurationError("an offset reaches outside the ball of radius r")
+        # np.sum's order for d < 8, and exact in any order below 2**53. One
+        # block of rows at a time, so its floats stay small (_REACH_ROWS)
+        for block in np.array_split(off, range(_REACH_ROWS, len(off), _REACH_ROWS)):
+            sq = np.zeros(len(block))
+            for col in block.T:
+                sq += np.square(col, dtype=float)
+            if np.any(self.h * np.sqrt(sq) > self.r * (1.0 + _REL_SLACK)):
+                raise ConfigurationError("an offset reaches outside the ball of radius r")
         bound = self.M_bound * self.r ** (-self.p)
         if float(np.sum(w)) > bound * (1.0 + _REL_SLACK):
             raise ConfigurationError(

@@ -1,8 +1,5 @@
-import ctypes
 import gc
 import os
-import re
-import shlex
 import shutil
 import subprocess
 import sys
@@ -15,7 +12,7 @@ import pytest
 from plapfd import GridField, apply_dp_grid, stencil_ball
 from plapfd import _ckernel
 from plapfd.operators import _Workspace
-from test_operators import _EXTREMES, _SPLIT_CASES, _apply_dp_grid_previous_workspace, _nan_aside
+from kernel_paths import _apply_dp_grid_previous_workspace
 
 
 @pytest.fixture
@@ -154,80 +151,3 @@ def test_a_bound_call_keeps_its_arrays_alive():
     del call
     gc.collect()
     assert all(ref() is None for ref in refs)
-
-
-# each clone's target as a whole-file flag, and the CPU flags it needs
-_TARGETS = {
-    "x86-64": ("-march=x86-64", ()),
-    "avx2": ("-mavx2", ("avx2",)),
-    "x86-64-v4": ("-march=x86-64-v4", ("avx512f", "avx512vl", "avx512dq", "avx512bw")),
-}
-
-
-def _cpu_flags():
-    try:
-        with open("/proc/cpuinfo") as f:
-            lines = f.read().splitlines()
-    except OSError:
-        return set()
-    return {flag for line in lines if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
-
-
-@pytest.fixture(scope="module", params=list(_TARGETS))
-def target_library(request, tmp_path_factory):
-    # the library's source without its clones, built for one target alone
-    flag, needs = _TARGETS[request.param]
-    missing = set(needs) - _cpu_flags()
-    if missing:
-        pytest.skip(f"this CPU lacks {sorted(missing)}")
-    source, n = re.subn(r"^#if defined\(__x86_64__\).*?^#endif\n", "#define CLONES\n",
-                        _ckernel._SOURCE, flags=re.S | re.M)
-    assert n == 1, "the library's CLONES guard was not found"
-    path = tmp_path_factory.mktemp(request.param) / "kernel.so"
-    cc = shlex.split(os.environ.get("CC") or "cc")
-    try:
-        built = subprocess.run([*cc, *_ckernel._FLAGS, flag, "-o", str(path), "-x", "c", "-"],
-                               input=source.encode(), capture_output=True, timeout=120)
-    except OSError as exc:
-        pytest.skip(f"no compiler: {exc}")
-    if built.returncode != 0:
-        pytest.skip(f"{cc} {flag} did not build: {built.stderr.decode()[-200:]}")
-    return ctypes.CDLL(str(path))
-
-
-@pytest.mark.parametrize("overflowing", [False, True])
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("case", list(_SPLIT_CASES))
-def test_every_clone_target_gives_the_numpy_kernels_bytes(
-    monkeypatch, target_library, case, extension, p, overflowing
-):
-    # the kernel built for each clone's target on its own (this CPU runs
-    # only one of the library's clones): numpy's bytes in d = 1, 2 and 3
-    # under both extensions, and on a field whose differences overflow the
-    # same nodes are inf or NaN, with numpy's bytes up to NaN payloads
-    monkeypatch.setattr(_ckernel, "kernel", lambda p: getattr(target_library, f"plapfd_apply_p{int(p)}"))
-    d, make, n = _SPLIT_CASES[case]
-    stencil = make(p)
-    rng = np.random.default_rng(int(10 * p) + d + 100 * overflowing)
-    values = rng.standard_normal((2 * n + 1,) * d)
-    if overflowing:
-        extreme = rng.uniform(size=values.shape) < 0.3
-        values[extreme] = rng.choice(_EXTREMES, int(np.sum(extreme)))
-        # and one difference that overflows at every p: -1e308 - 1e308
-        beta = stencil.offsets[0]
-        alpha = np.maximum(0, -beta)
-        values[tuple(alpha)] = 1e308
-        values[tuple(alpha + beta)] = -1e308
-    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=values, extension=extension)
-    want = _apply_dp_grid_previous_workspace(stencil, field)
-    assert np.all(np.isfinite(want)) != overflowing
-    work = _Workspace(stencil, field.values.shape, extension)
-    assert work.compiled
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = apply_dp_grid(stencil, field, _work=work)
-    if overflowing:
-        assert np.array_equal(np.isfinite(got), np.isfinite(want))
-        assert _nan_aside(got) == _nan_aside(want)
-    else:
-        assert got.tobytes() == want.tobytes()

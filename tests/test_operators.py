@@ -1,14 +1,10 @@
-import contextlib
 import decimal
+import functools
 import itertools
 import math
 import mmap
-import os
-import threading
 import time
 import tracemalloc
-import types
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,12 +32,26 @@ from plapfd import (
     stencil_for,
     unit_ball_volume,
 )
-from plapfd import _ckernel, operators
+from plapfd import operators
 from plapfd.operators import (
     _Workspace,
     _ball_offsets,
     _signed_power,
     weight_sum_bound,
+)
+from kernel_paths import (
+    _EXTREMES,
+    _PATHS,
+    _SPLIT_CASES,
+    _apply_dp_grid_padded_reference,
+    _apply_dp_grid_previous_workspace,
+    _forced_path,
+    _nan_aside,
+    _np_padded,
+    _reference_levels,
+    _require_compiled,
+    _serves,
+    _signed_power_reference,
 )
 
 
@@ -247,17 +257,25 @@ def test_ball_offsets_memory_tracks_the_offsets():
     assert cube_peak > 4.0 * offsets.nbytes
     # 81 slabs of 6,561 rows, 9 per block: the block seams keep the order
     assert offsets.tobytes() == cube.tobytes()
-    # Stencil's checks read one column of offsets at a time: two rows of
-    # floats and a few of bools, 0.71x the offsets as measured, where
-    # their copies of the offsets took 2.67x. So stencil_ball peaks in
-    # _ball_offsets (4.0x when the checks set its peak), give or take the
-    # few hundred bytes of its own frame
+    # Stencil's checks read one column of offsets at a time, and the reach
+    # check one block of rows: 0.38x the offsets as measured (0.71x with
+    # the reach check's floats over all rows, 2.67x with copies of the
+    # offsets). So stencil_ball peaks in _ball_offsets (4.0x when the
+    # checks set its peak), give or take the few hundred bytes of its frame
     weights = np.full(len(offsets), 1e-3)
     _, check_peak = _traced_peak(Stencil, 3, 0.01, 0.4, 3.0, offsets, weights)
     assert check_peak < 0.75 * offsets.nbytes
     stencil, stencil_peak = _traced_peak(stencil_ball, 0.4, 0.01, 3.0, 3)
     assert stencil.offsets.tobytes() == offsets.tobytes()
     assert stencil_peak <= peak + 4096
+    # and in d = 2, where the weights are half the offsets' bytes, so a
+    # reach check's floats over all rows would set the peak (2.56x the
+    # offsets, against _ball_offsets' 2.11x and 2.31x)
+    for r, h in ((0.3, 0.001), (0.5, 0.002)):
+        offsets, peak = _traced_peak(_ball_offsets, r, h, 2)
+        stencil, stencil_peak = _traced_peak(stencil_ball, r, h, 3.0, 2)
+        assert stencil.offsets.tobytes() == offsets.tobytes()
+        assert stencil_peak <= peak + 4096
 
 
 def test_stencil_weights_outside_float_range_are_refused():
@@ -451,13 +469,6 @@ def test_grid_field_extensions():
         np.testing.assert_array_equal(work.padded[2:], want)
 
 
-def _signed_power_reference(xi, p):
-    if p == 2.0:
-        return xi
-    with np.errstate(over="ignore"):
-        return np.abs(xi) ** (p - 2.0) * xi
-
-
 def _shifted_reference(field, beta):
     # U(. + h*beta) as one full-grid array per offset
     size = field.values.shape[0]
@@ -487,26 +498,6 @@ def _apply_dp_grid_shifted_reference(stencil, field):
     return acc
 
 
-def _np_padded(field, m):
-    # the field widened by m nodes per side under its extension rule,
-    # through np.pad rather than the kernel's own GridField._fill_padded
-    return np.pad(field.values, m, mode="constant" if field.extension == "zero" else "edge")
-
-
-def _apply_dp_grid_padded_reference(stencil, field):
-    # the array kernel before in-place buffers: padded once, one full-grid
-    # temporary per operation and offset
-    acc = np.zeros_like(field.values)
-    m = int(np.max(np.abs(stencil.offsets)))
-    padded = _np_padded(field, m)
-    size = field.values.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, beta in enumerate(stencil.offsets.tolist()):
-            shift = padded[tuple(slice(m + b, m + b + size) for b in beta)]
-            acc += _signed_power_reference(shift - field.values, stencil.p) * stencil.weights[k]
-    return acc
-
-
 def _apply_dp_grid_row_view_reference(stencil, field):
     # the d >= 2 workspace kernel before flat spans: each offset reads a
     # fixed d-dimensional view of the padded copy, made of rows that mostly
@@ -524,90 +515,6 @@ def _apply_dp_grid_row_view_reference(stencil, field):
             np.multiply(_signed_power(diff, stencil.p, term), np.array(w), out=term)
             np.add(acc, term, out=acc)
     return acc
-
-
-def _aligned_empty(n):
-    # np.empty(n) starting on a 64-byte line, as the earlier kernels
-    # allocated their scratch
-    raw = np.empty(n + 8)
-    skip = (-raw.ctypes.data % 64) // 8
-    return raw[skip : skip + n]
-
-
-class _PreviousWorkspace:
-    # the workspace kernel before its two layouts became one: in d = 1 an
-    # edge pass for every pair (offset -k subtracts the head of its edge
-    # terms, +k adds their tail, the first head written as +0 - P), in
-    # d >= 2 one pass per offset over the flat span
-
-    def __init__(self, stencil, shape, extension):
-        self.stencil = stencil
-        self.shape = shape
-        self.extension = extension
-        self.reach = m = int(np.max(np.abs(stencil.offsets)))
-        weights = [np.array(w) for w in stencil.weights.tolist()]
-        size = shape[0]
-        self.padded = padded = np.zeros((size + 2 * m,) * len(shape))
-        self.interior = padded[(slice(m, m + size),) * len(shape)]
-        if len(shape) == 1:
-            diff = np.empty(size + m)
-            edges = {}
-            self.heads, self.tails = [], []
-            for (b,), w in zip(stencil.offsets.tolist(), weights):
-                if b < 0:
-                    k = -b
-                    edges[k] = edge = np.empty(size + k)
-                    hi, lo = padded[m : m + size + k], padded[m - k : m + size]
-                    self.heads.append((hi, lo, diff[: size + k], edge, w, edge[:size]))
-                else:
-                    self.tails.append(edges[b][b:])
-        else:
-            strides = [s // padded.itemsize for s in padded.strides]
-            start, span = m * sum(strides), (size - 1) * sum(strides) + 1
-            flat = padded.reshape(-1)
-            self.base = flat[start : start + span]
-            self.terms = []
-            for beta, w in zip(stencil.offsets.tolist(), weights):
-                at = start + sum(b * s for b, s in zip(beta, strides))
-                self.terms.append((flat[at : at + span], w))
-            self.diff, self.term = _aligned_empty(span), _aligned_empty(span)
-            rows = _aligned_empty(size * strides[0])
-            self.acc = rows[:span]
-            self.acc_interior = rows.reshape((size,) + padded.shape[1:])[
-                (slice(0, size),) * len(shape)
-            ]
-
-    def apply(self, field):
-        field._fill_padded(self.reach, self.padded, self.interior)
-        p = self.stencil.p
-        if field.d == 1:
-            acc = np.empty(self.shape)
-            lhs = 0.0
-            for hi, lo, diff, edge, w, head in self.heads:
-                np.subtract(hi, lo, out=diff)
-                np.multiply(_signed_power(diff, p, edge), w, out=edge)
-                np.subtract(lhs, head, out=acc)
-                lhs = acc
-            for tail in self.tails:
-                np.add(acc, tail, out=acc)
-            return acc
-        base, diff, term, acc = self.base, self.diff, self.term, self.acc
-        acc.fill(0.0)
-        for shift, w in self.terms:
-            np.subtract(shift, base, out=diff)
-            np.multiply(_signed_power(diff, p, term), w, out=term)
-            np.add(acc, term, out=acc)
-        return self.acc_interior.copy()
-
-
-def _apply_dp_grid_previous_workspace(stencil, field):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _PreviousWorkspace(stencil, field.values.shape, field.extension).apply(field)
-
-
-# zeros of both signs, the smallest subnormals, and magnitudes whose
-# differences overflow inside the power (1e300) or in the subtraction (1e308)
-_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e308, -1e308])
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 3.7, 4.0, 5.0, 6.0, 32.0, 32.5, 40.0, 100.0])
@@ -676,7 +583,7 @@ def test_apply_dp_grid_matches_shifted_kernel(case):
     # often reach past the far edge; the result must be bit for bit the same
     # as the earlier array kernels, overflow to inf and nan included
     stencil, field = case
-    with _numpy_kernel():
+    with _forced_path("numpy"):
         work = _Workspace(stencil, field.values.shape, field.extension)
     with np.errstate(over="ignore", invalid="ignore"):
         got = apply_dp_grid(stencil, field, _work=work).tobytes()
@@ -696,23 +603,6 @@ def test_apply_dp_grid_matches_shifted_kernel(case):
     with np.errstate(over="ignore", invalid="ignore"):
         out = apply_dp_grid(stencil, field)
     assert _nan_aside(out) == _nan_aside(np.frombuffer(got).reshape(out.shape))
-
-
-@contextlib.contextmanager
-def _numpy_kernel():
-    # workspaces built inside take the numpy kernel at every p, as
-    # without a C compiler
-    with mock.patch.object(_ckernel, "load", lambda: None):
-        yield
-
-
-def _nan_aside(values):
-    # the bytes with every NaN made one NaN: the compiled kernel promises
-    # numpy's bits on finite values and infinities, and NaN where numpy
-    # has NaN, but not numpy's NaN payloads
-    out = np.array(values)
-    out[np.isnan(out)] = np.nan
-    return out.tobytes()
 
 
 def test_apply_dp_constant_field_is_zero():
@@ -865,29 +755,13 @@ def test_zero_workspace_margins_stay_positive_zero(d):
     assert margins.tobytes() == bytes(margins.nbytes)
 
 
-def _reference_levels(kernel, cfg, data, steps=None):
-    # U^0 .. U^steps of cfg's run (all N steps by default), stepped as
-    # U + tau * (D U + f) with the reference kernel(stencil, field) as D:
-    # explicit_step before the in-place update, with fresh temporaries and
-    # each level validated again by with_values
-    stencil = stencil_for(cfg)
-    args = (cfg.d, cfg.h, cfg.half_width, cfg.extension)
-    f = sample_on_grid(data.f, *args).values
-    levels = [sample_on_grid(data.u0, *args)]
-    for _ in range(cfg.N if steps is None else steps):
-        rate = kernel(stencil, levels[-1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            levels.append(levels[-1].with_values(levels[-1].values + cfg.tau * (rate + f)))
-    return levels
-
-
 def _assert_levels_match_row_view_kernel(cfg, data):
     # every level of iter_levels against the levels stepped with the
     # row-view kernel, byte for byte
     want = _reference_levels(_apply_dp_grid_row_view_reference, cfg, data)
-    assert not np.array_equal(want[-1].values, want[0].values)
-    got = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
-    assert got == [lev.values.tobytes() for lev in want]
+    want = [lev.tobytes() for lev in want]
+    assert want[-1] != want[0]
+    assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
 
 
 def test_levels_match_row_view_kernel_at_ball2d_geometry():
@@ -938,7 +812,10 @@ _WORKSPACE_CASES = [
 ]
 
 
+@functools.cache
 def _workspace_case(d, n, r, h, extension, p):
+    # the stencil and field of one layout key, and the row-view and the
+    # previous workspace kernels' bytes on them
     if d == 1:
         stencil = stencil_1d(h, p) if r == h else _two_pair_stencil_1d(h, p)
     else:
@@ -946,7 +823,9 @@ def _workspace_case(d, n, r, h, extension, p):
     rng = np.random.default_rng(n)
     field = GridField(d=d, h=h, half_width=n * h, values=rng.standard_normal((2 * n + 1,) * d),
                       extension=extension)
-    return stencil, field
+    want = (_apply_dp_grid_row_view_reference(stencil, field).tobytes(),
+            _apply_dp_grid_previous_workspace(stencil, field).tobytes())
+    return stencil, field, want
 
 
 def _first_and_last(view):
@@ -965,72 +844,6 @@ def _mapped_at(buf):
     return owner, buf.ctypes.data - whole.ctypes.data
 
 
-@pytest.mark.parametrize("d, n, r, h", _WORKSPACE_CASES)
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("kernel", ["numpy", "compiled"])
-def test_workspace_has_one_layout_for_both_kernels(monkeypatch, d, n, r, h, extension, kernel):
-    # at p = 3 either kernel may run: the padded copy at the mapping's
-    # start, then acc, the span laid out as the padded copy's rows, of
-    # which result is a view; then the kernel's own buffers, the compiled
-    # kernel's accumulator row or each range's diff and term, and nothing
-    # else. Every buffer starts on a 64-byte line (numpy writes about 2x
-    # slower into an output that starts off one), and apply returns a new
-    # C-contiguous array, since explicit_step updates it in place
-    if kernel == "compiled":
-        _require_compiled()
-    else:
-        monkeypatch.setattr(_ckernel, "load", lambda: None)
-    stencil, field = _workspace_case(d, n, r, h, extension, 3.0)
-    work = _Workspace(stencil, field.values.shape, extension)
-    assert work.compiled == (kernel == "compiled")
-    first, last = _first_and_last(work.acc)
-    assert first <= _first_and_last(work.result)[0] <= _first_and_last(work.result)[1] <= last
-    mapping, at = _mapped_at(work.padded)
-    assert isinstance(mapping, mmap.mmap) and at == 0
-    assert _mapped_at(work.acc) == (mapping, 8 * -(-work.padded.size // 8) * 8)
-    if work.compiled:
-        # the bound call writes its row into acc; no pass list
-        assert not hasattr(work, "passes") and not hasattr(work, "ranges")
-        row, out = work._call.args[-2:]
-        assert out.value == work.acc.ctypes.data
-        own = [(row.value, field.values.shape[0])]
-    else:
-        own = [(buf.ctypes.data, buf.size) for pair in _edge_buffers(work) for buf in pair]
-    rows = field.values.shape[0] * math.prod(work.padded.shape[1:])
-    sizes = [work.padded.size, rows] + [size for _, size in own]
-    assert len(mapping) == 8 * sum(-(-size // 8) * 8 for size in sizes)
-    for address in [work.padded.ctypes.data, work.acc.ctypes.data] + [a for a, _ in own]:
-        assert address % 64 == 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = apply_dp_grid(stencil, field, _work=work)
-    assert out.flags.c_contiguous and out.flags.owndata
-    assert not np.shares_memory(out, np.frombuffer(mapping))
-    assert not np.shares_memory(out, field.values)
-    assert out.tobytes() == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
-    assert out.tobytes() == _apply_dp_grid_previous_workspace(stencil, field).tobytes()
-
-
-@pytest.mark.parametrize("d, n, r, h", _WORKSPACE_CASES)
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-def test_workspace_buffers_are_aligned_and_the_result_is_owned(d, n, r, h, extension):
-    # the numpy kernel's own path at p = 3.5 (np.power): each range's diff
-    # and term and acc over the flat span, each from a 64-byte line, and a
-    # result that shares no memory with them, in the row-view kernel's
-    # bytes
-    stencil, field = _workspace_case(d, n, r, h, extension, 3.5)
-    work = _Workspace(stencil, field.values.shape, extension)
-    written = sum(_edge_buffers(work), (work.acc, work.result))
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = apply_dp_grid(stencil, field, _work=work)
-    for buf in written:
-        assert buf.ctypes.data % 64 == 0
-    assert out.flags.c_contiguous and out.flags.owndata
-    for buf in written + (work.padded, field.values):
-        assert not np.shares_memory(out, buf)
-    assert out.tobytes() == _apply_dp_grid_row_view_reference(stencil, field).tobytes()
-    assert out.tobytes() == _apply_dp_grid_previous_workspace(stencil, field).tobytes()
-
-
 def _edge_buffers(work):
     # each range's diff and term, b - a + s_1 slots with the halo: the
     # buffers its middle pair's edge pass writes; none in a compiled
@@ -1041,116 +854,123 @@ def _edge_buffers(work):
     ]
 
 
-def _force_split(monkeypatch, k):
-    # every span of at least 8k slots splits into k ranges, whatever the
-    # host's CPU count, on the numpy kernel at every p; nothing may fork,
-    # and the list returned collects each range thread as it starts
-    monkeypatch.setattr(operators, "_PARALLEL_WORK", 1)
-    monkeypatch.setattr(operators, "_cpu_count", lambda: k)
-    monkeypatch.setattr(_ckernel, "load", lambda: None)
-    monkeypatch.setattr(os, "fork", _refuse_fork)
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(operators, "threading", types.SimpleNamespace(Thread=Thread))
-    return started
-
-
-def _refuse_fork():
-    raise AssertionError("the operator forked")
-
-
-def _axis_pair_stencil_2d(h, p):
-    # the pair +-(3, 0) alone: the middle pair's edge pass reaches three
-    # padded rows past each range
-    w = 0.25 * (3.0 * h) ** -p
-    return Stencil(d=2, h=h, r=3.0 * h, p=p, offsets=[[-3, 0], [3, 0]], weights=[w, w])
+def _assert_one_mapping(work):
+    # the padded copy at the start of one anonymous mapping, then the acc
+    # rows, then the kernel's own buffers (the compiled call's accumulator
+    # row, or each range's diff and term), each from the 64-byte line
+    # after the one before, and nothing else, so no two share memory;
+    # returns the mapping
+    mapping, at = _mapped_at(work.padded)
+    assert isinstance(mapping, mmap.mmap) and at == 0
+    assert _mapped_at(work.acc)[0] is mapping
+    bufs = [(work.padded.ctypes.data, work.padded.size),
+            (work.acc.ctypes.data, work.shape[0] * math.prod(work.padded.shape[1:]))]
+    if work.compiled:
+        bufs.append((work._call.args[-2].value, work.shape[0]))
+    else:
+        bufs += [(buf.ctypes.data, buf.size) for pair in _edge_buffers(work) for buf in pair]
+    at = work.padded.ctypes.data
+    for address, size in bufs:
+        assert address == at and address % 64 == 0
+        at += 8 * -(-size // 8) * 8
+    assert at - work.padded.ctypes.data == len(mapping)
+    return mapping
 
 
-def _far_pair_stencil_1d(h, p):
-    # the pairs +-20 and +-21: s_1 = 20 slots, longer than the 8- and
-    # 16-slot ranges of a 41-node grid split three ways
-    w = 0.25 * (21.0 * h) ** -p
-    return Stencil(d=1, h=h, r=21.0 * h, p=p, offsets=[[-21], [-20], [20], [21]],
-                   weights=[w] * 4)
-
-
-# (d, stencil maker, n): nodes per side 2n + 1
-_SPLIT_CASES = {
-    "1d-two-point": (1, lambda p: stencil_1d(0.1, p), 20),
-    "1d-far-pair": (1, lambda p: _far_pair_stencil_1d(0.1, p), 20),
-    "2d-ball": (2, lambda p: stencil_ball(0.3, 0.1, p, 2), 5),
-    "2d-axis-pair": (2, lambda p: _axis_pair_stencil_2d(0.1, p), 2),
-    "3d-ball": (3, lambda p: stencil_ball(0.25, 0.1, p, 3), 3),
-}
-
-
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 3.7, 4.0, 40.0])
+@pytest.mark.parametrize("d, n, r, h", _WORKSPACE_CASES)
 @pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("case", list(_SPLIT_CASES))
-def test_split_kernel_matches_the_serial_kernel_bitwise(monkeypatch, case, extension, p, k):
-    # the span cut into k ranges at multiples of 8 slots, all but the
-    # first run on threads, gives the serial kernel's bytes: at every p
-    # (np.power at 2.5, 3.7 and 40), in d = 1, 2 and 3, under both
-    # extensions, and where a range's middle-pair halo crosses later cuts;
-    # each apply joins its k - 1 threads before it returns
+@pytest.mark.parametrize("path, p", [("numpy", 3.0), ("compiled", 3.0), ("numpy", 3.5)],
+                         indirect=["path"])
+def test_workspace_has_one_layout_on_every_path(path, p, d, n, r, h, extension):
+    # at p = 3 either kernel, at p = 3.5 (np.power) the numpy kernel: one
+    # mapping, the span of acc laid out as the padded copy's rows, of
+    # which result is a view, and every buffer on a 64-byte line (numpy
+    # writes about 2x slower into an output that starts off one). apply
+    # returns a new C-contiguous array, since explicit_step updates it in
+    # place, in the row-view and the previous workspace kernels' bytes
+    stencil, field, want = _workspace_case(d, n, r, h, extension, p)
+    work = _Workspace(stencil, field.values.shape, extension)
+    assert work.compiled == path.compiled
+    mapping = _assert_one_mapping(work)
+    first, last = _first_and_last(work.acc)
+    assert first <= _first_and_last(work.result)[0] <= _first_and_last(work.result)[1] <= last
+    if work.compiled:
+        # the bound call writes its row into acc; no pass list
+        assert not hasattr(work, "passes") and not hasattr(work, "ranges")
+        assert work._call.args[-1].value == work.acc.ctypes.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = apply_dp_grid(stencil, field, _work=work)
+    assert out.flags.c_contiguous and out.flags.owndata
+    assert not np.shares_memory(out, np.frombuffer(mapping))
+    assert not np.shares_memory(out, field.values)
+    assert (out.tobytes(),) * 2 == want
+
+
+@functools.cache
+def _split_case(case, extension, p, values):
+    # the stencil and field of one bytes-matrix key, and the previous
+    # workspace kernel's result on them
     d, make, n = _SPLIT_CASES[case]
     stencil = make(p)
-    rng = np.random.default_rng(k * 100 + int(10 * p))
-    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=rng.standard_normal((2 * n + 1,) * d),
-                      extension=extension)
-    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
-    assert apply_dp_grid(stencil, field).tobytes() == want  # k = 1 on small grids
-    started = _force_split(monkeypatch, k)
-    threads = threading.active_count()
+    overflowing = values == "overflowing"
+    rng = np.random.default_rng(int(10 * p) + d + 100 * overflowing)
+    values = rng.standard_normal((2 * n + 1,) * d)
+    if overflowing:
+        extreme = rng.uniform(size=values.shape) < 0.3
+        values[extreme] = rng.choice(_EXTREMES, int(np.sum(extreme)))
+        # and one difference that overflows at every p: -1e308 - 1e308
+        beta = stencil.offsets[0]
+        alpha = np.maximum(0, -beta)
+        values[tuple(alpha)] = 1e308
+        values[tuple(alpha + beta)] = -1e308
+    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=values, extension=extension)
+    want = _apply_dp_grid_previous_workspace(stencil, field)
+    assert np.all(np.isfinite(want)) != overflowing
+    return stencil, field, want
+
+
+@pytest.mark.parametrize("values", ["random", "overflowing"])
+@pytest.mark.parametrize("path, p", [(path, p) for path in _PATHS
+                                     for p in (2.0, 2.5, 3.0, 3.7, 4.0, 40.0) if _serves(path, p)],
+                         indirect=["path"])
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_every_path_gives_the_previous_kernels_bytes(path, case, extension, p, values):
+    # in d = 1, 2 and 3, under both extensions, where the far pairs'
+    # reach spans several rows, and at every p the path serves (np.power
+    # at 2.5, 3.7 and 40): the previous kernel's bytes, twice in one
+    # workspace (it serves every apply of a run) and once one-shot. Where
+    # differences overflow, the same nodes are inf or NaN, and a compiled
+    # path may differ from numpy in NaN payloads only. A split apply
+    # starts and joins its k - 1 range threads; no other path starts one
+    stencil, field, want = _split_case(case, extension, p, values)
     work = _Workspace(stencil, field.values.shape, extension)
-    cuts = [a for a, _ in work.ranges]
-    assert len(work.ranges) == k and all(c % 8 == 0 for c in cuts)
-    assert work.ranges[-1][1] == len(work.acc)
-    if case in ("1d-far-pair", "2d-axis-pair") and k == 3:
-        s1 = _edge_buffers(work)[0][0].size - work.ranges[0][1]
-        assert work.ranges[0][1] + s1 > cuts[2]  # range 0's halo crosses cut 2
+    assert work.compiled == path.compiled
+    _assert_one_mapping(work)
+    if not work.compiled:
+        # cuts at multiples of 8 slots, so every slot keeps its SIMD lane;
+        # each range's buffers hold the same halo of s_1 slots, which may
+        # cross later cuts (the far pairs in three ranges)
+        cuts = [a for a, _ in work.ranges]
+        assert len(work.ranges) == path.ranges and all(c % 8 == 0 for c in cuts)
+        assert work.ranges[-1][1] == len(work.acc)
+        halos = {buf.size - (b - a) for (a, b), pair in zip(work.ranges, _edge_buffers(work))
+                 for buf in pair}
+        (s1,) = halos
+        assert s1 > 0
+        if case in ("1d-far-pair", "2d-axis-pair") and path.ranges == 3:
+            assert work.ranges[0][1] + s1 > cuts[2]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):  # the workspace serves every apply of a run
-            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-    assert len(started) == 2 * (k - 1) and threading.active_count() == threads
-    assert apply_dp_grid(stencil, field).tobytes() == want  # one-shot, split
-    assert len(started) == 3 * (k - 1) and threading.active_count() == threads
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("case", ["1d-two-point", "2d-ball", "3d-ball"])
-def test_workspace_scratch_is_one_mapping(monkeypatch, case, k):
-    # for every k the padded copy, the acc rows and each range's diff and
-    # term (b - a + s_1 slots, halo included) are views of one mapping,
-    # each from a 64-byte line, and no two share memory; k = 1 starts no
-    # thread
-    d, make, n = _SPLIT_CASES[case]
-    stencil = make(3.0)
-    rng = np.random.default_rng(k)
-    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=rng.standard_normal((2 * n + 1,) * d))
-    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
-    started = _force_split(monkeypatch, k)
-    threads = threading.active_count()
-    work = _Workspace(stencil, field.values.shape, "zero")
-    edges = _edge_buffers(work)
-    assert len(work.ranges) == len(edges) == k
-    halos = {buf.size - (b - a) for (a, b), pair in zip(work.ranges, edges) for buf in pair}
-    assert len(halos) == 1 and halos.pop() > 0
-    bufs = [work.padded, work.acc] + [buf for pair in edges for buf in pair]
-    assert all(view.ctypes.data % 64 == 0 for view in bufs)
-    owners = [_mapped_at(view)[0] for view in bufs]
-    assert isinstance(owners[0], mmap.mmap) and all(o is owners[0] for o in owners)
-    for x, y in itertools.combinations(bufs, 2):
-        assert not np.shares_memory(x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-    assert len(started) == k - 1 and threading.active_count() == threads
+        got = [apply_dp_grid(stencil, field, _work=work) for _ in range(2)]
+    assert len(path.started) == 2 * (path.ranges - 1)
+    assert path.idle()
+    got.append(apply_dp_grid(stencil, field))
+    assert len(path.started) == 3 * (path.ranges - 1)
+    assert path.idle()
+    canonical = _nan_aside if path.compiled else np.ndarray.tobytes
+    for out in got:
+        assert np.array_equal(np.isfinite(out), np.isfinite(want))
+        assert canonical(out) == canonical(want)
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2, (0, 1)])
@@ -1160,7 +980,6 @@ def test_split_apply_raises_a_range_error_after_joining_every_thread(monkeypatch
     # then raises that very exception; when range 0 and a thread both
     # raise, range 0's exception is the one raised
     failing = failing if isinstance(failing, tuple) else (failing,)
-    started = _force_split(monkeypatch, 3)
     stencil = stencil_ball(0.3, 0.1, 3.7, 2)
     rng = np.random.default_rng(2)
     field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
@@ -1178,41 +997,13 @@ def test_split_apply_raises_a_range_error_after_joining_every_thread(monkeypatch
 
     # each range's call binds _run when the workspace is built
     monkeypatch.setattr(operators, "_run", run_or_fail)
-    work = _Workspace(stencil, (11, 11), "zero")
-    threads = threading.active_count()
-    with pytest.raises(ValueError) as exc, np.errstate(over="ignore", invalid="ignore"):
-        apply_dp_grid(stencil, field, _work=work)
+    with _forced_path("split-3") as path:
+        work = _Workspace(stencil, (11, 11), "zero")
+        with pytest.raises(ValueError) as exc, np.errstate(over="ignore", invalid="ignore"):
+            apply_dp_grid(stencil, field, _work=work)
     assert exc.value is failure
     assert sorted(finished) == sorted({0, 1, 2} - set(failing))
-    assert len(started) == 2 and not any(t.is_alive() for t in started)
-    assert threading.active_count() == threads
-
-
-def _require_compiled():
-    if _ckernel.load() is None:
-        pytest.skip("the compiled kernel did not build here (no C compiler, or CC=false)")
-
-
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("case", list(_SPLIT_CASES))
-def test_compiled_kernel_matches_the_numpy_kernel_bitwise(case, extension, p):
-    # in d = 1, 2 and 3, under both extensions, and where the stencil's
-    # reach spans several rows (the far pairs): numpy's bytes, twice in
-    # the same workspace
-    _require_compiled()
-    d, make, n = _SPLIT_CASES[case]
-    stencil = make(p)
-    rng = np.random.default_rng(int(10 * p) + d)
-    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=rng.standard_normal((2 * n + 1,) * d),
-                      extension=extension)
-    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
-    work = _Workspace(stencil, field.values.shape, extension)
-    assert work.compiled
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-    assert apply_dp_grid(stencil, field).tobytes() == want  # one-shot
+    assert len(path.started) == 2 and path.idle()
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -1240,52 +1031,3 @@ def test_compiled_kernel_adds_a_negative_zero_first_term(d, p):
     work = _Workspace(stencil, field.values.shape, "zero")
     assert work.compiled
     assert apply_dp_grid(stencil, field, _work=work).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("case", ["1d-two-point", "2d-ball", "3d-ball"])
-def test_compiled_kernel_flags_the_numpy_kernels_nonfinite_nodes(case, extension, p):
-    # differences that overflow in the subtraction or in the power: the
-    # same nodes are inf or NaN, the infinities and finite values keep
-    # numpy's bytes, and only NaN payloads may differ
-    _require_compiled()
-    d, make, n = _SPLIT_CASES[case]
-    stencil = make(p)
-    rng = np.random.default_rng(int(p) * 7 + d)
-    values = rng.standard_normal((2 * n + 1,) * d)
-    extreme = rng.uniform(size=values.shape) < 0.3
-    values[extreme] = rng.choice(_EXTREMES, int(np.sum(extreme)))
-    field = GridField(d=d, h=0.1, half_width=n * 0.1, values=values, extension=extension)
-    want = _apply_dp_grid_previous_workspace(stencil, field)
-    assert not np.all(np.isfinite(want))
-    work = _Workspace(stencil, field.values.shape, extension)
-    assert work.compiled
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = apply_dp_grid(stencil, field, _work=work)
-    assert np.array_equal(np.isfinite(got), np.isfinite(want))
-    assert _nan_aside(got) == _nan_aside(want)
-
-
-def test_compiled_workspace_on_a_split_sized_grid_starts_no_worker(monkeypatch):
-    # a grid the numpy kernel would split over two threads runs in the
-    # calling thread: no thread starts and nothing forks
-    _require_compiled()
-    stencil = stencil_ball(0.3, 0.1, 3.0, 2)
-    rng = np.random.default_rng(3)
-    field = GridField(d=2, h=0.1, half_width=0.5, values=rng.standard_normal((11, 11)))
-    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
-    monkeypatch.setattr(operators, "_PARALLEL_WORK", 1)
-    monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "fork", _refuse_fork)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("the compiled kernel started a thread")
-
-    monkeypatch.setattr(operators, "threading", types.SimpleNamespace(Thread=no_thread))
-    work = _Workspace(stencil, (11, 11), "zero")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
-    assert work.compiled
-    assert apply_dp_grid(stencil, field).tobytes() == want

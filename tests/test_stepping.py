@@ -1,8 +1,7 @@
-import contextlib
+import functools
 import itertools
 import math
 import re
-import threading
 import warnings
 
 import numpy as np
@@ -16,7 +15,6 @@ from plapfd import (
     SchemeConfig,
     Trajectory,
     apply_dp,
-    apply_dp_grid,
     barenblatt_data,
     barenblatt_eval,
     barenblatt_solution,
@@ -37,13 +35,7 @@ from plapfd import (
 )
 from plapfd import mollifier_constants, stepping
 from plapfd.operators import _check_p, _nonnegative, _positive, weight_sum_bound
-from test_operators import (
-    _apply_dp_grid_padded_reference,
-    _force_split,
-    _numpy_kernel,
-    _reference_levels,
-    _require_compiled,
-)
+from kernel_paths import _PATHS, _apply_dp_grid_padded_reference, _reference_levels, _serves
 
 
 def zero_data():
@@ -529,19 +521,6 @@ def test_stepped_levels_keep_the_grid_and_validation(d):
         lev.with_values(bad)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 3.7])
-def test_levels_match_reference_step_bitwise(d, extension, p):
-    data = _wavy_data()
-    cfg = _wavy_config(d, p, extension)
-    want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
-    assert not np.array_equal(want[-1].values, want[0].values)
-    want = [lev.values.tobytes() for lev in want]
-    assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
-    assert [lev.values.tobytes() for lev in solve(cfg, data).levels] == want
-
-
 def _split_config(d, p, extension):
     # three or more steps of the wavy run on a grid the forced split cuts
     if d == 3:
@@ -550,132 +529,120 @@ def _split_config(d, p, extension):
     return _wavy_config(d, p, extension)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("d, p", [(1, 2.5), (2, 3.7), (2, 3.0), (3, 3.7)])
-def test_split_levels_match_serial_levels_bitwise(monkeypatch, d, p, extension, k):
-    # every level of a run whose operator span is split k ways, byte for
-    # byte against the serial run, and no thread left behind
+# every path but the clones, which the bytes matrix of test_operators covers
+_LEVEL_PATHS = [path for path in _PATHS if not path.startswith("clone:")]
+
+
+@functools.cache
+def _reference_run(d, p, extension):
     cfg = _split_config(d, p, extension)
-    assert cfg.N >= 3
-    want = [lev.values.tobytes() for lev in iter_levels(cfg, _wavy_data())]
-    assert want[-1] != want[0]
-    started = _force_split(monkeypatch, k)
-    threads = threading.active_count()
-    got = [lev.values.tobytes() for lev in iter_levels(cfg, _wavy_data())]
-    assert got == want
-    # every step starts the same threads (fewer than k - 1 where the span is short)
-    assert started and len(started) % cfg.N == 0
-    assert threading.active_count() == threads
+    want = [lev.tobytes() for lev in _reference_levels(_apply_dp_grid_padded_reference, cfg,
+                                                        _wavy_data())]
+    return cfg, want
 
 
-def test_split_run_leaves_no_worker_after_blow_up(monkeypatch):
-    # the pinned 1D blow-up at step 5, split two ways: the same healthy
-    # levels, the same error, and no range thread outlives its step
-    data = oscillatory_data(0.1)
-    cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
-    want = []
-    with pytest.raises(BlowUpError):
-        for lev in iter_levels(cfg, data):
-            want.append(lev.values.tobytes())
-    assert len(want) == 5
-    started = _force_split(monkeypatch, 2)
-    threads = threading.active_count()
+@pytest.mark.parametrize("extension", ["zero", "boundary"])
+@pytest.mark.parametrize(
+    "path, d, p",
+    [(path, d, p) for path in _LEVEL_PATHS
+     for d, p in [(1, 2.0), (1, 2.5), (1, 3.0), (1, 3.7), (1, 4.0),
+                  (2, 2.0), (2, 3.0), (2, 3.7), (2, 4.0), (3, 3.7)]
+     if _serves(path, p)],
+    indirect=["path"],
+)
+def test_levels_match_reference_step_bitwise(path, d, p, extension):
+    # every level of iter_levels and of solve, byte for byte against the
+    # padded reference's stepping, in d = 1, 2 and 3 (np.power at p = 2.5
+    # and 3.7). A split run starts the same threads at every step (fewer
+    # than k - 1 where the span is short) and holds none between steps;
+    # no other path starts one
+    cfg, want = _reference_run(d, p, extension)
+    assert cfg.N >= 3 and want[-1] != want[0]
     got = []
-    with pytest.raises(BlowUpError) as exc:
-        for lev in iter_levels(cfg, data):
-            got.append(lev.values.tobytes())
-            if len(got) == 2:
-                assert started and threading.active_count() == threads
-    assert got == want and (exc.value.node, exc.value.step) == ((-10,), 5)
-    assert threading.active_count() == threads
+    for lev in iter_levels(cfg, _wavy_data()):
+        got.append(lev.values.tobytes())
+        assert path.idle()
+    assert got == want
+    assert [lev.values.tobytes() for lev in solve(cfg, _wavy_data()).levels] == want
+    assert bool(path.started) == (path.ranges > 1) and len(path.started) % cfg.N == 0
+    assert path.idle()
 
 
-def test_split_run_blows_up_where_the_serial_run_does(monkeypatch):
-    # a 2D checkerboard at p = 3.7 overflows in every range: split two and
-    # three ways, the serial run's healthy levels byte for byte, its node
-    # and step, and no RuntimeWarning from any range thread
-    data = HolderData(u0=lambda x, y: np.cos(np.pi * x / 0.1) * np.cos(np.pi * y / 0.1),
-                      f=lambda x, y: 0.0 * x, a=1.0, L_u0=40.0, L_f=0.0, sup_u0=1.0, sup_f=0.0)
-    cfg = plan_config(3.7, 2, 0.1, 1.0, data, r=0.3, h=0.1, num_steps=10)
-    runs = []
-    for k in (1, 2, 3):
-        started = _force_split(monkeypatch, k)
-        levels = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BlowUpError) as exc:
-                for lev in iter_levels(cfg, data):
-                    levels.append(lev.values.tobytes())
-        assert bool(started) == (k > 1)
-        runs.append((levels, exc.value.node, exc.value.step))
-    assert runs[0] == runs[1] == runs[2]
-    assert 1 < runs[0][2] < 10
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_compiled_run_blows_up_where_the_numpy_run_does(d):
-    # the pinned 1D blow-up at step 5, and a 2D checkerboard that blows up
-    # at step 9: on the compiled kernel, the numpy run's healthy levels
-    # byte for byte, the same node and step, and no RuntimeWarning
-    _require_compiled()
+def _blow_up_run(d, p):
+    # the pinned 1D blow-up, and a 2D checkerboard that overflows in every
+    # range of a split
     if d == 1:
         data = oscillatory_data(0.1)
-        cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
+        return plan_config(p, 1, 1.0, 1.0, data, h=0.1, num_steps=10), data
+    data = HolderData(u0=lambda x, y: np.cos(np.pi * x / 0.1) * np.cos(np.pi * y / 0.1),
+                      f=lambda x, y: 0.0 * x, a=1.0, L_u0=40.0, L_f=0.0, sup_u0=1.0, sup_f=0.0)
+    return plan_config(p, 2, 0.1, 1.0, data, r=0.3, h=0.1, num_steps=10), data
+
+
+@functools.cache
+def _reference_blow_up(d, p):
+    # the padded reference's healthy levels, and the first non-finite node
+    # of the level after them, in scan order
+    cfg, data = _blow_up_run(d, p)
+    *healthy, blown = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
+    n = blown.shape[0] // 2
+    node = tuple(int(i) - n for i in np.argwhere(~np.isfinite(blown))[0])
+    return [lev.tobytes() for lev in healthy], node
+
+
+@pytest.mark.parametrize(
+    "path, d, p",
+    [(path, d, p) for path in _LEVEL_PATHS for d, p in [(1, 4.0), (2, 3.0), (2, 3.7)]
+     if _serves(path, p)],
+    indirect=["path"],
+)
+def test_run_blows_up_where_the_reference_does(path, d, p):
+    # the pinned 1D blow-up at step 5 and the checkerboard at p = 3 (step
+    # 9) and 3.7: the reference's healthy levels byte for byte, then its
+    # node and step, with no RuntimeWarning from any range thread and no
+    # thread left between steps or after the error
+    cfg, data = _blow_up_run(d, p)
+    want, node = _reference_blow_up(d, p)
+    if d == 1:
+        assert (node, len(want)) == ((-10,), 5)
     else:
-        data = HolderData(u0=lambda x, y: np.cos(np.pi * x / 0.1) * np.cos(np.pi * y / 0.1),
-                          f=lambda x, y: 0.0 * x, a=1.0, L_u0=40.0, L_f=0.0, sup_u0=1.0,
-                          sup_f=0.0)
-        cfg = plan_config(3.0, 2, 0.1, 1.0, data, r=0.3, h=0.1, num_steps=10)
-    runs = []
-    for kernel in (_numpy_kernel, contextlib.nullcontext):
-        levels = []
-        with kernel(), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BlowUpError) as exc:
-                for lev in iter_levels(cfg, data):
-                    levels.append(lev.values.tobytes())
-        runs.append((levels, exc.value.node, exc.value.step))
-    assert runs[0] == runs[1]
-    assert (len(runs[0][0]), runs[0][2]) == ((5, 5) if d == 1 else (9, 9))
+        assert len(want) == 9 if p == 3.0 else 1 < len(want) < 10
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as exc:
+            for lev in iter_levels(cfg, data):
+                got.append(lev.values.tobytes())
+                assert path.idle()
+    assert got == want and (exc.value.node, exc.value.step) == (node, len(want))
+    assert bool(path.started) == (path.ranges > 1)
+    assert path.idle()
 
 
-def test_split_run_leaves_no_worker_when_closed_or_abandoned(monkeypatch):
-    # a split run holds no thread between its steps, whether it is closed,
-    # abandoned by a consumer that raises, or exhausted, and neither does a
-    # one-shot apply
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("ending", ["exhausted", "closed", "abandoned"])
+@pytest.mark.parametrize("path", _LEVEL_PATHS, indirect=True)
+def test_run_leaves_no_thread_however_it_ends(path, ending):
+    # a run holds no thread between its steps, whether it is run to its
+    # end, closed after two levels, or abandoned by a consumer that raises
     cfg = _split_config(2, 3.0, "zero")
-    started = _force_split(monkeypatch, 2)
-    threads = threading.active_count()
-
-    def ran_threads_and_left_none(before):
-        return len(started) > before and threading.active_count() == threads
-
-    # the generator closed after two levels
-    gen = iter_levels(cfg, _wavy_data())
-    next(gen), next(gen)
-    assert ran_threads_and_left_none(0)
-    gen.close()
-    assert threading.active_count() == threads
-
-    # the consumer raises mid-run
-    class Stop(Exception):
-        pass
-
-    before = len(started)
-    with pytest.raises(Stop):
-        for j, _ in enumerate(iter_levels(cfg, _wavy_data())):
-            if j == 2:
-                raise Stop
-    assert ran_threads_and_left_none(before)
-    # the whole run
-    before = len(started)
-    assert len(solve(cfg, _wavy_data()).levels) == cfg.N + 1
-    assert ran_threads_and_left_none(before)
-    # one apply without a workspace
-    before = len(started)
-    apply_dp_grid(stencil_for(cfg), sample_on_grid(_wavy_data().u0, 2, cfg.h, cfg.half_width))
-    assert ran_threads_and_left_none(before)
+    if ending == "exhausted":
+        assert len(solve(cfg, _wavy_data()).levels) == cfg.N + 1
+    elif ending == "closed":
+        levels = iter_levels(cfg, _wavy_data())
+        next(levels), next(levels)
+        assert path.idle()
+        levels.close()
+    else:
+        with pytest.raises(_Stop):
+            for j, _ in enumerate(iter_levels(cfg, _wavy_data())):
+                if j == 2:
+                    raise _Stop
+    assert bool(path.started) == (path.ranges > 1)
+    assert path.idle()
 
 
 def _chunk_config(d, N, source):
@@ -707,8 +674,7 @@ def test_chunked_levels_match_reference_step_bitwise(d, N, source):
     # the chunk boundaries fall where they would in a long run; with a
     # zero source the add is skipped, with the wavy one it is not
     cfg, data = _chunk_config(d, N, source)
-    want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
-    want = [lev.values.tobytes() for lev in want]
+    want = [lev.tobytes() for lev in _reference_levels(_apply_dp_grid_padded_reference, cfg, data)]
     assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
 
 
@@ -740,7 +706,7 @@ def test_blow_up_in_mid_chunk_yields_the_healthy_levels():
     with pytest.raises(BlowUpError) as exc:
         for lev in iter_levels(cfg, data):
             got.append(lev.values.tobytes())
-    assert got == [lev.values.tobytes() for lev in want]
+    assert got == [lev.tobytes() for lev in want]
     assert (exc.value.node, exc.value.step) == ((-10,), 5)
 
 
@@ -760,7 +726,7 @@ def test_source_is_skipped_only_when_every_bit_is_clear(monkeypatch, f_value):
     monkeypatch.setattr(stepping, "explicit_step", spy)
     got = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
     want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
-    assert got == [lev.values.tobytes() for lev in want]
+    assert got == [lev.tobytes() for lev in want]
     skipped = f_value == 0.0 and math.copysign(1.0, f_value) > 0
     assert len(sources) == cfg.N
     assert all((s is None) == skipped for s in sources)
