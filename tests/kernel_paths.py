@@ -57,11 +57,13 @@ class _Path:
     compiled: bool
     ranges: int  # of a numpy apply large enough to split: k on split-k, else 1
     started: list  # every range thread, as it starts
+    joined: set  # every range thread a join found ended
     threads: int  # threading.active_count() when the path was set
 
     def idle(self):
-        # every range thread started so far was joined, and no other is left
-        return all(t.joined for t in self.started) and threading.active_count() == self.threads
+        # every range thread started so far was joined, and no other is
+        # left; a count, since a run asks at each of its levels
+        return len(self.joined) == len(self.started) and threading.active_count() == self.threads
 
 
 @contextlib.contextmanager
@@ -81,21 +83,20 @@ def _forced_path(name):
         mp.setattr(operators, "_PARALLEL_WORK", 1)
         mp.setattr(operators, "_cpu_count", lambda: 2 if compiled else k)
         mp.setattr(os, "fork", _refuse_fork)
-        started = []
+        started, joined = [], set()
 
         class Thread(threading.Thread):
-            joined = False
-
             def start(self):
                 started.append(self)
                 super().start()
 
             def join(self, timeout=None):
                 super().join(timeout)
-                self.joined = not self.is_alive()
+                if not self.is_alive():
+                    joined.add(self)
 
         mp.setattr(operators, "threading", types.SimpleNamespace(Thread=Thread))
-        yield _Path(compiled, k, started, threading.active_count())
+        yield _Path(compiled, k, started, joined, threading.active_count())
 
 
 def _refuse_fork():
@@ -206,6 +207,25 @@ def _apply_dp_grid_padded_reference(stencil, field):
     return acc
 
 
+def _apply_dp_grid_row_view_reference(stencil, field):
+    # the d >= 2 workspace kernel before flat spans: each offset reads a
+    # fixed d-dimensional view of the padded copy, made of rows that mostly
+    # start off a cache line, into full-grid buffers
+    m = int(np.max(np.abs(stencil.offsets)))
+    padded = _np_padded(field, m)
+    size = field.values.shape[0]
+    acc = np.zeros(field.values.shape)
+    diff = np.empty(field.values.shape)
+    term = np.empty(field.values.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for beta, w in zip(stencil.offsets.tolist(), stencil.weights.tolist()):
+            shift = padded[tuple(slice(m + c, m + c + size) for c in beta)]
+            np.subtract(shift, field.values, out=diff)
+            np.multiply(_signed_power(diff, stencil.p, term), np.array(w), out=term)
+            np.add(acc, term, out=acc)
+    return acc
+
+
 def _aligned_empty(n):
     # np.empty(n) starting on a 64-byte line, as the earlier kernels
     # allocated their scratch
@@ -285,19 +305,18 @@ def _apply_dp_grid_previous_workspace(stencil, field):
         return _PreviousWorkspace(stencil, field.values.shape, field.extension).apply(field)
 
 
-def _reference_levels(kernel, cfg, data, steps=None):
-    # the node values of U^0 .. U^steps of cfg's run (all N steps by
-    # default), stepped as U + tau * (D U + f) with the reference
-    # kernel(stencil, field) as D: explicit_step before the in-place
-    # update, with fresh temporaries and each level validated again by
-    # with_values. A level with a non-finite node, where the run blows
-    # up, is the last one
+def _reference_levels(kernel, cfg, data):
+    # the node values of U^0 .. U^N of cfg's run, stepped as U + tau *
+    # (D U + f) with the reference kernel(stencil, field) as D:
+    # explicit_step before the in-place update, with fresh temporaries
+    # and each level validated again by with_values. A level with a
+    # non-finite node, where the run blows up, is the last one
     stencil = stencil_for(cfg)
     args = (cfg.d, cfg.h, cfg.half_width, cfg.extension)
     f = sample_on_grid(data.f, *args).values
     field = sample_on_grid(data.u0, *args)
     levels = [field.values]
-    for _ in range(cfg.N if steps is None else steps):
+    for _ in range(cfg.N):
         rate = kernel(stencil, field)
         with np.errstate(over="ignore", invalid="ignore"):
             levels.append(field.values + cfg.tau * (rate + f))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ def test_eval_support_is_exact_zero():
     out = barenblatt_eval(sol, x, 0.0)
     assert np.all(out == 0.0)
     assert barenblatt_eval(sol, 0.9 * edge, 0.0) > 0.0
+
+
+def test_eval_past_the_support_is_silent():
+    # log(0) past the support is silenced where it happens: the profile
+    # warns not at all, also with every warning turned into an error
+    sol = barenblatt_solution(1, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = barenblatt_eval(sol, np.linspace(-3.0, 3.0, 121), [0.0, 0.5, 1.0])
+    assert np.any(rows == 0.0) and np.any(rows > 0.0)
 
 
 def test_eval_peak_value():

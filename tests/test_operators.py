@@ -14,22 +14,16 @@ from hypothesis import strategies as st
 from plapfd import (
     ConfigurationError,
     GridField,
-    HolderData,
     Stencil,
     apply_dp,
     apply_dp_grid,
-    barenblatt_data,
     couple_h_to_r,
     dpd_constant,
-    explicit_step,
     grid_axis,
-    iter_levels,
     jp,
-    plan_config,
     sample_on_grid,
     stencil_1d,
     stencil_ball,
-    stencil_for,
     unit_ball_volume,
 )
 from plapfd import operators
@@ -45,10 +39,9 @@ from kernel_paths import (
     _SPLIT_CASES,
     _apply_dp_grid_padded_reference,
     _apply_dp_grid_previous_workspace,
+    _apply_dp_grid_row_view_reference,
     _forced_path,
     _nan_aside,
-    _np_padded,
-    _reference_levels,
     _require_compiled,
     _serves,
     _signed_power_reference,
@@ -498,25 +491,6 @@ def _apply_dp_grid_shifted_reference(stencil, field):
     return acc
 
 
-def _apply_dp_grid_row_view_reference(stencil, field):
-    # the d >= 2 workspace kernel before flat spans: each offset reads a
-    # fixed d-dimensional view of the padded copy, made of rows that mostly
-    # start off a cache line, into full-grid buffers
-    m = int(np.max(np.abs(stencil.offsets)))
-    padded = _np_padded(field, m)
-    size = field.values.shape[0]
-    acc = np.zeros(field.values.shape)
-    diff = np.empty(field.values.shape)
-    term = np.empty(field.values.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for beta, w in zip(stencil.offsets.tolist(), stencil.weights.tolist()):
-            shift = padded[tuple(slice(m + c, m + c + size) for c in beta)]
-            np.subtract(shift, field.values, out=diff)
-            np.multiply(_signed_power(diff, stencil.p, term), np.array(w), out=term)
-            np.add(acc, term, out=acc)
-    return acc
-
-
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 3.7, 4.0, 5.0, 6.0, 32.0, 32.5, 40.0, 100.0])
 def test_signed_power_matches_pow_bitwise(p):
     # magnitudes from 1e-300 to 1e300 of both signs, plus the extremes and
@@ -735,67 +709,6 @@ def test_apply_dp_geometry_mismatch():
         apply_dp_grid(s, f3, _work=_Workspace(s, (21,), "boundary"))
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_zero_workspace_margins_stay_positive_zero(d):
-    # margins are zero-filled once, when the workspace is built; 50 steps
-    # on a field with nonzero edge nodes must not write into them
-    h, half_width = (0.1, 1.0) if d == 1 else (0.25, 1.0)
-    s = stencil_1d(h, 3.0) if d == 1 else stencil_ball(0.6, h, 3.0, 2)
-    rng = np.random.default_rng(5)
-    u = sample_on_grid(lambda *xs: 0.0 * xs[0], d, h, half_width)
-    u = u.with_values(rng.uniform(0.5, 1.0, u.values.shape))
-    f = u.with_values(np.zeros(u.values.shape))
-    work = _Workspace(s, u.values.shape, "zero")
-    for j in range(50):
-        u = explicit_step(u, s, f, 1e-6, step=j, _work=work)
-    assert np.all(u.values[(0,) * d] != 0.0)
-    m = work.reach
-    margins = work.padded.copy()
-    margins[(slice(m, -m),) * d] = 0.0
-    assert margins.tobytes() == bytes(margins.nbytes)
-
-
-def _assert_levels_match_row_view_kernel(cfg, data):
-    # every level of iter_levels against the levels stepped with the
-    # row-view kernel, byte for byte
-    want = _reference_levels(_apply_dp_grid_row_view_reference, cfg, data)
-    want = [lev.tobytes() for lev in want]
-    assert want[-1] != want[0]
-    assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
-
-
-def test_levels_match_row_view_kernel_at_ball2d_geometry():
-    # the benchmark's 2D Barenblatt solve: p = 3, r = 0.3, coupled h, half
-    # width 1.44, so 175^2 nodes, 1048 offsets and rows of 175 doubles
-    data = barenblatt_data(3.0, 0.05, d=2)
-    cfg = plan_config(3.0, 2, 0.05, 1.44, data, r=0.3, coupling_c=0.1, num_steps=3)
-    assert len(stencil_for(cfg)) == 1048
-    assert sample_on_grid(data.u0, 2, cfg.h, cfg.half_width).values.shape == (175, 175)
-    _assert_levels_match_row_view_kernel(cfg, data)
-
-
-def _wavy_3d_data():
-    # a smooth datum and a nonzero source, so every node moves
-    def u0(x, y, z):
-        return np.cos(x + 2.0 * y - z) * np.exp(-(x * x + y * y + z * z))
-
-    def f(x, y, z):
-        return 0.5 * np.sin(3.0 * x) + 0.25 * y
-
-    return HolderData(u0=u0, f=f, a=1.0, L_u0=4.0, L_f=1.5, sup_u0=1.0, sup_f=0.75)
-
-
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("p", [3.0, 3.7])
-def test_levels_match_row_view_kernel_in_3d(extension, p):
-    # 25^3 nodes, rows of 25 doubles, 178 offsets of reach 3; p = 3.7
-    # takes np.power, whose SIMD body and tail meet other nodes on a span
-    cfg = plan_config(p, 3, 4e-3, 1.2, _wavy_3d_data(), r=0.35, h=0.1, num_steps=4,
-                      extension=extension)
-    assert len(stencil_for(cfg)) == 178
-    _assert_levels_match_row_view_kernel(cfg, _wavy_3d_data())
-
-
 def _two_pair_stencil_1d(h, p):
     # the pairs +-2 and +-3 without +-1, so the middle pair's edge pass
     # reaches s_1 = 2 slots past the span
@@ -971,6 +884,16 @@ def test_every_path_gives_the_previous_kernels_bytes(path, case, extension, p, v
     for out in got:
         assert np.array_equal(np.isfinite(out), np.isfinite(want))
         assert canonical(out) == canonical(want)
+    if extension == "zero":
+        # the margins are zero-filled once, when the workspace is built:
+        # two applies on a field with nonzero edge nodes leave them +0
+        d, m = field.d, work.reach
+        edges = field.values.copy()
+        edges[(slice(1, -1),) * d] = 0.0
+        assert edges.any()
+        margins = work.padded.copy()
+        margins[(slice(m, -m),) * d] = 0.0
+        assert margins.tobytes() == bytes(margins.nbytes)
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2, (0, 1)])

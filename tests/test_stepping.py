@@ -3,6 +3,9 @@ import itertools
 import math
 import re
 import warnings
+from collections.abc import Callable
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,8 +19,6 @@ from plapfd import (
     Trajectory,
     apply_dp,
     barenblatt_data,
-    barenblatt_eval,
-    barenblatt_solution,
     constant_data,
     couple_h_to_r,
     explicit_step,
@@ -35,7 +36,13 @@ from plapfd import (
 )
 from plapfd import mollifier_constants, stepping
 from plapfd.operators import _check_p, _nonnegative, _positive, weight_sum_bound
-from kernel_paths import _PATHS, _apply_dp_grid_padded_reference, _reference_levels, _serves
+from kernel_paths import (
+    _PATHS,
+    _apply_dp_grid_padded_reference,
+    _apply_dp_grid_row_view_reference,
+    _reference_levels,
+    _serves,
+)
 
 
 def zero_data():
@@ -154,12 +161,19 @@ def test_ktilde_reference_values():
     )
 
 
-def test_ktilde_validation():
+@pytest.mark.parametrize("p, r, T, named", [
+    (1.5, 0.1, 1.0, "p must be"),
+    (math.inf, 0.1, 1.0, "p must be"),
+    (math.nan, 0.1, 1.0, "p must be"),
+    (2.0, -0.1, 1.0, "r must be finite and positive"),
+    (2.0, 0.1, -1.0, "T must be finite and >= 0"),
+    (2.0, 0.1, math.inf, "T must be finite and >= 0"),
+])
+def test_theoretical_step_bound_refuses_its_parameters(p, r, T, named):
     # a zero exponent and a negative seminorm never reach the bound:
-    # HolderData refuses them (test_holder_data_validation); p is checked here
-    for p in (1.5, math.inf, math.nan):
-        with pytest.raises(ConfigurationError, match="p must be"):
-            theoretical_step_bound(p, 1, 0.1, 1.0, _holder(0.5, 1.0))
+    # HolderData refuses them (test_holder_data_validation)
+    with pytest.raises(ConfigurationError, match=named):
+        theoretical_step_bound(p, 1, r, T, _holder(0.5, 1.0))
 
 
 def test_cfl_tau_max_p2_is_half_r_squared():
@@ -181,16 +195,6 @@ def test_cfl_tau_max_exponents():
     # a = 1: quadratic in r for every p; a = 1/2, p = 4: cubic in r
     assert ratio(7.0, 1.0) == pytest.approx(4.0, rel=1e-12)
     assert ratio(4.0, 0.5) == pytest.approx(8.0, rel=1e-12)
-
-
-def test_cfl_tau_max_validation():
-    for r, T, named in (
-        (-0.1, 1.0, "r must be finite and positive"),
-        (0.1, -1.0, "T must be finite and >= 0"),
-        (0.1, math.inf, "T must be finite and >= 0"),
-    ):
-        with pytest.raises(ConfigurationError, match=named):
-            theoretical_step_bound(2.0, 1, r, T, _holder(1.0, 1.0))
 
 
 def test_scheme_config_step_count_consistency():
@@ -471,23 +475,6 @@ def test_blow_up_names_node_and_step():
         assert exc.value.step == step
 
 
-def test_blow_up_and_evaluation_past_the_support_are_silent():
-    # overflow and inf - inf in the step, and log(0) in the exact profile,
-    # are silenced where they happen, so the blow-up surfaces only as
-    # BlowUpError and the exact profile warns not at all, also with every
-    # warning turned into an error
-    data = oscillatory_data(0.1)
-    cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
-    sol = barenblatt_solution(1, 4.0)
-    pts = np.linspace(-3.0, 3.0, 121)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BlowUpError):
-            solve(cfg, data)
-        rows = barenblatt_eval(sol, pts, [0.0, 0.5, 1.0])
-    assert np.any(rows == 0.0) and np.any(rows > 0.0)
-
-
 def _wavy_data():
     # smooth datum and a nonzero source in any dimension
     def u0(*xs):
@@ -499,73 +486,60 @@ def _wavy_data():
     return HolderData(u0=u0, f=f, a=1.0, L_u0=3.0, L_f=1.5, sup_u0=1.0, sup_f=0.75)
 
 
-def _wavy_config(d, p, extension):
-    if d == 1:
-        return plan_config(p, 1, 0.02, 1.0, _wavy_data(), h=0.1, num_steps=20, extension=extension)
-    return plan_config(
-        p, 2, 0.01, 1.0, _wavy_data(), r=0.3, h=0.1, num_steps=5, extension=extension
-    )
+# the chunk-edge runs' sources: the wavy one, +0 at every node (built by
+# np.zeros_like: 0.0 * x is -0 where x < 0), -0, and the least subnormal
+_SOURCES = {
+    "wavy": _wavy_data().f,
+    "+0": lambda *xs: np.zeros_like(xs[0]),
+    "-0": lambda *xs: np.full_like(xs[0], -0.0),
+    "5e-324": lambda *xs: np.full_like(xs[0], 5e-324),
+}
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_stepped_levels_keep_the_grid_and_validation(d):
-    data = _wavy_data()
-    cfg = _wavy_config(d, 3.0, "boundary")
-    for lev in iter_levels(cfg, data):
-        assert (lev.d, lev.h, lev.half_width, lev.extension) == (
-            cfg.d, cfg.h, cfg.half_width, cfg.extension,
-        )
-    bad = lev.values.copy()
-    bad.flat[3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        lev.with_values(bad)
-
-
-def _split_config(d, p, extension):
+# Each run below returns its config, its data and the reference kernel
+# its levels are compared with.
+def _wavy_run(d, p, extension):
     # three or more steps of the wavy run on a grid the forced split cuts
-    if d == 3:
-        return plan_config(p, 3, 3e-3, 0.6, _wavy_data(), r=0.25, h=0.1, num_steps=3,
-                           extension=extension)
-    return _wavy_config(d, p, extension)
+    data = _wavy_data()
+    if d == 1:
+        cfg = plan_config(p, 1, 0.02, 1.0, data, h=0.1, num_steps=20, extension=extension)
+    elif d == 2:
+        cfg = plan_config(p, 2, 0.01, 1.0, data, r=0.3, h=0.1, num_steps=5, extension=extension)
+    else:
+        cfg = plan_config(p, 3, 3e-3, 0.6, data, r=0.25, h=0.1, num_steps=3, extension=extension)
+    return cfg, data, _apply_dp_grid_padded_reference
 
 
-# every path but the clones, which the bytes matrix of test_operators covers
-_LEVEL_PATHS = [path for path in _PATHS if not path.startswith("clone:")]
+def _chunk_run(d, N, source):
+    # p = 3, tau = 1e-3 at every N: 201 nodes in 1D, 21^2 under the
+    # boundary extension in 2D, so the chunk boundaries fall where they
+    # would in a long run, and split-3 cuts three ranges
+    data = replace(_wavy_data(), f=_SOURCES[source])
+    if d == 1:
+        cfg = plan_config(3.0, 1, N * 1e-3, 10.0, data, h=0.1, num_steps=N)
+    else:
+        cfg = plan_config(3.0, 2, N * 1e-3, 1.0, data, r=0.3, h=0.1, num_steps=N,
+                          extension="boundary")
+    return cfg, data, _apply_dp_grid_padded_reference
 
 
-@functools.cache
-def _reference_run(d, p, extension):
-    cfg = _split_config(d, p, extension)
-    want = [lev.tobytes() for lev in _reference_levels(_apply_dp_grid_padded_reference, cfg,
-                                                        _wavy_data())]
-    return cfg, want
+def _ball2d_run():
+    # the benchmark's 2D Barenblatt solve: p = 3, r = 0.3, coupled h, half
+    # width 1.44, so 175^2 nodes, 1048 offsets and rows of 175 doubles
+    data = barenblatt_data(3.0, 0.05, d=2)
+    cfg = plan_config(3.0, 2, 0.05, 1.44, data, r=0.3, coupling_c=0.1, num_steps=3)
+    assert len(stencil_for(cfg)) == 1048
+    assert sample_on_grid(data.u0, 2, cfg.h, cfg.half_width).values.shape == (175, 175)
+    return cfg, data, _apply_dp_grid_row_view_reference
 
 
-@pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize(
-    "path, d, p",
-    [(path, d, p) for path in _LEVEL_PATHS
-     for d, p in [(1, 2.0), (1, 2.5), (1, 3.0), (1, 3.7), (1, 4.0),
-                  (2, 2.0), (2, 3.0), (2, 3.7), (2, 4.0), (3, 3.7)]
-     if _serves(path, p)],
-    indirect=["path"],
-)
-def test_levels_match_reference_step_bitwise(path, d, p, extension):
-    # every level of iter_levels and of solve, byte for byte against the
-    # padded reference's stepping, in d = 1, 2 and 3 (np.power at p = 2.5
-    # and 3.7). A split run starts the same threads at every step (fewer
-    # than k - 1 where the span is short) and holds none between steps;
-    # no other path starts one
-    cfg, want = _reference_run(d, p, extension)
-    assert cfg.N >= 3 and want[-1] != want[0]
-    got = []
-    for lev in iter_levels(cfg, _wavy_data()):
-        got.append(lev.values.tobytes())
-        assert path.idle()
-    assert got == want
-    assert [lev.values.tobytes() for lev in solve(cfg, _wavy_data()).levels] == want
-    assert bool(path.started) == (path.ranges > 1) and len(path.started) % cfg.N == 0
-    assert path.idle()
+def _grid_3d_run(p, extension):
+    # 25^3 nodes, rows of 25 doubles, 178 offsets of reach 3; p = 3.7
+    # takes np.power, whose SIMD body and tail meet other nodes on a span
+    data = _wavy_data()
+    cfg = plan_config(p, 3, 4e-3, 1.2, data, r=0.35, h=0.1, num_steps=4, extension=extension)
+    assert len(stencil_for(cfg)) == 178
+    return cfg, data, _apply_dp_grid_row_view_reference
 
 
 def _blow_up_run(d, p):
@@ -573,49 +547,178 @@ def _blow_up_run(d, p):
     # range of a split
     if d == 1:
         data = oscillatory_data(0.1)
-        return plan_config(p, 1, 1.0, 1.0, data, h=0.1, num_steps=10), data
-    data = HolderData(u0=lambda x, y: np.cos(np.pi * x / 0.1) * np.cos(np.pi * y / 0.1),
-                      f=lambda x, y: 0.0 * x, a=1.0, L_u0=40.0, L_f=0.0, sup_u0=1.0, sup_f=0.0)
-    return plan_config(p, 2, 0.1, 1.0, data, r=0.3, h=0.1, num_steps=10), data
+        cfg = plan_config(p, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
+    else:
+        data = HolderData(u0=lambda x, y: np.cos(np.pi * x / 0.1) * np.cos(np.pi * y / 0.1),
+                          f=lambda x, y: 0.0 * x, a=1.0, L_u0=40.0, L_f=0.0, sup_u0=1.0,
+                          sup_f=0.0)
+        cfg = plan_config(p, 2, 0.1, 1.0, data, r=0.3, h=0.1, num_steps=10)
+    return cfg, data, _apply_dp_grid_padded_reference
+
+
+def _subnormal_run():
+    # a zero datum and tau = 1: D U stays 0, so the least subnormal source
+    # is all the levels hold, 8 * 5e-324 at the last one
+    data = constant_data(0.0, 5e-324)
+    cfg = plan_config(3.0, 1, 8.0, 1.0, data, h=0.25, num_steps=8)
+    return cfg, data, _apply_dp_grid_padded_reference
+
+
+_CHUNK_1D = stepping._levels_per_block((201,))  # 40 levels of 201 nodes
+_CHUNK_2D = stepping._levels_per_block((21, 21))  # 18 levels of 21^2 nodes
+
+
+class _Run(NamedTuple):
+    p: float
+    make: Callable  # () -> its config, its data, its reference kernel
+    narrow: bool = False  # 1D on 23 nodes or fewer, which split-3 cuts as split-2 does
+    skips_source: bool = False  # its source is +0 at every node
+    blows_up: tuple | None = None  # (node, range of steps) where the reference blows up
+    last: float | None = None  # the value of every node at its last level
+
+
+# every run of the levels matrix, by name
+_RUNS = {
+    **{f"{d}d-{p}-{extension}": _Run(p, functools.partial(_wavy_run, d, p, extension),
+                                       narrow=d == 1)
+       for d, p in [(1, 2.0), (1, 2.5), (1, 3.0), (1, 3.7), (1, 4.0),
+                    (2, 2.0), (2, 3.0), (2, 3.7), (2, 4.0), (3, 3.0), (3, 3.7)]
+       for extension in ("zero", "boundary")},
+    **{f"{d}d-N={edge}-f={source}": _Run(3.0, functools.partial(_chunk_run, d, N, source),
+                                         skips_source=source == "+0")
+       for d, N, edge in [(1, 1, "1"), (1, _CHUNK_1D - 1, "chunk-1"), (1, _CHUNK_1D, "chunk"),
+                          (1, _CHUNK_1D + 1, "chunk+1"), (2, _CHUNK_2D + 1, "chunk+1")]
+       for source in _SOURCES},
+    "1d-tau=1-f=5e-324": _Run(3.0, _subnormal_run, narrow=True, last=8 * 5e-324),
+    "ball2d": _Run(3.0, _ball2d_run, skips_source=True),
+    **{f"25^3-{p}-{extension}": _Run(p, functools.partial(_grid_3d_run, p, extension))
+       for p in (3.0, 3.7) for extension in ("zero", "boundary")},
+    # the 1D blow-up at step 5 lies in mid-chunk; the checkerboard blows up
+    # at the corner, at step 9 for p = 3
+    "blow-up-1d-4.0": _Run(4.0, functools.partial(_blow_up_run, 1, 4.0), narrow=True,
+                           skips_source=True, blows_up=((-10,), range(5, 6))),
+    "blow-up-2d-3.0": _Run(3.0, functools.partial(_blow_up_run, 2, 3.0),
+                           blows_up=((-10, -10), range(9, 10))),
+    "blow-up-2d-3.7": _Run(3.7, functools.partial(_blow_up_run, 2, 3.7),
+                           blows_up=((-10, -10), range(2, 10))),
+}
+
+# every path but the clones, which the bytes matrix of test_operators
+# covers; split-3 leaves out the narrow runs: a range holds a multiple of
+# 8 slots, so it cuts 23 or fewer as split-2 does
+_LEVEL_PATHS = [path for path in _PATHS if not path.startswith("clone:")]
+_LEVEL_CASES = [(path, run) for path in _LEVEL_PATHS for run, case in _RUNS.items()
+                if _serves(path, case.p) and not (path == "split-3" and case.narrow)]
 
 
 @functools.cache
-def _reference_blow_up(d, p):
-    # the padded reference's healthy levels, and the first non-finite node
-    # of the level after them, in scan order
-    cfg, data = _blow_up_run(d, p)
-    *healthy, blown = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
-    n = blown.shape[0] // 2
-    node = tuple(int(i) - n for i in np.argwhere(~np.isfinite(blown))[0])
-    return [lev.tobytes() for lev in healthy], node
+def _reference_run(run):
+    # the run's config and data, the bytes of its reference levels, where
+    # it blows up (the first non-finite node of the level after the
+    # healthy ones, in scan order, and that level's step) or None, and
+    # its sampled source
+    cfg, data, kernel = _RUNS[run].make()
+    levels = _reference_levels(kernel, cfg, data)
+    blown = None
+    if not np.all(np.isfinite(levels[-1])):
+        *levels, last = levels
+        n = last.shape[0] // 2
+        blown = tuple(int(i) - n for i in np.argwhere(~np.isfinite(last))[0]), len(levels)
+    f = sample_on_grid(data.f, cfg.d, cfg.h, cfg.half_width, cfg.extension).values
+    return cfg, data, [lev.tobytes() for lev in levels], blown, f
 
 
-@pytest.mark.parametrize(
-    "path, d, p",
-    [(path, d, p) for path in _LEVEL_PATHS for d, p in [(1, 4.0), (2, 3.0), (2, 3.7)]
-     if _serves(path, p)],
-    indirect=["path"],
-)
-def test_run_blows_up_where_the_reference_does(path, d, p):
-    # the pinned 1D blow-up at step 5 and the checkerboard at p = 3 (step
-    # 9) and 3.7: the reference's healthy levels byte for byte, then its
-    # node and step, with no RuntimeWarning from any range thread and no
-    # thread left between steps or after the error
-    cfg, data = _blow_up_run(d, p)
-    want, node = _reference_blow_up(d, p)
-    if d == 1:
-        assert (node, len(want)) == ((-10,), 5)
+def _checked_levels(path, got):
+    # iter_levels, as solve calls it, checked at each yield: no range
+    # thread is left, the caller's errstate is in force and an overflow in
+    # the caller's own code still warns, and the level is on the config's
+    # grid. Each level is appended to got
+    original = stepping.iter_levels
+
+    def iter_levels(cfg, data):
+        caller = np.geterr()
+        for lev in original(cfg, data):
+            assert path.idle()
+            assert np.geterr() == caller
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                np.multiply(np.array(1e308), 10.0)
+            assert (lev.d, lev.h, lev.half_width, lev.extension) == (
+                cfg.d, cfg.h, cfg.half_width, cfg.extension,
+            )
+            got.append(lev)
+            yield lev
+
+    return iter_levels
+
+
+@pytest.mark.parametrize("path, run", _LEVEL_CASES, indirect=["path"])
+def test_levels_match_reference_step_bitwise(path, run, monkeypatch):
+    # every level iter_levels yields and solve keeps, byte for byte
+    # against the reference kernel's stepping: the wavy runs in d = 1, 2
+    # and 3 (np.power at p = 2.5 and 3.7), the chunk edges under four
+    # sources, a subnormal source, the benchmark's 175^2 grid, a 25^3
+    # grid, and the blow-ups. A run that blows up yields the reference's
+    # healthy levels, then raises its node and step. All of it under a
+    # caller's errstate that warns on overflow, with every warning an
+    # error, so the run's own overflow and inf - inf stay silent
+    case = _RUNS[run]
+    cfg, data, want, blown, f = _reference_run(run)
+    if case.blows_up is None:
+        assert blown is None and len(want) == cfg.N + 1 and want[-1] != want[0]
     else:
-        assert len(want) == 9 if p == 3.0 else 1 < len(want) < 10
-    got = []
-    with warnings.catch_warnings():
+        # all its steps are one chunk, checked for finiteness at its end
+        node, steps = case.blows_up
+        assert blown[0] == node and blown[1] in steps
+        assert stepping._levels_per_block(f.shape) > cfg.N
+    sources, got = [], []
+    step = stepping.explicit_step
+
+    def spy(field, stencil, f_values, *args, **kwargs):
+        sources.append(f_values)
+        return step(field, stencil, f_values, *args, **kwargs)
+
+    monkeypatch.setattr(stepping, "explicit_step", spy)
+    monkeypatch.setattr(stepping, "iter_levels", _checked_levels(path, got))
+    with np.errstate(over="warn", divide="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(BlowUpError) as exc:
-            for lev in iter_levels(cfg, data):
-                got.append(lev.values.tobytes())
-                assert path.idle()
-    assert got == want and (exc.value.node, exc.value.step) == (node, len(want))
-    assert bool(path.started) == (path.ranges > 1)
+        if blown is None:
+            kept = solve(cfg, data).levels
+            assert [lev.values.tobytes() for lev in kept] == want
+        else:
+            with pytest.raises(BlowUpError) as exc:
+                solve(cfg, data)
+            assert (exc.value.node, exc.value.step) == blown
+    assert [lev.values.tobytes() for lev in got] == want
+    if case.last is not None:
+        # as bytes: a comparison would read a subnormal flushed to zero
+        assert got[-1].values.tobytes() == np.full(f.shape, case.last).tobytes()
+    # the source reaches every step as sampled, or as None where it holds
+    # +0 alone
+    assert case.skips_source == (not np.any(f) and not np.any(np.signbit(f)))
+    assert sources and all(s is sources[0] for s in sources)
+    if case.skips_source:
+        assert sources[0] is None
+    else:
+        assert sources[0].values.tobytes() == f.tobytes()
+    # no two kept levels share memory, U^0 included, so keeping them all
+    # cannot see a later step overwrite an earlier one or the run's scratch
+    # handed out twice; each level is contiguous, so in address order it
+    # is enough that each shares none with the next
+    values = sorted((lev.values for lev in got), key=lambda v: v.ctypes.data)
+    assert all(v.flags.c_contiguous for v in values)
+    assert not any(np.shares_memory(a, b) for a, b in zip(values, values[1:]))
+    bad = got[-1].values.copy()
+    bad.flat[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        got[-1].with_values(bad)
+    # a split-k run starts the same threads at every step, k - 1 where the
+    # span has 8k slots or more (on every run but the narrow ones), and
+    # holds none between steps; no other path starts one
+    per_step, rest = divmod(len(path.started), len(sources))
+    assert rest == 0 and per_step <= path.ranges - 1
+    assert per_step == path.ranges - 1 or case.narrow
+    if blown is None:
+        assert len(sources) == cfg.N
     assert path.idle()
 
 
@@ -628,128 +731,21 @@ class _Stop(Exception):
 def test_run_leaves_no_thread_however_it_ends(path, ending):
     # a run holds no thread between its steps, whether it is run to its
     # end, closed after two levels, or abandoned by a consumer that raises
-    cfg = _split_config(2, 3.0, "zero")
+    cfg, data, _ = _wavy_run(2, 3.0, "zero")
     if ending == "exhausted":
-        assert len(solve(cfg, _wavy_data()).levels) == cfg.N + 1
+        assert len(solve(cfg, data).levels) == cfg.N + 1
     elif ending == "closed":
-        levels = iter_levels(cfg, _wavy_data())
+        levels = iter_levels(cfg, data)
         next(levels), next(levels)
         assert path.idle()
         levels.close()
     else:
         with pytest.raises(_Stop):
-            for j, _ in enumerate(iter_levels(cfg, _wavy_data())):
+            for j, _ in enumerate(iter_levels(cfg, data)):
                 if j == 2:
                     raise _Stop
     assert bool(path.started) == (path.ranges > 1)
     assert path.idle()
-
-
-def _chunk_config(d, N, source):
-    # tau = 1e-3 at every N; "zero" keeps the datum and drops the source
-    data = _wavy_data()
-    if source == "zero":
-        data = HolderData(u0=data.u0, f=lambda *xs: 0.0 * xs[0], a=1.0,
-                          L_u0=3.0, L_f=0.0, sup_u0=1.0, sup_f=0.0)
-    if d == 1:
-        cfg = plan_config(3.0, 1, N * 1e-3, 1.0, data, h=0.1, num_steps=N)
-    else:
-        cfg = plan_config(
-            3.0, 2, N * 1e-3, 1.0, data, r=0.3, h=0.1, num_steps=N, extension="boundary"
-        )
-    return cfg, data
-
-
-_CHUNK_1D = stepping._levels_per_block((21,))  # 390 levels of 21 nodes
-_CHUNK_2D = stepping._levels_per_block((21, 21))  # 18 levels of 21^2 nodes
-
-
-@pytest.mark.parametrize("source", ["wavy", "zero"])
-@pytest.mark.parametrize(
-    "d, N",
-    [(1, 1), (1, _CHUNK_1D - 1), (1, _CHUNK_1D), (1, _CHUNK_1D + 1), (2, _CHUNK_2D + 1)],
-    ids=["1d-N=1", "1d-N<chunk", "1d-N=chunk", "1d-N=chunk+1", "2d-N=chunk+1"],
-)
-def test_chunked_levels_match_reference_step_bitwise(d, N, source):
-    # the chunk boundaries fall where they would in a long run; with a
-    # zero source the add is skipped, with the wavy one it is not
-    cfg, data = _chunk_config(d, N, source)
-    want = [lev.tobytes() for lev in _reference_levels(_apply_dp_grid_padded_reference, cfg, data)]
-    assert [lev.values.tobytes() for lev in iter_levels(cfg, data)] == want
-
-
-def test_chunked_stepping_leaks_no_errstate():
-    # each chunk's errstate is left before its levels are yielded: the
-    # consumer sees its own error settings, and an overflow in its own
-    # code still warns, here as an error
-    cfg, data = _chunk_config(1, 2 * _CHUNK_1D + 3, "wavy")
-    with np.errstate(over="warn", divide="raise"):
-        caller = np.geterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for j, _ in enumerate(iter_levels(cfg, data)):
-                assert np.geterr() == caller, j
-                with pytest.raises(RuntimeWarning, match="overflow"):
-                    np.multiply(np.array(1e308), 10.0)
-    assert j == cfg.N
-
-
-def test_blow_up_in_mid_chunk_yields_the_healthy_levels():
-    # all ten steps are one chunk, checked for finiteness once, at its
-    # end; the levels before the pinned blow-up come out as a check after
-    # every step would give them, and then the same error
-    data = oscillatory_data(0.1)
-    cfg = plan_config(4.0, 1, 1.0, 1.0, data, h=0.1, num_steps=10)
-    assert stepping._levels_per_block((21,)) > cfg.N
-    want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data, steps=4)
-    got = []
-    with pytest.raises(BlowUpError) as exc:
-        for lev in iter_levels(cfg, data):
-            got.append(lev.values.tobytes())
-    assert got == [lev.tobytes() for lev in want]
-    assert (exc.value.node, exc.value.step) == ((-10,), 5)
-
-
-@pytest.mark.parametrize("f_value", [0.0, -0.0, 5e-324])
-def test_source_is_skipped_only_when_every_bit_is_clear(monkeypatch, f_value):
-    # -0.0 and the least subnormal are not +0 and take the add; with a
-    # zero datum and tau = 1 the subnormal source is what the levels hold
-    data = constant_data(0.0, f_value)
-    cfg = plan_config(3.0, 1, 8.0, 1.0, data, h=0.25, num_steps=8)
-    sources = []
-    original = stepping.explicit_step
-
-    def spy(field, stencil, f_values, *args, **kwargs):
-        sources.append(f_values)
-        return original(field, stencil, f_values, *args, **kwargs)
-
-    monkeypatch.setattr(stepping, "explicit_step", spy)
-    got = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
-    want = _reference_levels(_apply_dp_grid_padded_reference, cfg, data)
-    assert got == [lev.tobytes() for lev in want]
-    skipped = f_value == 0.0 and math.copysign(1.0, f_value) > 0
-    assert len(sources) == cfg.N
-    assert all((s is None) == skipped for s in sources)
-    if f_value == 5e-324:
-        assert np.frombuffer(got[-1])[0] == 8 * 5e-324
-
-
-def test_kept_levels_are_distinct_arrays():
-    # a level must not share memory with any other, so keeping the whole
-    # list cannot see later steps overwrite earlier ones; the run's scratch
-    # arrays (padded copy, differences, terms, accumulator) must never be
-    # handed out. One test over d = 1 (the two-point stencil's single edge
-    # pass) and d = 2 (passes per offset), and both extensions.
-    data = _wavy_data()
-    for d in (1, 2):
-        for extension in ("zero", "boundary"):
-            cfg = _wavy_config(d, 3.7, extension)
-            levels = [lev.values for lev in iter_levels(cfg, data)]
-            for i, a in enumerate(levels):
-                for b in levels[i + 1:]:
-                    assert not np.shares_memory(a, b), (d, extension, i)
-            again = [lev.values.tobytes() for lev in iter_levels(cfg, data)]
-            assert again == [a.tobytes() for a in levels], (d, extension)
 
 
 def test_solve_zero_data_stays_zero():
@@ -793,25 +789,6 @@ def test_solve_level_zero_samples_u0():
     traj = solve(cfg, data)
     direct = sample_on_grid(data.u0, 1, 0.1, 2.0)
     np.testing.assert_array_equal(traj.levels[0].values, direct.values)
-
-
-def test_solve_is_deterministic():
-    data = sqrt_cusp_data()
-    cfg = plan_config(3.0, 1, 0.05, 1.5, data, h=0.1, num_steps=50)
-    t1 = solve(cfg, data)
-    t2 = solve(cfg, data)
-    for a, b in zip(t1.levels, t2.levels):
-        np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_iter_levels_matches_solve():
-    data = tent_data()
-    cfg = plan_config(4.0, 1, 0.1, 2.0, data, h=0.2, num_steps=25)
-    streamed = list(iter_levels(cfg, data))
-    traj = solve(cfg, data)
-    assert len(streamed) == len(traj.levels)
-    for a, b in zip(streamed, traj.levels):
-        np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_theoretical_mode_rejects_oversized_tau():
