@@ -16,6 +16,17 @@ there, which would reassociate the sums and (gcc) set flush-to-zero for
 the whole process at load. One function per power: a switch on p inside
 the loop stops it vectorising.
 
+One apply's rows may be shared by several calls, each on a thread of
+its own with an accumulator row of its own. Each call then claims the
+next rows from a counter they share (``__atomic_fetch_add``, a number
+of rows per claim that the caller stores beside the counter) until none
+is left, so a call that starts late finds fewer rows, or none, instead
+of holding up the others. Whichever call claims a row, the same loop
+sums it in the same order into the same slots of ``out``: the bits do
+not depend on the split. A call given no counter (NULL) sums every row
+itself. A compiler without gcc's ``__atomic`` builtins fails the build,
+and the numpy kernel serves.
+
 Each function is built three times, as ``target_clones("arch=x86-64-v4",
 "avx2", "default")``: AVX-512 (8 doubles per vector), AVX2 (4) and
 baseline x86-64 (SSE2, 2). The loader picks the widest one this CPU runs
@@ -61,37 +72,46 @@ _SOURCE = r"""
 
 /* u: the padded copy; rows[r]: where interior row r starts in u, each
    len nodes long; shifts[k], w[k]: offset k's flat shift and weight, in
-   lexicographic order; acc: one row; out: u's rows from rows[0] on */
+   lexicographic order; acc: this call's own row; out: u's rows from
+   rows[0] on; next: NULL for a call that sums every row itself, or the
+   counter the calls of one apply share: next[0] is the first row not yet
+   claimed, next[1] the rows each claim takes */
 #define KERNEL(name, jp)                                                     \
 CLONES                                                                       \
 void name(const double *u, const int64_t *rows, int64_t nrows, int64_t len,  \
           const int64_t *shifts, const double *w, int64_t npass,             \
-          double *restrict acc, double *restrict out)                        \
+          double *restrict acc, double *restrict out, int64_t *next)         \
 {                                                                            \
     int64_t mid = npass / 2, s1 = shifts[mid];                               \
+    int64_t claim = next ? next[1] : nrows;                                  \
     double w1 = w[mid];                                                      \
-    for (int64_t r = 0; r < nrows; r++) {                                    \
-        const double *x = u + rows[r];                                       \
-        for (int64_t i = 0; i < len; i++)                                    \
-            acc[i] = 0.0;                                                    \
-        for (int64_t k = 0; k < npass; k++) {                                \
-            if (k == mid - 1) {                                              \
-                for (int64_t i = 0; i < len; i++) {                          \
-                    double lo = x[i] - x[i - s1], hi = x[i + s1] - x[i];     \
-                    acc[i] = acc[i] - jp(lo) * w1;                           \
-                    acc[i] = acc[i] + jp(hi) * w1;                           \
+    for (int64_t r0 = 0, r1 = 0; r1 < nrows;) {                              \
+        if (next)                                                            \
+            r0 = __atomic_fetch_add(next, claim, __ATOMIC_RELAXED);          \
+        r1 = r0 < nrows - claim ? r0 + claim : nrows;                        \
+        for (int64_t r = r0; r < r1; r++) {                                  \
+            const double *x = u + rows[r];                                   \
+            for (int64_t i = 0; i < len; i++)                                \
+                acc[i] = 0.0;                                                \
+            for (int64_t k = 0; k < npass; k++) {                            \
+                if (k == mid - 1) {                                          \
+                    for (int64_t i = 0; i < len; i++) {                      \
+                        double lo = x[i] - x[i - s1], hi = x[i + s1] - x[i]; \
+                        acc[i] = acc[i] - jp(lo) * w1;                       \
+                        acc[i] = acc[i] + jp(hi) * w1;                       \
+                    }                                                        \
+                    k++;                                                     \
+                    continue;                                                \
                 }                                                            \
-                k++;                                                         \
-                continue;                                                    \
+                const double *y = x + shifts[k];                             \
+                double wk = w[k];                                            \
+                for (int64_t i = 0; i < len; i++) {                          \
+                    double d = y[i] - x[i];                                  \
+                    acc[i] = acc[i] + jp(d) * wk;                            \
+                }                                                            \
             }                                                                \
-            const double *y = x + shifts[k];                                 \
-            double wk = w[k];                                                \
-            for (int64_t i = 0; i < len; i++) {                              \
-                double d = y[i] - x[i];                                      \
-                acc[i] = acc[i] + jp(d) * wk;                                \
-            }                                                                \
+            memcpy(out + (rows[r] - rows[0]), acc, len * sizeof(double));    \
         }                                                                    \
-        memcpy(out + (rows[r] - rows[0]), acc, len * sizeof(double));        \
     }                                                                        \
 }
 
@@ -135,15 +155,19 @@ def load():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        lib = ctypes.CDLL(path)
-        ptr, size = ctypes.c_void_p, ctypes.c_int64
-        for p in (2, 3, 4):
-            fn = getattr(lib, f"plapfd_apply_p{p}")
-            fn.argtypes = (ptr, ptr, size, size, ptr, ptr, size, ptr, ptr)
-            fn.restype = None
-        return lib
+        return declare(ctypes.CDLL(path))
     except (OSError, ValueError, subprocess.SubprocessError):
         return None
+
+
+def declare(lib):
+    """``lib`` with the signature of each of its three applies declared."""
+    ptr, size = ctypes.c_void_p, ctypes.c_int64
+    for p in (2, 3, 4):
+        fn = getattr(lib, f"plapfd_apply_p{p}")
+        fn.argtypes = (ptr, ptr, size, size, ptr, ptr, size, ptr, ptr, ptr)
+        fn.restype = None
+    return lib
 
 
 def kernel(p: float):
@@ -155,14 +179,18 @@ def kernel(p: float):
     return None if lib is None else getattr(lib, f"plapfd_apply_p{int(p)}")
 
 
-def bind(fn, padded, rows, shifts, weights, acc, out):
+def bind(fn, padded, rows, shifts, weights, acc, out, counter=None):
     """``fn`` with every argument bound as a value of its declared ctypes
     type (row length ``len(acc)``): a call on a 401-node row then costs
     about 1.2 µs, where taking the arrays' addresses on each call costs
-    10-18 µs. Each pointer comes from ``ndarray.ctypes.data_as``, which
-    keeps its array alive, so the callable keeps alive every array it
-    reads or writes."""
+    10-18 µs. ``counter``, two int64 slots (the first row not yet
+    claimed, then the rows per claim), is shared by the calls of one
+    apply; without it the call sums every row.
+    Each pointer comes from ``ndarray.ctypes.data_as``, which keeps its
+    array alive, so the callable keeps alive every array it reads or
+    writes."""
     arrays = (padded, rows, shifts, weights, acc, out)
     ptr = [a.ctypes.data_as(ctypes.c_void_p) for a in arrays]
+    ptr.append(ctypes.c_void_p() if counter is None else counter.ctypes.data_as(ctypes.c_void_p))
     size = [ctypes.c_int64(n) for n in (len(rows), len(acc), len(shifts))]
     return functools.partial(fn, ptr[0], ptr[1], *size[:2], ptr[2], ptr[3], size[2], *ptr[4:])

@@ -556,6 +556,24 @@ def apply_dp(stencil: Stencil, field: GridField, alpha) -> float:
 # two-point grid would need 2**24 nodes.
 _PARALLEL_WORK = 1 << 23
 
+# Node·passes (interior nodes times offset passes) that each call of a
+# split compiled apply must carry. On a 2-core x86 host with AVX-512 the
+# compiled kernel takes ~0.2 ns per node·pass and a thread's start and
+# join ~0.12 ms, so a call of 2**22 node·passes (~0.85 ms) costs about
+# seven times its thread. Two calls against one on ball grids with 1,004
+# offsets (applies interleaved, medians of 400, two runs) took 1.0-1.3x
+# the time at 9.6e5 node·passes in all, 0.84-0.93x at 2.0e6, 0.77x at
+# 4.2e6, 0.70-0.74x at 8.3e6 and 0.59-0.71x on the 175^2 ball2d grid
+# (3.1e7), so two calls gain from about 2e6 in all, but little below 4e6.
+_PARALLEL_NODE_PASSES = 1 << 22
+
+# Node·passes that one claim on a split compiled apply's row counter
+# takes at most, and at least one row: about 13 µs of work, so an atomic
+# add (~0.1 µs where two cores contend) stays rare even on the short rows
+# of a d = 3 grid with a small stencil, and the calls end at most about
+# one claim apart. The 175^2 ball2d grid claims one row at a time.
+_CLAIM_NODE_PASSES = 1 << 16
+
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask, or every CPU
@@ -600,11 +618,14 @@ def _run(passes: list, p: float, acc: np.ndarray) -> None:
         np.add(acc, added, out=acc)
 
 
-def _run_ranges(calls: list) -> None:
+def _run_ranges(calls: list, counter: np.ndarray | None = None) -> None:
     """Call ``calls[0]`` under the caller's errstate and every other call
     on a thread of its own, which silences overflow and ``inf - inf``
     itself (a new thread starts from numpy's default errstate); join them
-    all, then raise call 0's error, or else the first a thread raised."""
+    all, then raise call 0's error, or else the first a thread raised.
+    Calls that claim rows from a shared ``counter`` find it reset to 0."""
+    if counter is not None:
+        counter[0] = 0
     threads, errors = [], []
 
     def run(call):
@@ -626,10 +647,11 @@ def _run_ranges(calls: list) -> None:
         raise errors[0]
 
 
-def _mapping(sizes: list) -> list:
+def _mapping(sizes: list, line: int) -> list:
     """Buffers of ``sizes`` float64 slots, in one anonymous mapping that
-    the system zero-fills, each starting on a 64-byte line."""
-    at = np.cumsum([0] + [-(-n // 8) * 8 for n in sizes]).tolist()
+    the system zero-fills, each starting on a multiple of ``line`` slots
+    (8: a 64-byte line; 512: a 4 KiB page)."""
+    at = np.cumsum([0] + [-(-n // line) * line for n in sizes]).tolist()
     shared = np.frombuffer(mmap.mmap(-1, 8 * at[-1]))
     return [shared[i : i + n] for i, n in zip(at, sizes)]
 
@@ -644,9 +666,10 @@ class _Workspace:
     All scratch is one anonymous mapping that the system zero-fills: the
     padded copy, ``acc``, then the kernel's own buffers, each from a
     64-byte line (numpy's ufuncs write about 2x slower into an output
-    that starts off one). ``acc`` is the flat span from the first
-    interior node to the last, ``(size-1) * sum(strides) + 1`` slots, laid
-    out as the padded copy's rows; ``result`` is its view of the interior
+    that starts off one), or for the compiled kernel from a 4 KiB page.
+    ``acc`` is the flat span from the first interior node to the last,
+    ``(size-1) * sum(strides) + 1`` slots, laid out as the padded copy's
+    rows; ``result`` is its view of the interior
     (the slots between rows hold nothing meaningful). Under the zero
     extension ``_fill_padded`` copies the field into the fixed interior
     view only, and the margins stay +0. Every view and call is fixed here.
@@ -659,10 +682,24 @@ class _Workspace:
     the two-point stencil is this one pass.
 
     **Compiled kernel** (``compiled``; p = 2, 3 and 4 where
-    :mod:`plapfd._ckernel` builds). One serial C call over the interior
-    rows, bound by ``_ckernel.bind``, sums each row in its own
-    accumulator row, in the numpy kernel's order and with its bits, and
-    copies it into the row's slots of ``acc``.
+    :mod:`plapfd._ckernel` builds). A C call over the interior rows,
+    bound by ``_ckernel.bind``, sums each row in an accumulator row of
+    its own, in the numpy kernel's order and with its bits, and copies
+    it into the row's slots of ``acc``. A large apply is shared by
+    ``k = min(CPUs, nodes·passes // _PARALLEL_NODE_PASSES, rows)`` such
+    calls, each with its own accumulator row on pages of its own (two
+    calls whose rows lay 1,408 bytes apart took 6.3-6.6 ms for an apply
+    on the 175^2 ball2d grid, about one call's time, against 3.7-4.4 ms
+    a page apart: medians of 200 interleaved applies, three processes,
+    on a 2-core x86 host). They claim rows from one int64 counter in the
+    mapping, ``_CLAIM_NODE_PASSES`` worth of rows at a time, until none
+    is left, so a call that starts late finds fewer rows, or none.
+    Before each apply ``_run_ranges`` resets the counter to 0, then runs
+    the calls as below. Every clone sums a row the same way whichever
+    call claims it, so the bits are the serial ones. With ``k = 1``
+    (every 1D grid, small grids, one-CPU hosts) the workspace's call is
+    the bound C call itself, given no counter: it sums every row, and no
+    wrapper runs.
 
     **numpy kernel** (every other p, and wherever no compiler, build or
     load succeeds). Each pass is a few ufunc calls over the span: it
@@ -678,12 +715,15 @@ class _Workspace:
     CPU). Cuts fall on multiples of 8 slots, so every slot keeps the
     SIMD lane, operations and order it has in one range: the bits are
     the serial ones. Each range's ``diff`` and ``term`` hold ``b - a +
-    s_1`` slots, its halo included. One range's call is the workspace's
-    call; several are made by ``_run_ranges``, which runs call 0 in the
-    calling thread and every other call on a thread that it starts and
-    joins before it returns, so no thread outlives an apply and the
-    workspace holds nothing to stop. numpy releases the GIL inside each
-    ufunc, so the ranges run in parallel. Sending one call through
+    s_1`` slots, its halo included.
+
+    For either kernel, one range's call is the workspace's call; several
+    are made by ``_run_ranges``, which runs call 0 in the calling thread
+    and every other call on a thread that it starts and joins before it
+    returns, so no thread outlives an apply and the workspace holds
+    nothing to stop. numpy releases the GIL inside each ufunc, and
+    ctypes around each C call, so the ranges run in parallel; a range
+    thread runs only the bound call. Sending one call through
     ``_run_ranges`` too would cost ~0.5 µs per 1D apply.
     """
 
@@ -701,33 +741,41 @@ class _Workspace:
         fn = _ckernel.kernel(stencil.p)
         self.compiled = fn is not None
         # the padded copy, size padded rows for acc, then the kernel's own
-        # buffers: one accumulator row, or each range's diff and term
+        # buffers: each call's accumulator row and, with several calls,
+        # the row counter they share (each from a page of its own), or
+        # each range's diff and term (each from a 64-byte line)
         sizes = [math.prod(padded_shape), size * strides[0]]
         if self.compiled:
-            sizes.append(size)
+            nrows, row_work = size ** (d - 1), size * (len(shifts) - 1)
+            k = max(1, min(_cpu_count(), nrows * row_work // _PARALLEL_NODE_PASSES, nrows))
+            sizes += [size] * k + [2] * (k > 1)
         else:
             k = max(1, min(_cpu_count(), span * (len(shifts) - 1) // _PARALLEL_WORK, span // 8))
             cuts = [8 * (span // 8 * i // k) for i in range(k)] + [span]
             self.ranges = list(zip(cuts, cuts[1:]))
             s1 = shifts[len(shifts) // 2]
             sizes += [b - a + s1 for a, b in self.ranges for _ in range(2)]
-        padded, rows, *own = _mapping(sizes)
+        padded, rows, *own = _mapping(sizes, 512 if self.compiled else 8)
         self.acc = rows[:span]
         self.result = rows.reshape((size,) + padded_shape[1:])[(slice(0, size),) * d]
+        counter = None
         if self.compiled:
             # where each interior row starts in the padded copy, in C order
             starts = np.array([start], dtype=np.int64)
             for stride in strides[:-1]:
                 starts = (starts[:, None] + stride * np.arange(size)).ravel()
-            self._call = _ckernel.bind(fn, padded, starts, np.array(shifts, dtype=np.int64),
-                                       np.array(stencil.weights), *own, self.acc)
+            if k > 1:
+                counter = own.pop().view(np.int64)
+                counter[1] = max(1, _CLAIM_NODE_PASSES // row_work)
+            fixed = (padded, starts, np.array(shifts, dtype=np.int64), np.array(stencil.weights))
+            calls = [_ckernel.bind(fn, *fixed, row, self.acc, counter) for row in own]
         else:
             weights = [np.array(w) for w in stencil.weights.tolist()]
             self.passes = [_pass_list(padded, start, shifts, weights, a, b, diff, term)
                            for (a, b), diff, term in zip(self.ranges, own[::2], own[1::2])]
             calls = [functools.partial(_run, passes, stencil.p, self.acc[a:b])
                      for (a, b), passes in zip(self.ranges, self.passes)]
-            self._call = calls[0] if len(calls) == 1 else functools.partial(_run_ranges, calls)
+        self._call = calls[0] if k == 1 else functools.partial(_run_ranges, calls, counter)
         self.padded = padded.reshape(padded_shape)
         self.interior = self.padded[(slice(m, m + size),) * d]
 
@@ -761,10 +809,12 @@ def apply_dp_grid(
     to it gives the same bits. Every other offset forms its own term; an
     edge form for all pairs was measured slower in d >= 2, because all
     edge arrays must be live before the first positive offset is added.
-    Which kernel computes this sum, and how a large apply splits into
-    ranges, some on threads started and joined within the call, is
-    described in ``_Workspace``: every kernel and every split gives these bits, and
-    no setting controls them (``taskset -c 0`` runs serially).
+    Which kernel computes this sum, and how a large apply splits among
+    calls, some on threads started and joined within the call (slot
+    ranges of the numpy kernel, rows that the compiled kernel's calls
+    claim from a shared counter), is described in ``_Workspace``: every
+    kernel and every split gives these bits, and no setting controls
+    them (``taskset -c 0`` runs serially).
 
     The scratch arrays (one mapping) come from ``_work``, which
     :func:`plapfd.stepping.iter_levels` allocates once per run for its

@@ -8,14 +8,18 @@ test is parametrized with):
 - ``numpy``: the numpy kernel in one range, as without a C compiler;
 - ``split-2``, ``split-3``: the numpy kernel at every p, every span of at
   least 8k slots cut into k ranges, whatever the host's CPU count;
-- ``compiled``: the library ``_ckernel.load()`` builds, at p = 2, 3, 4;
+- ``compiled``: the library ``_ckernel.load()`` builds, at p = 2, 3, 4,
+  in one call that sums every row, as on one CPU;
+- ``compiled-2``, ``compiled-3``: that library in k calls that claim
+  rows from one counter, one row a claim, on every grid of k rows or
+  more (so never in 1D), whatever the host's CPU count;
 - ``clone:<target>``: that library's source built for one clone target
-  alone, since a CPU's loader picks only one of the clones.
+  alone, since a CPU's loader picks only one of the clones, in one call.
 
 On every path nothing may fork, and each range thread is recorded as it
-starts and as it is joined. A compiled path runs where the numpy kernel
-would split in two, and must start no thread. A path that cannot run
-here skips.
+starts and as it is joined: a path of k ranges starts k - 1 threads per
+apply, and a one-range path starts none. A path that cannot run here
+skips.
 """
 
 import contextlib
@@ -44,7 +48,8 @@ _TARGETS = {
     "x86-64-v4": ("-march=x86-64-v4", ("avx512f", "avx512vl", "avx512dq", "avx512bw")),
 }
 
-_PATHS = ("numpy", "split-2", "split-3", "compiled", *(f"clone:{t}" for t in _TARGETS))
+_PATHS = ("numpy", "split-2", "split-3", "compiled", "compiled-2", "compiled-3",
+          *(f"clone:{t}" for t in _TARGETS))
 
 
 def _serves(path, p):
@@ -55,7 +60,7 @@ def _serves(path, p):
 @dataclass
 class _Path:
     compiled: bool
-    ranges: int  # of a numpy apply large enough to split: k on split-k, else 1
+    ranges: int  # of an apply large enough to split: k on split-k and compiled-k, else 1
     started: list  # every range thread, as it starts
     joined: set  # every range thread a join found ended
     threads: int  # threading.active_count() when the path was set
@@ -68,10 +73,10 @@ class _Path:
 
 @contextlib.contextmanager
 def _forced_path(name):
-    compiled = name == "compiled" or name.startswith("clone:")
-    k = int(name[len("split-"):]) if name.startswith("split-") else 1
+    compiled = name.startswith(("compiled", "clone:"))
+    k = int(name.rpartition("-")[2]) if name.startswith(("split-", "compiled-")) else 1
     with pytest.MonkeyPatch.context() as mp:
-        if name == "compiled":
+        if name.startswith("compiled"):
             _require_compiled()
         elif compiled:
             lib = _clone_library(name[len("clone:"):])
@@ -81,7 +86,9 @@ def _forced_path(name):
         else:
             mp.setattr(_ckernel, "load", lambda: None)
         mp.setattr(operators, "_PARALLEL_WORK", 1)
-        mp.setattr(operators, "_cpu_count", lambda: 2 if compiled else k)
+        mp.setattr(operators, "_PARALLEL_NODE_PASSES", 1)
+        mp.setattr(operators, "_CLAIM_NODE_PASSES", 1)
+        mp.setattr(operators, "_cpu_count", lambda: k)
         mp.setattr(os, "fork", _refuse_fork)
         started, joined = [], set()
 
@@ -97,6 +104,13 @@ def _forced_path(name):
 
         mp.setattr(operators, "threading", types.SimpleNamespace(Thread=Thread))
         yield _Path(compiled, k, started, joined, threading.active_count())
+
+
+def _range_calls(work):
+    # a workspace's calls, one per range: those its _run_ranges partial
+    # makes, or its one call itself
+    call = work._call
+    return call.args[0] if call.func is operators._run_ranges else [call]
 
 
 def _refuse_fork():
@@ -138,7 +152,7 @@ def _clone_library(target):
             return f"no compiler: {exc}"
         if built.returncode != 0:
             return f"{cc} {flag} did not build: {built.stderr.decode()[-200:]}"
-        return ctypes.CDLL(path)
+        return _ckernel.declare(ctypes.CDLL(path))
 
 
 # zeros of both signs, the smallest subnormals, and magnitudes whose

@@ -19,6 +19,7 @@ from plapfd import (
     sup_error,
 )
 from plapfd.analysis import _worst_error
+from plapfd.exact import _point_radius
 from plapfd.operators import grid_points
 from plapfd.stepping import _BLOCK_BYTES
 
@@ -289,6 +290,31 @@ def test_batched_eval_matches_scalar_calls_bytewise(d, p):
         barenblatt_eval(barenblatt_solution(d, p, t_shift=0.0), pts, [0.5, 0.0])
     with pytest.raises(ValueError, match="1-D"):
         barenblatt_eval(sol, pts, np.zeros((2, 2)))
+
+
+def _point_radius_reference(x):
+    # _point_radius in d >= 2 before its sum of per-axis products
+    return np.sqrt(np.sum(x * x, axis=-1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_point_radius_matches_the_strided_reduce_bytewise(d):
+    # on grids as the runs sample them, on random points from 1e-150 to
+    # 1e150 of both signs, one with every square past float range (inf),
+    # and on coordinates of -0: the reduce's bytes, point for point
+    rng = np.random.default_rng(d)
+    grids = [grid_points(d, h, w) for h, w in [(0.1, 1.0), (0.0165, 1.44), (0.05, 0.5), (0.3, 3.0)]]
+    scattered = rng.choice([-1.0, 1.0], (1000, d)) * 10.0 ** rng.uniform(-150, 150, (1000, d))
+    huge = np.full((4, d), 1e200)
+    huge[1:, 0] = [-1e160, 3.0, -0.0]
+    zeros = np.array([[-0.0] * d, [0.0] * d, [-0.0, 2.0, -0.0][:d], [1e-160, -0.0, 0.0][:d]])
+    with np.errstate(over="ignore", under="ignore"):
+        for x in [*grids, scattered, huge, zeros, scattered[0]]:
+            got = _point_radius(x, d)
+            assert np.shape(got) == x.shape[:-1]
+            assert np.asarray(got).tobytes() == np.asarray(_point_radius_reference(x)).tobytes()
+        assert np.all(np.isinf(_point_radius(huge, d)))
+    assert not np.any(np.signbit(_point_radius(zeros, d)))
 
 
 def _worst_error_per_level(config, sol, levels):

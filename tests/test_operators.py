@@ -1,8 +1,10 @@
+import ctypes
 import decimal
 import functools
 import itertools
 import math
 import mmap
+import threading
 import time
 import tracemalloc
 
@@ -26,7 +28,7 @@ from plapfd import (
     stencil_ball,
     unit_ball_volume,
 )
-from plapfd import operators
+from plapfd import _ckernel, operators
 from plapfd.operators import (
     _Workspace,
     _ball_offsets,
@@ -42,6 +44,7 @@ from kernel_paths import (
     _apply_dp_grid_row_view_reference,
     _forced_path,
     _nan_aside,
+    _range_calls,
     _require_compiled,
     _serves,
     _signed_power_reference,
@@ -769,33 +772,45 @@ def _edge_buffers(work):
 
 def _assert_one_mapping(work):
     # the padded copy at the start of one anonymous mapping, then the acc
-    # rows, then the kernel's own buffers (the compiled call's accumulator
-    # row, or each range's diff and term), each from the 64-byte line
-    # after the one before, and nothing else, so no two share memory;
-    # returns the mapping
+    # rows, then the kernel's own buffers, and nothing else, so no two
+    # share memory: each compiled call's accumulator row and, with several
+    # calls, the row counter they share (the next row and the rows per
+    # claim), each from the 4 KiB page after the one before (so no two
+    # calls' rows share a page), or each range's diff and term, each from
+    # the 64-byte line after the one before; returns the mapping
     mapping, at = _mapped_at(work.padded)
     assert isinstance(mapping, mmap.mmap) and at == 0
     assert _mapped_at(work.acc)[0] is mapping
     bufs = [(work.padded.ctypes.data, work.padded.size),
             (work.acc.ctypes.data, work.shape[0] * math.prod(work.padded.shape[1:]))]
     if work.compiled:
-        bufs.append((work._call.args[-2].value, work.shape[0]))
+        calls = _range_calls(work)
+        bufs += [(call.args[-3].value, work.shape[0]) for call in calls]
+        counters = {call.args[-1].value for call in calls}
+        if len(calls) > 1:
+            (counter,) = counters
+            bufs.append((counter, 2))
+        else:
+            assert counters == {None}
+        line = 512
     else:
         bufs += [(buf.ctypes.data, buf.size) for pair in _edge_buffers(work) for buf in pair]
+        line = 8
     at = work.padded.ctypes.data
     for address, size in bufs:
-        assert address == at and address % 64 == 0
-        at += 8 * -(-size // 8) * 8
+        assert address == at and address % (8 * line) == 0
+        at += 8 * -(-size // line) * line
     assert at - work.padded.ctypes.data == len(mapping)
     return mapping
 
 
 @pytest.mark.parametrize("d, n, r, h", _WORKSPACE_CASES)
 @pytest.mark.parametrize("extension", ["zero", "boundary"])
-@pytest.mark.parametrize("path, p", [("numpy", 3.0), ("compiled", 3.0), ("numpy", 3.5)],
-                         indirect=["path"])
+@pytest.mark.parametrize("path, p", [("numpy", 3.0), ("compiled", 3.0), ("compiled-2", 3.0),
+                                     ("numpy", 3.5)], indirect=["path"])
 def test_workspace_has_one_layout_on_every_path(path, p, d, n, r, h, extension):
-    # at p = 3 either kernel, at p = 3.5 (np.power) the numpy kernel: one
+    # at p = 3 either kernel, the compiled one in one call and in two (one
+    # in 1D, a single row), at p = 3.5 (np.power) the numpy kernel: one
     # mapping, the span of acc laid out as the padded copy's rows, of
     # which result is a view, and every buffer on a 64-byte line (numpy
     # writes about 2x slower into an output that starts off one). apply
@@ -808,9 +823,10 @@ def test_workspace_has_one_layout_on_every_path(path, p, d, n, r, h, extension):
     first, last = _first_and_last(work.acc)
     assert first <= _first_and_last(work.result)[0] <= _first_and_last(work.result)[1] <= last
     if work.compiled:
-        # the bound call writes its row into acc; no pass list
+        # each bound call writes its rows into acc; no pass list
         assert not hasattr(work, "passes") and not hasattr(work, "ranges")
-        assert work._call.args[-1].value == work.acc.ctypes.data
+        assert len(_range_calls(work)) == (1 if d == 1 else path.ranges)
+        assert all(call.args[-2].value == work.acc.ctypes.data for call in _range_calls(work))
     with np.errstate(over="ignore", invalid="ignore"):
         out = apply_dp_grid(stencil, field, _work=work)
     assert out.flags.c_contiguous and out.flags.owndata
@@ -855,11 +871,14 @@ def test_every_path_gives_the_previous_kernels_bytes(path, case, extension, p, v
     # workspace (it serves every apply of a run) and once one-shot. Where
     # differences overflow, the same nodes are inf or NaN, and a compiled
     # path may differ from numpy in NaN payloads only. A split apply
-    # starts and joins its k - 1 range threads; no other path starts one
+    # starts and joins its k - 1 range threads; no other path starts one,
+    # and a compiled-k path makes one call on a 1D grid, a single row
     stencil, field, want = _split_case(case, extension, p, values)
     work = _Workspace(stencil, field.values.shape, extension)
     assert work.compiled == path.compiled
     _assert_one_mapping(work)
+    ranges = 1 if path.compiled and field.d == 1 else path.ranges
+    assert len(_range_calls(work)) == ranges
     if not work.compiled:
         # cuts at multiples of 8 slots, so every slot keeps its SIMD lane;
         # each range's buffers hold the same halo of s_1 slots, which may
@@ -875,10 +894,10 @@ def test_every_path_gives_the_previous_kernels_bytes(path, case, extension, p, v
             assert work.ranges[0][1] + s1 > cuts[2]
     with np.errstate(over="ignore", invalid="ignore"):
         got = [apply_dp_grid(stencil, field, _work=work) for _ in range(2)]
-    assert len(path.started) == 2 * (path.ranges - 1)
+    assert len(path.started) == 2 * (ranges - 1)
     assert path.idle()
     got.append(apply_dp_grid(stencil, field))
-    assert len(path.started) == 3 * (path.ranges - 1)
+    assert len(path.started) == 3 * (ranges - 1)
     assert path.idle()
     canonical = _nan_aside if path.compiled else np.ndarray.tobytes
     for out in got:
@@ -927,6 +946,84 @@ def test_split_apply_raises_a_range_error_after_joining_every_thread(monkeypatch
     assert exc.value is failure
     assert sorted(finished) == sorted({0, 1, 2} - set(failing))
     assert len(path.started) == 2 and path.idle()
+
+
+def test_a_late_range_thread_finds_every_row_claimed(monkeypatch):
+    # a compiled-2 apply whose range thread makes its call only after the
+    # calling thread's call has returned: the calling thread claims and
+    # sums every row (a 61^2 grid, three rows per claim, so the last claim
+    # holds one), the thread claims none, so its accumulator row keeps the
+    # NaN put there, the bytes are the previous kernel's, and the thread
+    # is still joined
+    stencil = stencil_ball(0.3, 0.3 / 18, 3.0, 2)
+    rng = np.random.default_rng(4)
+    field = GridField(d=2, h=stencil.h, half_width=30 * stencil.h,
+                      values=rng.standard_normal((61, 61)))
+    want = _apply_dp_grid_previous_workspace(stencil, field).tobytes()
+    with _forced_path("compiled-2") as path:
+        work = _Workspace(stencil, field.values.shape, "zero")
+        calls = work._call.args[0]
+        rows = [np.ctypeslib.as_array((ctypes.c_double * 61).from_address(call.args[-3].value))
+                for call in calls]
+        rows[1][:] = np.nan
+        counter = np.ctypeslib.as_array((ctypes.c_int64 * 2).from_address(calls[0].args[-1].value))
+        counter[1] = 3
+        first, returned = calls[0], threading.Event()
+
+        def first_then_signal():
+            first()
+            returned.set()
+
+        class Late(operators.threading.Thread):
+            def run(self):
+                assert returned.wait(60)
+                super().run()
+
+        calls[0] = first_then_signal
+        monkeypatch.setattr(operators.threading, "Thread", Late)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = apply_dp_grid(stencil, field, _work=work)
+        assert got.tobytes() == want
+        assert np.all(np.isnan(rows[1])) and not np.any(np.isnan(rows[0]))
+        assert len(path.started) == 1 and path.idle()
+        # the counter handed out the 61 rows in 21 claims, and the late call
+        # made one more, which found none; the next apply starts it from 0
+        assert counter[0] == 3 * (21 + 1)
+        calls[0] = first
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert apply_dp_grid(stencil, field, _work=work).tobytes() == want
+        assert path.idle()
+
+
+@pytest.mark.parametrize("cpus, grid, calls, claim", [
+    (1, "ball2d", 1, None), (2, "ball2d", 2, 1), (3, "ball2d", 3, 1), (2, "801^2", 2, 3),
+    (2, "21^2", 1, None), (3, "401", 1, None)])
+def test_a_compiled_workspace_splits_only_large_grids(monkeypatch, cpus, grid, calls, claim):
+    # at the real thresholds: the 175^2 ball2d grid (3.1e7 node·passes)
+    # makes one call per CPU, which claim one row at a time (a row is
+    # 1.8e5 node·passes), and a 801^2 grid with 23 passes three; one
+    # CPU, a small grid and every 1D grid (one row) make one call, which
+    # is the C function bound by _ckernel.bind itself, with no counter: no
+    # wrapper runs and nothing resets
+    _require_compiled()
+    monkeypatch.setattr(operators, "_cpu_count", lambda: cpus)
+    stencil, shape = {
+        "ball2d": (stencil_ball(0.3, 0.3 / 18, 3.0, 2), (175, 175)),
+        "801^2": (stencil_ball(0.3, 0.1, 3.0, 2), (801, 801)),
+        "21^2": (stencil_ball(0.3, 0.1, 3.0, 2), (21, 21)),
+        "401": (stencil_1d(0.01, 3.0), (401,)),
+    }[grid]
+    work = _Workspace(stencil, shape, "zero")
+    assert len(_range_calls(work)) == calls
+    if calls == 1:
+        assert isinstance(work._call, functools.partial)
+        assert work._call.func is _ckernel.kernel(3.0)
+        assert work._call.args[-1].value is None
+    else:
+        assert work._call.func is operators._run_ranges
+        assert all(call.func is _ckernel.kernel(3.0) for call in _range_calls(work))
+        counter = work._call.args[1]
+        assert counter[1] == claim
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])

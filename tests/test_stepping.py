@@ -569,6 +569,7 @@ _CHUNK_2D = stepping._levels_per_block((21, 21))  # 18 levels of 21^2 nodes
 
 
 class _Run(NamedTuple):
+    d: int
     p: float
     make: Callable  # () -> its config, its data, its reference kernel
     narrow: bool = False  # 1D on 23 nodes or fewer, which split-3 cuts as split-2 does
@@ -579,36 +580,39 @@ class _Run(NamedTuple):
 
 # every run of the levels matrix, by name
 _RUNS = {
-    **{f"{d}d-{p}-{extension}": _Run(p, functools.partial(_wavy_run, d, p, extension),
+    **{f"{d}d-{p}-{extension}": _Run(d, p, functools.partial(_wavy_run, d, p, extension),
                                        narrow=d == 1)
        for d, p in [(1, 2.0), (1, 2.5), (1, 3.0), (1, 3.7), (1, 4.0),
                     (2, 2.0), (2, 3.0), (2, 3.7), (2, 4.0), (3, 3.0), (3, 3.7)]
        for extension in ("zero", "boundary")},
-    **{f"{d}d-N={edge}-f={source}": _Run(3.0, functools.partial(_chunk_run, d, N, source),
+    **{f"{d}d-N={edge}-f={source}": _Run(d, 3.0, functools.partial(_chunk_run, d, N, source),
                                          skips_source=source == "+0")
        for d, N, edge in [(1, 1, "1"), (1, _CHUNK_1D - 1, "chunk-1"), (1, _CHUNK_1D, "chunk"),
                           (1, _CHUNK_1D + 1, "chunk+1"), (2, _CHUNK_2D + 1, "chunk+1")]
        for source in _SOURCES},
-    "1d-tau=1-f=5e-324": _Run(3.0, _subnormal_run, narrow=True, last=8 * 5e-324),
-    "ball2d": _Run(3.0, _ball2d_run, skips_source=True),
-    **{f"25^3-{p}-{extension}": _Run(p, functools.partial(_grid_3d_run, p, extension))
+    "1d-tau=1-f=5e-324": _Run(1, 3.0, _subnormal_run, narrow=True, last=8 * 5e-324),
+    "ball2d": _Run(2, 3.0, _ball2d_run, skips_source=True),
+    **{f"25^3-{p}-{extension}": _Run(3, p, functools.partial(_grid_3d_run, p, extension))
        for p in (3.0, 3.7) for extension in ("zero", "boundary")},
     # the 1D blow-up at step 5 lies in mid-chunk; the checkerboard blows up
     # at the corner, at step 9 for p = 3
-    "blow-up-1d-4.0": _Run(4.0, functools.partial(_blow_up_run, 1, 4.0), narrow=True,
+    "blow-up-1d-4.0": _Run(1, 4.0, functools.partial(_blow_up_run, 1, 4.0), narrow=True,
                            skips_source=True, blows_up=((-10,), range(5, 6))),
-    "blow-up-2d-3.0": _Run(3.0, functools.partial(_blow_up_run, 2, 3.0),
+    "blow-up-2d-3.0": _Run(2, 3.0, functools.partial(_blow_up_run, 2, 3.0),
                            blows_up=((-10, -10), range(9, 10))),
-    "blow-up-2d-3.7": _Run(3.7, functools.partial(_blow_up_run, 2, 3.7),
+    "blow-up-2d-3.7": _Run(2, 3.7, functools.partial(_blow_up_run, 2, 3.7),
                            blows_up=((-10, -10), range(2, 10))),
 }
 
 # every path but the clones, which the bytes matrix of test_operators
 # covers; split-3 leaves out the narrow runs: a range holds a multiple of
-# 8 slots, so it cuts 23 or fewer as split-2 does
+# 8 slots, so it cuts 23 or fewer as split-2 does; compiled-2 and
+# compiled-3 leave out the 1D runs, a single row, which they run in one
+# call as compiled does
 _LEVEL_PATHS = [path for path in _PATHS if not path.startswith("clone:")]
 _LEVEL_CASES = [(path, run) for path in _LEVEL_PATHS for run, case in _RUNS.items()
-                if _serves(path, case.p) and not (path == "split-3" and case.narrow)]
+                if _serves(path, case.p) and not (path == "split-3" and case.narrow)
+                and not (path.startswith("compiled-") and case.d == 1)]
 
 
 @functools.cache
@@ -711,9 +715,10 @@ def test_levels_match_reference_step_bitwise(path, run, monkeypatch):
     bad.flat[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         got[-1].with_values(bad)
-    # a split-k run starts the same threads at every step, k - 1 where the
-    # span has 8k slots or more (on every run but the narrow ones), and
-    # holds none between steps; no other path starts one
+    # a split-k or compiled-k run starts the same threads at every step,
+    # k - 1 where the span has 8k slots or more and the grid k rows or
+    # more (on every run but the narrow ones), and holds none between
+    # steps; no other path starts one
     per_step, rest = divmod(len(path.started), len(sources))
     assert rest == 0 and per_step <= path.ranges - 1
     assert per_step == path.ranges - 1 or case.narrow
